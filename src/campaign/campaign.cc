@@ -7,6 +7,7 @@
 
 #include "campaign/seeds.hh"
 #include "campaign/thread_pool.hh"
+#include "sim/cpus.hh"
 #include "sim/logging.hh"
 
 namespace mediaworm::campaign {
@@ -21,7 +22,7 @@ CampaignConfig::effectiveJobs() const
                    shardsPerJob);
     if (jobs != 0)
         return jobs;
-    return std::max(1, ThreadPool::hardwareThreads() / shardsPerJob);
+    return std::max(1, sim::usableCpus() / shardsPerJob);
 }
 
 const std::vector<MetricDef>&

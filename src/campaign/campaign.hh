@@ -33,7 +33,7 @@ namespace mediaworm::campaign {
 struct CampaignConfig
 {
     /** Worker threads; 1 runs inline (the classic sequential path),
-     *  0 means one per hardware thread. */
+     *  0 means one per usable CPU (sim::usableCpus). */
     int jobs = 1;
 
     /** Seed replications per point (>= 1). */
@@ -48,7 +48,7 @@ struct CampaignConfig
     /**
      * Threads each job uses internally (ExperimentConfig::shards of
      * the points being run; >= 1). Only the jobs == 0 heuristic
-     * consumes it: the pool gets hardware_threads / shardsPerJob
+     * consumes it: the pool gets usable CPUs / shardsPerJob
      * workers so jobs x shards stays within the machine instead of
      * oversubscribing it. Explicit jobs values are taken as given.
      */

@@ -43,13 +43,6 @@ ThreadPool::wait()
     idle_.wait(lock, [this] { return unfinished_ == 0; });
 }
 
-int
-ThreadPool::hardwareThreads()
-{
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<int>(n);
-}
-
 void
 ThreadPool::workerLoop()
 {

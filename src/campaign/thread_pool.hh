@@ -28,7 +28,7 @@ class ThreadPool
   public:
     /**
      * Starts @p threads workers.
-     * @param threads Must be >= 1; pass hardwareThreads() for "all".
+     * @param threads Must be >= 1; pass sim::usableCpus() for "all".
      */
     explicit ThreadPool(int threads);
 
@@ -46,9 +46,6 @@ class ThreadPool
 
     /** Number of worker threads in the pool. */
     int threads() const { return static_cast<int>(workers_.size()); }
-
-    /** Hardware concurrency, never less than 1. */
-    static int hardwareThreads();
 
   private:
     void workerLoop();

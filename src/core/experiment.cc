@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "network/metrics.hh"
@@ -13,6 +12,7 @@
 #include "network/partition.hh"
 #include "obs/flight_recorder.hh"
 #include "obs/telemetry.hh"
+#include "sim/cpus.hh"
 #include "sim/event.hh"
 #include "sim/logging.hh"
 #include "sim/pdes.hh"
@@ -47,7 +47,8 @@ runExperiment(const ExperimentConfig& cfg)
     // Shard plan. The flit tracer's ring is single-threaded, so any
     // trace-based observer forces the classic one-shard run.
     network::ShardPlan shard_plan = network::planShards(
-        cfg.network, cfg.shards, std::thread::hardware_concurrency());
+        cfg.network, cfg.shards,
+        static_cast<unsigned>(sim::usableCpus()));
     if (!shard_plan.trivial()
         && (cfg.obs.trace || cfg.obs.flightRecorder)) {
         sim::warn("runExperiment: flit tracing requested; running on "

@@ -54,7 +54,7 @@ struct ExperimentConfig
      * the mesh is cut into contiguous router strips, each run on its
      * own thread, synchronized with the link latency as lookahead.
      * 1 (default) is the classic single-threaded run; 0 picks one
-     * shard per hardware thread. Clamped to the router count, and a
+     * shard per usable CPU. Clamped to the router count, and a
      * single switch always runs on one shard. Any value produces
      * bit-identical results - deterministicHash does not depend on
      * it (tests/test_pdes.cc enforces this).

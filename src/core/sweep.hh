@@ -55,7 +55,7 @@ class Sweep
     std::size_t size() const { return points_.size(); }
 
     /** Worker threads for run(); 1 = sequential (default), 0 = one
-     *  per hardware thread. */
+     *  per usable CPU. */
     void setJobs(int jobs) { jobs_ = jobs; }
 
     /** Seed replications per point (default 1). */
@@ -67,8 +67,8 @@ class Sweep
     /**
      * Shards per experiment (ExperimentConfig::shards) for every
      * point; also tells the campaign's jobs=0 heuristic to budget
-     * hardware threads as jobs x shards (campaign.hh). Default 1;
-     * 0 = one shard per hardware thread. Deterministic outputs are
+     * usable CPUs as jobs x shards (campaign.hh). Default 1;
+     * 0 = one shard per usable CPU. Deterministic outputs are
      * shard-count invariant.
      */
     void setShards(int shards) { base_.shards = shards; }

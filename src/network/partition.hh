@@ -43,8 +43,8 @@ struct ShardPlan
  *
  * @param requested_shards Shard count from configuration: >= 1 is
  *        clamped to the router count; 0 asks for the auto heuristic
- *        (one shard per hardware thread, clamped likewise).
- * @param hardware_threads std::thread::hardware_concurrency(), or
+ *        (one shard per usable CPU, clamped likewise).
+ * @param hardware_threads sim::usableCpus(), or
  *        any cap the caller wants the heuristic to respect.
  *
  * A single switch always yields one shard (there is nothing to

@@ -1,8 +1,6 @@
 #include "sim/pdes.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <chrono>
 #include <limits>
 #include <thread>
@@ -16,6 +14,26 @@ namespace {
 /** "No pending event" sentinel for the shared min-reduction
  *  (kTickNever is -1 and would win every min). */
 constexpr Tick kNoEvent = std::numeric_limits<Tick>::max();
+
+/** Barrier stage 1: phase-word polls with a CPU pause between them
+ *  (at most a few microseconds) - covers the common case of shards
+ *  finishing a window within microseconds of each other. */
+constexpr int kSpinPolls = 64;
+/** Barrier stage 2: how long a waiter keeps yielding its CPU before
+ *  it parks on a futex. Yielding hands the core to a runnable shard
+ *  when shards outnumber CPUs; parking bounds the CPU a waiter burns
+ *  when a peer is descheduled or the window is long. */
+constexpr std::chrono::microseconds kYieldWindow{200};
+
+void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
 
 void
 atomicMinTick(std::atomic<Tick>& slot, Tick value)
@@ -36,6 +54,40 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 } // namespace
+
+EpochBarrier::EpochBarrier(int parties) : parties_(parties)
+{
+    MW_ASSERT(parties_ >= 1);
+}
+
+void
+EpochBarrier::arriveAndWait()
+{
+    // Only this phase's last arrival can move the phase word, and
+    // that cannot happen before our own arrival below.
+    const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel)
+        == parties_ - 1) {
+        arrived_.store(0, std::memory_order_relaxed);
+        phase_.store(phase + 1, std::memory_order_release);
+        phase_.notify_all();
+        return;
+    }
+
+    for (int i = 0; i < kSpinPolls; ++i) {
+        if (phase_.load(std::memory_order_acquire) != phase)
+            return;
+        cpuRelax();
+    }
+    const auto deadline = std::chrono::steady_clock::now() + kYieldWindow;
+    while (phase_.load(std::memory_order_acquire) == phase) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            phase_.wait(phase, std::memory_order_acquire);
+            return;
+        }
+        std::this_thread::yield();
+    }
+}
 
 PdesExecutor::PdesExecutor(std::vector<Simulator*> shards,
                            Tick lookahead)
@@ -88,8 +140,7 @@ PdesExecutor::run(Tick cap)
     }
 
     const int n = static_cast<int>(shards_.size());
-    std::barrier<> exec_done(n);
-    std::barrier<> merge_done(n);
+    EpochBarrier barrier(n);
     // Double-buffered min-reduction slot: epoch k publishes into
     // next[k & 1]; the other slot is reset for epoch k+1 between
     // the barriers, when no thread can still be reading it.
@@ -113,7 +164,7 @@ PdesExecutor::run(Tick cap)
             stat.runSeconds += secondsSince(t0);
 
             t0 = std::chrono::steady_clock::now();
-            exec_done.arrive_and_wait();
+            barrier.arriveAndWait(); // windows executed
             stat.blockedSeconds += secondsSince(t0);
 
             next_time[1 - parity].store(kNoEvent,
@@ -133,7 +184,7 @@ PdesExecutor::run(Tick cap)
                 atomicMinTick(next_time[parity], local_next);
 
             t0 = std::chrono::steady_clock::now();
-            merge_done.arrive_and_wait();
+            barrier.arriveAndWait(); // mailboxes merged
             stat.blockedSeconds += secondsSince(t0);
 
             const Tick global_next =

@@ -10,7 +10,7 @@
  * consumer; at the epoch boundary the consumer drains its mailboxes
  * and schedules the resulting delivery events on its own queue.
  *
- * Epoch protocol (two barriers per epoch):
+ * Epoch protocol (two EpochBarrier phases per epoch):
  *
  *   1. Every shard runs its local events in the window [T, T+W-1]
  *      where W is the lookahead - the minimum cross-shard link
@@ -36,6 +36,7 @@
 #ifndef MEDIAWORM_SIM_PDES_HH
 #define MEDIAWORM_SIM_PDES_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -44,6 +45,39 @@
 #include "sim/time.hh"
 
 namespace mediaworm::sim {
+
+/**
+ * Reusable sense-reversing barrier for the epoch protocol.
+ *
+ * Arrivals are counted; the last arriver resets the count and bumps
+ * the phase word, which releases everyone waiting on the old phase.
+ * Everything a thread wrote before arriving happens-before everything
+ * any thread does after leaving the same phase.
+ *
+ * A waiter escalates through three stages (DESIGN.md section 12):
+ * a short CPU-pause spin, then std::this_thread::yield() until a
+ * fixed deadline, then a futex park via std::atomic::wait. Epochs
+ * are microseconds long, so most waits end in the first two stages
+ * without a sleep/wake round trip; the yield stage keeps waiters from
+ * starving runnable shards when there are more shards than CPUs.
+ */
+class EpochBarrier
+{
+  public:
+    /** @param parties Threads that must arrive per phase (>= 1). */
+    explicit EpochBarrier(int parties);
+
+    EpochBarrier(const EpochBarrier&) = delete;
+    EpochBarrier& operator=(const EpochBarrier&) = delete;
+
+    /** Arrives and blocks until all parties reached this phase. */
+    void arriveAndWait();
+
+  private:
+    const int parties_;
+    alignas(64) std::atomic<int> arrived_{0};
+    alignas(64) std::atomic<std::uint32_t> phase_{0};
+};
 
 /** Per-shard execution counters from one PdesExecutor::run(). */
 struct ShardRunStats

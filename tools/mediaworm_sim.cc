@@ -152,14 +152,14 @@ main(int argc, char** argv)
                               "full MPEG-2 workload)",
                      &scale, 0.001, 1.0);
     parser.addInt("seed", "root random seed", &seed, 0, 1 << 30);
-    parser.addInt("jobs", "worker threads (0 = all hardware threads)",
+    parser.addInt("jobs", "worker threads (0 = all usable CPUs)",
                   &jobs, 0, 256);
     parser.addInt("replications",
                   "seed replications per point (95% CIs)",
                   &replications, 1, 1000);
     parser.addInt("shards",
                   "parallel shards per experiment (multi-router "
-                  "topologies; 0 = one per hardware thread; results "
+                  "topologies; 0 = one per usable CPU; results "
                   "are bit-identical for any value)",
                   &shards, 0, 256);
     parser.addString("json-out", "write a JSON campaign artifact "
