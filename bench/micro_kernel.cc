@@ -80,6 +80,47 @@ BM_EventQueueNearFuture(benchmark::State& state)
 }
 BENCHMARK(BM_EventQueueNearFuture)->Arg(64)->Arg(1024);
 
+/**
+ * The multi-hop torus's hot pattern: many routers hand link
+ * deliveries (canonical keys, arriving in no particular order) plus
+ * some counter-keyed wakeups to one future tick. The near tier must
+ * absorb the whole burst - tail appends, then one sort when the
+ * cursor reaches the bucket - instead of spilling it to the far heap
+ * once an in-place walk runs past kMaxInsertScan.
+ */
+void
+BM_EventQueueSameTickBurst(benchmark::State& state)
+{
+    constexpr sim::Tick kCycle = 80000; // 400 Mbps, 32-bit flits
+    const auto burst = static_cast<std::size_t>(state.range(0));
+    sim::Simulator simulator(7);
+    std::vector<std::uint64_t> keys(burst);
+    for (std::size_t i = 0; i < burst; ++i)
+        keys[i] = i;
+    for (std::size_t i = burst - 1; i > 0; --i)
+        std::swap(keys[i], keys[simulator.rng().uniformInt(i + 1)]);
+    std::vector<std::unique_ptr<sim::CallbackEvent>> events;
+    for (std::size_t i = 0; i < burst; ++i) {
+        events.push_back(
+            std::make_unique<sim::CallbackEvent>([] {}, "bench"));
+        if (i % 8 != 0) // every 8th stays counter-keyed
+            events.back()->setCanonicalSeq(keys[i]);
+    }
+    sim::CallbackEvent anchor([] {}, "bench");
+    for (auto _ : state) {
+        // The anchor re-anchors the drained near tier one cycle out;
+        // the burst lands a cycle later, ahead of the cursor.
+        const sim::Tick now = simulator.now();
+        simulator.schedule(anchor, now + kCycle);
+        for (auto& event : events)
+            simulator.schedule(*event, now + 2 * kCycle);
+        simulator.run(now + 2 * kCycle);
+    }
+    state.SetItemsProcessed(state.iterations()
+                            * static_cast<std::int64_t>(burst));
+}
+BENCHMARK(BM_EventQueueSameTickBurst)->Arg(64)->Arg(512);
+
 /** Link transfer: flits and (coalesced) credits through the pipes. */
 void
 BM_LinkFlitCreditTransfer(benchmark::State& state)
@@ -223,26 +264,30 @@ BENCHMARK(BM_EndToEndExperimentTelemetry)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Multi-hop end-to-end row on the topology-graph path: a 4x4 torus
- * under dimension-order routing with dateline VC classes, the shape
- * the Fig-3/5/9 multi-hop comparisons run on. Tracks the cost of
+ * Multi-hop end-to-end rows on the topology-graph path: a side x side
+ * torus under dimension-order routing with dateline VC classes, the
+ * shape the Fig-3/5/9 multi-hop comparisons run on. Tracks the cost of
  * table-routed wormhole traversal (route table lookups, VC-class
  * mapping, per-hop credit loops) the single-switch headline never
- * exercises. Gated against the committed baseline in CI.
+ * exercises. The 4x4 row is gated against the committed baseline in
+ * CI; the 8x8 row (shorter run, 64 routers sharing each tick) is
+ * tracked, not gated - its events/s against the single-switch
+ * headline is ROADMAP item 2's size-invariance ratio.
  */
 void
 BM_EndToEndTorus(benchmark::State& state)
 {
+    const int side = static_cast<int>(state.range(0));
     for (auto _ : state) {
         core::ExperimentConfig cfg;
         cfg.network.topology = config::TopologyKind::Torus;
-        cfg.network.meshWidth = 4;
-        cfg.network.meshHeight = 4;
+        cfg.network.meshWidth = side;
+        cfg.network.meshHeight = side;
         cfg.network.endpointsPerSwitch = 1;
         cfg.traffic.inputLoad = 0.6;
         cfg.traffic.warmupFrames = 1;
-        cfg.traffic.measuredFrames = 2;
-        cfg.timeScale = 0.05;
+        cfg.traffic.measuredFrames = side > 4 ? 1 : 2;
+        cfg.timeScale = side > 4 ? 0.01 : 0.05;
         const core::ExperimentResult result =
             core::runExperiment(cfg);
         benchmark::DoNotOptimize(result.eventsFired);
@@ -251,7 +296,11 @@ BM_EndToEndTorus(benchmark::State& state)
             benchmark::Counter::kIsIterationInvariantRate);
     }
 }
-BENCHMARK(BM_EndToEndTorus)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EndToEndTorus)
+    ->ArgName("side")
+    ->Arg(4)
+    ->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Batched router-tick dispatch A/B (DESIGN.md section 13): the same

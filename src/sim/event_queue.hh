@@ -8,10 +8,11 @@
  * link deliveries) lands 1-few cycles in the future, which this tier
  * absorbs with O(1) schedule, deschedule and pop.
  *
- * Far tier: the original indexed binary min-heap, holding everything
- * outside the near window (frame interarrivals tens of milliseconds
- * out, warmup/drain timers) plus rare awkward inserts the near tier
- * declines. O(log n) schedule, cancel and reschedule.
+ * Far tier: an indexed binary min-heap with inline (when, seq) keys,
+ * holding everything outside the near window (frame interarrivals
+ * tens of milliseconds out, warmup/drain timers) plus rare awkward
+ * inserts the near tier declines. O(log n) schedule, cancel and
+ * reschedule.
  *
  * Tier placement is purely a performance decision: pop() compares the
  * earliest candidate of each tier under the same total (when, seq)
@@ -28,6 +29,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hh"
@@ -55,14 +57,18 @@ class EventQueue
      * (4096 x 16.4 ns) so per-message source interarrivals skip the
      * far heap was measured and is a wash: the saved sift traffic is
      * repaid in cache footprint (the 64 KiB ring no longer fits L1).
+     * The per-bucket sorted/unsorted state lives in a bitmap beside
+     * the occupancy bitmap, so the 1024-bucket ring stays 16 KiB.
      */
     static constexpr std::size_t kNumBuckets = 1024;
 
     /**
-     * Bound on the sorted-insert scan inside one bucket. An insert
-     * that would need a longer walk is sent to the far-tier heap
-     * instead, capping the near tier's worst case at O(this bound)
-     * without affecting service order.
+     * Bound on the in-place insert walk inside one bucket. Ahead of
+     * the cursor, an insert that would walk further is appended to
+     * the bucket's tail and the bucket is marked unsorted (it is
+     * sorted once, when the cursor reaches it). In the cursor bucket,
+     * which must stay sorted, such an insert goes to the far heap -
+     * the only ordering-driven spill left.
      */
     static constexpr int kMaxInsertScan = 16;
 
@@ -74,6 +80,20 @@ class EventQueue
      * execution mode (see event.hh).
      */
     static constexpr std::uint64_t kFirstDynamicSeq = 1ULL << 32;
+
+    /**
+     * Tier accounting, outside every result hash: far-heap inserts by
+     * cause, and sort-on-reach work. Only the spill and sort paths
+     * count, so the near tier's hot path pays nothing.
+     */
+    struct TierCounters
+    {
+        std::uint64_t farBeyondWindow = 0;   ///< past the near window
+        std::uint64_t farBehindCursor = 0;   ///< behind the cursor
+        std::uint64_t farCursorOverflow = 0; ///< cursor-bucket walk
+        std::uint64_t bucketSorts = 0;       ///< buckets sorted on reach
+        std::uint64_t eventsSorted = 0;      ///< events those sorted
+    };
 
     EventQueue();
 
@@ -118,7 +138,7 @@ class EventQueue
     std::size_t size() const { return nearCount_ + heap_.size(); }
 
     /** Firing time of the earliest event; kTickNever if empty. */
-    Tick nextTime() const;
+    Tick nextTime();
 
     /**
      * Removes and returns the earliest event.
@@ -161,23 +181,40 @@ class EventQueue
     /** Events currently held by the far-tier heap (observability). */
     std::size_t farSize() const { return heap_.size(); }
 
+    /** Far-insert causes and sort work since construction. */
+    const TierCounters& tierCounters() const { return counters_; }
+
   private:
-    /** One near-tier bucket: a (when, seq)-sorted intrusive list. */
+    /** One near-tier bucket: an intrusive list, (when, seq)-sorted
+     *  unless its unsorted_ bit is set (never the cursor's bucket). */
     struct Bucket
     {
         Event* head = nullptr;
         Event* tail = nullptr;
     };
 
-    bool
-    before(const Event& a, const Event& b) const
+    /** Far-heap slot. The inline key keeps sifts off the Events; its
+     *  field names match Event's so before() compares either. */
+    struct HeapEntry
+    {
+        Tick when_;
+        std::uint64_t seq_;
+        Event* event;
+    };
+
+    /** (when, seq) order over Events and HeapEntries alike. */
+    template <class A, class B>
+    static bool
+    before(const A& a, const B& b)
     {
         if (a.when_ != b.when_)
             return a.when_ < b.when_;
         return a.seq_ < b.seq_;
     }
 
-    /** New event inserted: keep the cached front exact. */
+    /** New event inserted: keep the cached front exact. A cached
+     *  front sits in the sorted cursor bucket or at or before it in
+     *  the heap, so no event preceding it lands in an unsorted one. */
     void
     noteScheduled(Event& event)
     {
@@ -199,17 +236,25 @@ class EventQueue
     // pop and schedule on the hottest loop in the tree.
     [[gnu::always_inline]] bool
     tryScheduleNear(Event& event, std::int64_t bucket_number);
+    /** Sets @p prev to the event after which @p event keeps sorted
+     *  @p bucket sorted (nullptr: the head); false if the walk would
+     *  pass kMaxInsertScan events. */
+    [[gnu::always_inline]] static bool
+    sortedPosition(const Bucket& bucket, const Event& event, Event*& prev);
     [[gnu::always_inline]] void unlinkNear(Event& event);
     /** Earliest near-tier event; nullptr if the tier is empty.
-     *  Advances the (cached) cursor past empty buckets. */
-    [[gnu::always_inline]] Event* nearFront() const;
+     *  Advances the cursor past empty buckets and sorts the bucket
+     *  it lands on if that one is marked unsorted. */
+    [[gnu::always_inline]] Event* nearFront();
     /** Earliest event of either tier; nullptr if the queue is empty. */
-    [[gnu::always_inline]] Event* earliest() const;
+    [[gnu::always_inline]] Event* earliest();
+    /** Sorts the unsorted bucket in ring slot @p slot (cold path). */
+    void sortBucket(std::size_t slot);
 
     // Far tier (indexed binary heap).
     void siftUp(std::size_t index);
     void siftDown(std::size_t index);
-    void place(Event* event, std::size_t index);
+    void place(const HeapEntry& entry, std::size_t index);
     void scheduleFar(Event& event);
     void descheduleFar(Event& event);
 
@@ -218,10 +263,9 @@ class EventQueue
      * Absolute bucket number (when >> kBucketShift) the cursor sits
      * on; the ring slot is cursorBucket_ & (kNumBuckets - 1). Near
      * events always live in [cursorBucket_, cursorBucket_ +
-     * kNumBuckets). Mutable: nextTime() advances it past empty
-     * buckets, which is pure caching.
+     * kNumBuckets).
      */
-    mutable std::int64_t cursorBucket_ = 0;
+    std::int64_t cursorBucket_ = 0;
     std::size_t nearCount_ = 0;
     /**
      * One bit per ring slot, set while the slot's bucket is
@@ -231,8 +275,13 @@ class EventQueue
      * elision makes the clock jump many empty buckets at once.
      */
     std::array<std::uint64_t, kNumBuckets / 64> occupied_{};
+    /** Set while a slot's bucket holds an out-of-order append;
+     *  always a subset of occupied_. */
+    std::array<std::uint64_t, kNumBuckets / 64> unsorted_{};
+    /** sortBucket()'s reused (packed key, event) buffer. */
+    std::vector<std::pair<std::uint64_t, Event*>> sortScratch_;
 
-    std::vector<Event*> heap_;
+    std::vector<HeapEntry> heap_;
     std::uint64_t nextSeq_ = kFirstDynamicSeq;
     /**
      * Cached earliest event: non-null means it *is* the earliest
@@ -240,9 +289,10 @@ class EventQueue
      * earliest()). Inserts keep it exact via noteScheduled();
      * removals clear it via noteRemoved(). Saves the front search
      * when the batched run loop peeks right after a failed batch
-     * probe. Mutable: earliest() is a logically-const cache fill.
+     * probe.
      */
-    mutable Event* front_ = nullptr;
+    Event* front_ = nullptr;
+    TierCounters counters_;
 };
 
 // --- inline hot path --------------------------------------------------------
@@ -257,77 +307,83 @@ inline bool
 EventQueue::tryScheduleNear(Event& event, std::int64_t bucket_number)
 {
     // An empty near tier can re-anchor its window anywhere.
-    if (nearCount_ == 0)
+    if (nearCount_ == 0) {
         cursorBucket_ = bucket_number;
-    else if (bucket_number < cursorBucket_
-             || bucket_number
-                 >= cursorBucket_
-                     + static_cast<std::int64_t>(kNumBuckets)) {
+    } else if (bucket_number < cursorBucket_) {
+        ++counters_.farBehindCursor;
+        return false;
+    } else if (bucket_number
+               >= cursorBucket_ + static_cast<std::int64_t>(kNumBuckets)) {
+        ++counters_.farBeyondWindow;
         return false;
     }
 
     constexpr std::size_t mask = kNumBuckets - 1;
-    Bucket& bucket =
-        buckets_[static_cast<std::size_t>(bucket_number) & mask];
+    const std::size_t slot =
+        static_cast<std::size_t>(bucket_number) & mask;
+    const std::uint64_t bit = 1ULL << (slot & 63);
+    Bucket& bucket = buckets_[slot];
 
-    // Sorted insert under the full (when, seq) order, entered from
-    // the end where the event's key lives. A counter-keyed event
-    // carries the largest seq, so a tail-first walk stops at the
-    // last event with when_ <= event.when_ - usually immediately. A
-    // canonical-key event (seq below the counter range) precedes
-    // every same-tick counter-keyed event, so it walks head-first
-    // instead: past earlier ticks and earlier canonical keys only,
-    // never through a same-tick batch. (Tail-first for those used to
-    // exhaust kMaxInsertScan against busy ticks and bounce the
-    // link-delivery events - two per flit - to the far heap.)
-    if (event.canonicalSeq_) {
-        Event* at = bucket.head;
-        int scanned = 0;
-        while (at != nullptr && before(*at, event)) {
-            if (++scanned > kMaxInsertScan)
-                return false; // Awkward insert; the heap takes it.
-            at = at->nearNext_;
+    // The event goes after `prev` (nullptr: the head): a bounded walk
+    // into a sorted bucket, else a tail append that marks a bucket
+    // ahead of the cursor unsorted until the cursor reaches it. Only
+    // the cursor bucket, which must stay sorted, still spills.
+    Event* prev = bucket.tail;
+    if ((unsorted_[slot >> 6] & bit) == 0
+        && !sortedPosition(bucket, event, prev)) {
+        if (bucket_number == cursorBucket_) {
+            ++counters_.farCursorOverflow;
+            return false;
         }
-        // Insert immediately before `at` (or at the tail).
-        event.nearNext_ = at;
-        if (at != nullptr) {
-            event.nearPrev_ = at->nearPrev_;
-            at->nearPrev_ = &event;
-        } else {
-            event.nearPrev_ = bucket.tail;
-            bucket.tail = &event;
-        }
-        if (event.nearPrev_ != nullptr)
-            event.nearPrev_->nearNext_ = &event;
-        else
-            bucket.head = &event;
-    } else {
-        Event* at = bucket.tail;
-        int scanned = 0;
-        while (at != nullptr && before(event, *at)) {
-            if (++scanned > kMaxInsertScan)
-                return false; // Awkward insert; the heap takes it.
-            at = at->nearPrev_;
-        }
-        event.nearPrev_ = at;
-        if (at != nullptr) {
-            event.nearNext_ = at->nearNext_;
-            at->nearNext_ = &event;
-        } else {
-            event.nearNext_ = bucket.head;
-            bucket.head = &event;
-        }
-        if (event.nearNext_ != nullptr)
-            event.nearNext_->nearPrev_ = &event;
-        else
-            bucket.tail = &event;
+        prev = bucket.tail;
+        unsorted_[slot >> 6] |= bit;
     }
+    event.nearPrev_ = prev;
+    event.nearNext_ = prev != nullptr ? prev->nearNext_ : bucket.head;
+    if (prev != nullptr)
+        prev->nearNext_ = &event;
+    else
+        bucket.head = &event;
+    if (event.nearNext_ != nullptr)
+        event.nearNext_->nearPrev_ = &event;
+    else
+        bucket.tail = &event;
 
     event.heapIndex_ = Event::kInNearTier;
     ++nearCount_;
-    const std::size_t slot =
-        static_cast<std::size_t>(bucket_number) & mask;
-    occupied_[slot >> 6] |= 1ULL << (slot & 63);
+    occupied_[slot >> 6] |= bit;
+    return true;
+}
+
+inline bool
+EventQueue::sortedPosition(const Bucket& bucket, const Event& event,
+                           Event*& prev)
+{
+    // Entered from the end where the event's key lives. A
+    // counter-keyed event carries the largest seq, so a tail-first
+    // walk stops at the last event with when_ <= event.when_ -
+    // usually immediately. A canonical-key event (seq below the
+    // counter range) that does not belong at the tail precedes every
+    // same-tick counter-keyed event, so it walks head-first instead
+    // (stopping at the tail at the latest): past earlier ticks and
+    // earlier canonical keys only, never through a same-tick batch.
+    int scanned = 0;
+    if (event.canonicalSeq_ && bucket.tail != nullptr
+        && before(event, *bucket.tail)) {
+        Event* at = bucket.head;
+        for (; before(*at, event); at = at->nearNext_) {
+            if (++scanned > kMaxInsertScan)
+                return false;
+        }
+        prev = at->nearPrev_;
+    } else {
+        Event* at = bucket.tail;
+        for (; at != nullptr && before(event, *at); at = at->nearPrev_) {
+            if (++scanned > kMaxInsertScan)
+                return false;
+        }
+        prev = at;
+    }
     return true;
 }
 
@@ -338,6 +394,7 @@ EventQueue::unlinkNear(Event& event)
     const std::size_t slot = static_cast<std::size_t>(
                                  event.when_ >> kBucketShift)
                              & mask;
+    const std::uint64_t bit = 1ULL << (slot & 63);
     Bucket& bucket = buckets_[slot];
     Event* const succ = event.nearNext_;
     if (event.nearPrev_ != nullptr)
@@ -352,21 +409,25 @@ EventQueue::unlinkNear(Event& event)
     event.nearNext_ = nullptr;
     event.heapIndex_ = Event::kUnscheduled;
     --nearCount_;
-    if (bucket.head == nullptr)
-        occupied_[slot >> 6] &= ~(1ULL << (slot & 63));
+    if (bucket.head == nullptr) {
+        occupied_[slot >> 6] &= ~bit;
+        unsorted_[slot >> 6] &= ~bit;
+    }
     // O(1) front repair: when the removed event was the cached front
     // it was the global minimum, so its in-bucket successor - if any -
     // is the new near-tier minimum (every other near event sits after
-    // it in this sorted bucket or in a later-time bucket). Compare
-    // against the far-tier top and cache the winner, instead of
-    // dropping the cache and paying a full bitmap rescan on the next
-    // peek. An empty successor means the near minimum moved to a
-    // later bucket; fall back to the lazy recompute.
+    // it in this sorted cursor bucket, see noteScheduled(), or in a
+    // later-time bucket). Compare against the far-tier top and cache
+    // the winner, instead of dropping the cache and paying a full
+    // bitmap rescan on the next peek. An empty successor means the
+    // near minimum moved to a later bucket; fall back to the lazy
+    // recompute.
     if (front_ == &event) {
+        MW_DEBUG_ASSERT((unsorted_[slot >> 6] & bit) == 0);
         if (succ != nullptr) {
-            front_ = (heap_.empty() || before(*succ, *heap_.front()))
+            front_ = (heap_.empty() || before(*succ, heap_.front()))
                          ? succ
-                         : heap_.front();
+                         : heap_.front().event;
         } else {
             front_ = nullptr;
         }
@@ -374,7 +435,7 @@ EventQueue::unlinkNear(Event& event)
 }
 
 inline Event*
-EventQueue::nearFront() const
+EventQueue::nearFront()
 {
     if (nearCount_ == 0)
         return nullptr;
@@ -397,22 +458,24 @@ EventQueue::nearFront() const
         (word << 6)
         + static_cast<std::size_t>(std::countr_zero(bits));
     cursorBucket_ += static_cast<std::int64_t>((found - slot) & mask);
+    if ((unsorted_[word] & (1ULL << (found & 63))) != 0) [[unlikely]]
+        sortBucket(found);
     return buckets_[found].head;
 }
 
 inline Event*
-EventQueue::earliest() const
+EventQueue::earliest()
 {
     if (front_ != nullptr)
         return front_;
     Event* near = nearFront();
     Event* best;
     if (near == nullptr)
-        best = heap_.empty() ? nullptr : heap_.front();
-    else if (heap_.empty() || before(*near, *heap_.front()))
+        best = heap_.empty() ? nullptr : heap_.front().event;
+    else if (heap_.empty() || before(*near, heap_.front()))
         best = near;
     else
-        best = heap_.front();
+        best = heap_.front().event;
     front_ = best;
     return best;
 }
@@ -433,7 +496,7 @@ EventQueue::schedule(Event& event, Tick when)
 }
 
 inline Tick
-EventQueue::nextTime() const
+EventQueue::nextTime()
 {
     const Event* event = earliest();
     return event == nullptr ? kTickNever : event->when_;

@@ -105,6 +105,9 @@ class Simulator
     /** Total events fired since construction. */
     std::uint64_t eventsFired() const { return eventsFired_; }
 
+    /** See EventQueue::tierCounters(). */
+    const auto& tierCounters() const { return queue_.tierCounters(); }
+
     // --- batched dispatch and lazy-tick elision -------------------
 
     /**

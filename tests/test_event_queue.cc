@@ -278,26 +278,43 @@ TEST(EventQueueTiers, RescheduleCrossesTiers)
 
 TEST(EventQueueTiers, BoundedInsertScanOverflowsToHeap)
 {
-    EventQueue queue;
-    // Deep descending insert into one bucket: every insert scans from
-    // the bucket tail, so past the scan bound the events must spill
-    // to the heap - and the global order must be unaffected.
-    std::vector<std::unique_ptr<RecordingEvent>> events;
+    // Deep descending insert into one bucket. Ahead of the cursor the
+    // bucket absorbs every insert (an overflowing walk becomes an
+    // unsorted tail append, sorted once when the cursor arrives); in
+    // the cursor bucket, which must stay sorted, the inserts past the
+    // scan bound spill to the heap. Either way the global order must
+    // be unaffected.
     constexpr int kCount = 64;
-    for (int i = 0; i < kCount; ++i) {
-        events.push_back(std::make_unique<RecordingEvent>());
-        queue.schedule(*events.back(), kCount - i);
-    }
-    EXPECT_GT(queue.farSize(), 0u);
-    EXPECT_EQ(queue.size(), static_cast<std::size_t>(kCount));
+    const Tick ahead = 5 * (Tick{1} << EventQueue::kBucketShift);
+    for (const Tick base : {ahead, Tick{0}}) {
+        EventQueue queue;
+        RecordingEvent anchor;
+        queue.schedule(anchor, 0); // cursor bucket 0
+        std::vector<std::unique_ptr<RecordingEvent>> events;
+        for (int i = 0; i < kCount; ++i) {
+            events.push_back(std::make_unique<RecordingEvent>());
+            queue.schedule(*events.back(), base + kCount - i);
+        }
+        const EventQueue::TierCounters& tiers = queue.tierCounters();
+        if (base == ahead) {
+            EXPECT_EQ(queue.farSize(), 0u);
+            EXPECT_EQ(tiers.farCursorOverflow, 0u);
+        } else {
+            EXPECT_GT(queue.farSize(), 0u);
+            EXPECT_EQ(tiers.farCursorOverflow, queue.farSize());
+        }
+        EXPECT_EQ(queue.size(), static_cast<std::size_t>(kCount + 1));
 
-    Tick last = -1;
-    for (int i = 0; i < kCount; ++i) {
-        Event& popped = queue.pop();
-        EXPECT_GT(popped.when(), last);
-        last = popped.when();
+        EXPECT_EQ(&queue.pop(), &anchor);
+        Tick last = -1;
+        for (int i = 0; i < kCount; ++i) {
+            Event& popped = queue.pop();
+            EXPECT_GT(popped.when(), last);
+            last = popped.when();
+        }
+        EXPECT_TRUE(queue.empty());
+        EXPECT_EQ(tiers.bucketSorts, base == ahead ? 1u : 0u);
     }
-    EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueueTiers, ClearResetsBothTiers)
@@ -316,6 +333,199 @@ TEST(EventQueueTiers, ClearResetsBothTiers)
     queue.schedule(b, 2);
     EXPECT_EQ(&queue.pop(), &b);
     EXPECT_EQ(&queue.pop(), &a);
+}
+
+/** Bucket width in ticks, for placing events in chosen buckets. */
+constexpr Tick kBucketTicks = Tick{1} << EventQueue::kBucketShift;
+
+TEST(EventQueueTiers, SameTickBurstAheadOfCursorStaysNear)
+{
+    // The torus's busiest pattern: many routers hand link deliveries
+    // (canonical keys, in no particular order) and counter-keyed
+    // wakeups to one future tick. However deep and disordered the
+    // burst, a bucket ahead of the cursor keeps all of it in the near
+    // tier and serves it in exact key order once the cursor arrives.
+    constexpr int kCanonical = 512;
+    constexpr int kCounter = 64;
+    EventQueue queue;
+    RecordingEvent anchor;
+    queue.schedule(anchor, 0); // cursor bucket 0
+
+    std::vector<int> keys(kCanonical);
+    for (int i = 0; i < kCanonical; ++i)
+        keys[static_cast<std::size_t>(i)] = i;
+    Rng rng(0x5eed);
+    for (std::size_t i = keys.size() - 1; i > 0; --i)
+        std::swap(keys[i], keys[rng.uniformInt(i + 1)]);
+
+    std::vector<int> log;
+    std::vector<std::unique_ptr<RecordingEvent>> events;
+    const Tick when = 7 * kBucketTicks + 3;
+    int counter_id = kCanonical;
+    for (int i = 0; i < kCanonical; ++i) {
+        const int key = keys[static_cast<std::size_t>(i)];
+        events.push_back(std::make_unique<RecordingEvent>(&log, key));
+        events.back()->setCanonicalSeq(static_cast<std::uint64_t>(key));
+        queue.schedule(*events.back(), when);
+        if (i % (kCanonical / kCounter) == 0) {
+            events.push_back(
+                std::make_unique<RecordingEvent>(&log, counter_id++));
+            queue.schedule(*events.back(), when);
+        }
+    }
+    EXPECT_EQ(queue.farSize(), 0u);
+    EXPECT_EQ(queue.nearSize(),
+              static_cast<std::size_t>(kCanonical + kCounter + 1));
+
+    EXPECT_EQ(&queue.pop(), &anchor);
+    while (!queue.empty())
+        queue.pop().fire();
+    std::vector<int> expected(kCanonical + kCounter);
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        expected[i] = static_cast<int>(i);
+    EXPECT_EQ(log, expected) << "canonical keys first, then FIFO";
+    EXPECT_EQ(queue.tierCounters().bucketSorts, 1u);
+    EXPECT_EQ(queue.tierCounters().eventsSorted,
+              static_cast<std::uint64_t>(kCanonical + kCounter));
+}
+
+TEST(EventQueueTiers, CachedFrontBesideUnsortedBucketPopsInOrder)
+{
+    // A cached front and an unsorted bucket coexist: the front (here
+    // cached by noteScheduled() when a canonical key undercuts it)
+    // sits in the sorted cursor bucket, the burst ahead of it waits
+    // unsorted. Popping the front repairs the cache from its sorted
+    // successor; the burst is sorted only when the cursor reaches it,
+    // including an earliest-of-bucket event appended after the
+    // bucket went unsorted.
+    EventQueue queue;
+    std::vector<int> log;
+    RecordingEvent anchor(&log, 1);
+    queue.schedule(anchor, 0);
+    ASSERT_EQ(queue.peekEarliest(), &anchor); // caches the front
+
+    constexpr int kBurst = 40;
+    std::vector<std::unique_ptr<RecordingEvent>> burst;
+    for (int i = 0; i < kBurst; ++i) { // descending: goes unsorted
+        burst.push_back(
+            std::make_unique<RecordingEvent>(&log, 100 + kBurst - i));
+        queue.schedule(*burst.back(), 3 * kBucketTicks + kBurst - i);
+    }
+    RecordingEvent earliest_of_bucket(&log, 100);
+    queue.schedule(earliest_of_bucket, 3 * kBucketTicks);
+    RecordingEvent canon(&log, 0);
+    canon.setCanonicalSeq(9);
+    queue.schedule(canon, 0); // undercuts the cached front
+    ASSERT_EQ(queue.peekEarliest(), &canon);
+    EXPECT_EQ(queue.farSize(), 0u);
+
+    EXPECT_EQ(&queue.pop(), &canon);
+    EXPECT_EQ(queue.peekEarliest(), &anchor);
+    while (!queue.empty())
+        queue.pop().fire();
+    std::vector<int> expected{1}; // the anchor; canon was not fired
+    for (int id = 100; id <= 100 + kBurst; ++id)
+        expected.push_back(id);
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(queue.tierCounters().bucketSorts, 1u);
+}
+
+TEST(EventQueueTiers, DescheduleFromUnsortedBucket)
+{
+    EventQueue queue;
+    RecordingEvent anchor;
+    queue.schedule(anchor, 0);
+
+    // A descending burst: the first kMaxInsertScan + 1 events are
+    // walked into place, the rest appended out of order. The unsorted
+    // bucket gives up its list head (the last in-place insert), its
+    // tail (the latest append, its earliest event) and a middle event;
+    // the rest still come out in time order.
+    constexpr int kBurst = 40;
+    constexpr std::size_t kListHead = EventQueue::kMaxInsertScan;
+    std::vector<std::unique_ptr<RecordingEvent>> burst;
+    for (int i = 0; i < kBurst; ++i) {
+        burst.push_back(std::make_unique<RecordingEvent>());
+        queue.schedule(*burst.back(), 3 * kBucketTicks + kBurst - i);
+    }
+    queue.deschedule(*burst[kListHead]);
+    queue.deschedule(*burst.back());
+    queue.deschedule(*burst.front());
+    EXPECT_EQ(queue.size(), static_cast<std::size_t>(kBurst - 3 + 1));
+    EXPECT_EQ(&queue.pop(), &anchor);
+    Tick last = -1;
+    while (!queue.empty()) {
+        Event& popped = queue.pop();
+        EXPECT_GT(popped.when(), last);
+        last = popped.when();
+    }
+
+    // Emptied entirely by deschedules, an unsorted bucket must drop
+    // its mark: when the tier next re-anchors its cursor onto that
+    // bucket, the cursor bucket has to be sorted again, so deep
+    // out-of-order inserts keep the bounded walk and spill.
+    const Tick reused = 9 * kBucketTicks;
+    RecordingEvent keep;
+    queue.schedule(keep, reused - kBucketTicks); // cursor: bucket 8
+    for (int i = 0; i < kBurst; ++i)
+        queue.schedule(*burst[static_cast<std::size_t>(i)],
+                       reused + 100 + kBurst - i);
+    for (auto& event : burst)
+        queue.deschedule(*event);
+    EXPECT_EQ(&queue.pop(), &keep); // drains the near tier
+    ASSERT_TRUE(queue.empty());
+
+    queue.schedule(anchor, reused); // re-anchors onto bucket 9
+    for (int i = 0; i < kBurst; ++i)
+        queue.schedule(*burst[static_cast<std::size_t>(i)],
+                       reused + kBurst - i);
+    EXPECT_GT(queue.farSize(), 0u) << "cursor bucket left unsorted";
+    EXPECT_EQ(queue.tierCounters().farCursorOverflow, queue.farSize());
+    EXPECT_EQ(&queue.pop(), &anchor);
+    last = -1;
+    while (!queue.empty()) {
+        Event& popped = queue.pop();
+        EXPECT_GT(popped.when(), last);
+        last = popped.when();
+    }
+}
+
+TEST(EventQueueTiers, CachedFrontInReanchoredBucketRepairsInOrder)
+{
+    // noteScheduled() caches a new front without visiting nearFront(),
+    // so it never sorts the front's bucket. Here the near tier
+    // re-anchors onto a slot whose bucket went unsorted and was then
+    // emptied by deschedules; had it kept its mark, the inserts below
+    // would be appended out of order and popping the cached front
+    // would repair the cache from the wrong list successor.
+    EventQueue queue;
+    std::vector<int> log;
+    RecordingEvent anchor;
+    RecordingEvent far(&log, 4);
+    queue.schedule(anchor, 0);
+    queue.schedule(far, 2 * kBeyondHorizon);
+    ASSERT_EQ(queue.farSize(), 1u);
+    const Tick reused = 9 * kBucketTicks;
+    constexpr int kBurst = 40; // descending: the bucket goes unsorted
+    std::vector<std::unique_ptr<RecordingEvent>> burst;
+    for (int i = 0; i < kBurst; ++i) {
+        burst.push_back(std::make_unique<RecordingEvent>());
+        queue.schedule(*burst.back(), reused + 100 + kBurst - i);
+    }
+    for (auto& event : burst)
+        queue.deschedule(*event);
+    EXPECT_EQ(&queue.pop(), &anchor); // near tier now empty
+    ASSERT_EQ(queue.peekEarliest(), &far); // cached front in the heap
+
+    RecordingEvent second(&log, 2);
+    RecordingEvent first(&log, 1);
+    RecordingEvent third(&log, 3);
+    queue.schedule(second, reused + 10); // re-anchors onto bucket 9
+    queue.schedule(first, reused + 1);   // cached as the new front
+    queue.schedule(third, reused + 20);
+    while (!queue.empty())
+        queue.pop().fire();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 4}));
 }
 
 // --- canonical tie-break keys ----------------------------------------------
@@ -412,7 +622,9 @@ TEST(EventQueueCanonical, CanonicalInsertStaysNearAgainstDeepSameTickBatch)
     // scan against a deep same-tick batch and bounce to the far
     // heap. (Link flit/credit events are canonical-keyed; before the
     // head-first walk they degraded to heap traffic exactly on the
-    // busiest ticks.)
+    // busiest ticks.) This holds in the cursor bucket, which keeps
+    // the bounded walk; a bucket ahead of the cursor never spills at
+    // all (EventQueueTiers.SameTickBurstAheadOfCursorStaysNear).
     EventQueue queue;
     std::vector<std::unique_ptr<RecordingEvent>> batch;
     const Tick when = 64;
@@ -431,6 +643,9 @@ TEST(EventQueueCanonical, CanonicalInsertStaysNearAgainstDeepSameTickBatch)
     queue.schedule(canon_a, when); // head walk passes one canonical
     EXPECT_EQ(queue.farSize(), 0u)
         << "canonical insert exhausted the bounded scan";
+    EXPECT_EQ(queue.tierCounters().farCursorOverflow, 0u);
+    EXPECT_EQ(queue.tierCounters().bucketSorts, 0u)
+        << "in-order inserts must not mark the bucket unsorted";
 
     EXPECT_EQ(&queue.pop(), &canon_a);
     EXPECT_EQ(&queue.pop(), &canon_b);
@@ -527,49 +742,85 @@ TEST(EventQueueHorizon, BoundedWindowsDrainAcrossTierBoundaries)
 }
 
 /**
- * Property: against a reference model (multimap keyed by time with
- * insertion counters), random interleavings of schedule, deschedule
- * and pop always produce the same service order.
+ * Reference-model harness for the property tests: random
+ * interleavings of counter-keyed schedule, canonical-keyed schedule,
+ * reserveSeq() + scheduleReserved(), deschedule and pop, checked
+ * against a std::map keyed by the (when, seq) total order. A quarter
+ * of the events carry canonical keys (descending against their index,
+ * so schedule order and key order disagree); reserved seqs are
+ * redeemed in random order, long after later seqs were handed out.
+ * Those are the keys that arrive out of order. @p next_time draws a
+ * firing time given the latest popped time.
  */
-TEST(EventQueueProperty, MatchesReferenceModelUnderRandomOps)
+template <class NextTime>
+void
+checkAgainstReferenceModel(Rng& rng, int rounds, int num_events,
+                           int ops, NextTime next_time)
 {
-    Rng rng(0xfeed);
-    for (int round = 0; round < 20; ++round) {
+    for (int round = 0; round < rounds; ++round) {
         EventQueue queue;
-        constexpr int kEvents = 128;
         std::vector<std::unique_ptr<RecordingEvent>> events;
-        for (int i = 0; i < kEvents; ++i)
+        const int num_canonical = num_events / 4;
+        for (int i = 0; i < num_events; ++i) {
             events.push_back(std::make_unique<RecordingEvent>());
+            if (i < num_canonical)
+                events.back()->setCanonicalSeq(
+                    static_cast<std::uint64_t>(7 * (num_events - i)));
+        }
 
         // Reference: (time, seq) -> index, mirroring queue content.
         std::map<std::pair<Tick, std::uint64_t>, int> reference;
-        std::vector<std::uint64_t> seq_of(kEvents, 0);
-        std::uint64_t next_seq = 0;
+        std::vector<std::uint64_t> seq_of(
+            static_cast<std::size_t>(num_events), 0);
+        std::vector<std::uint64_t> reserved;
+        std::uint64_t next_seq = EventQueue::kFirstDynamicSeq;
+        Tick low = 0;
 
-        for (int op = 0; op < 1000; ++op) {
-            const int i = static_cast<int>(rng.uniformInt(kEvents));
-            auto& event = *events[static_cast<std::size_t>(i)];
-            const int action = static_cast<int>(rng.uniformInt(3));
+        const auto pop_and_check = [&] {
+            Event& popped = queue.pop();
+            ASSERT_FALSE(reference.empty());
+            const auto expected = reference.begin();
+            EXPECT_EQ(&popped,
+                      events[static_cast<std::size_t>(expected->second)]
+                          .get());
+            // Simulated time marches forward: generators that follow
+            // `low` never schedule before what was already served.
+            low = std::max(low, popped.when());
+            reference.erase(expected);
+        };
+
+        for (int op = 0; op < ops; ++op) {
+            const int i = static_cast<int>(
+                rng.uniformInt(static_cast<std::uint64_t>(num_events)));
+            const auto n = static_cast<std::size_t>(i);
+            auto& event = *events[n];
+            const int action = static_cast<int>(rng.uniformInt(5));
             if (action == 0 && !event.scheduled()) {
-                const Tick when =
-                    static_cast<Tick>(rng.uniformInt(50));
+                const Tick when = next_time(rng, low);
                 queue.schedule(event, when);
-                seq_of[static_cast<std::size_t>(i)] = next_seq;
-                reference[{when, next_seq++}] = i;
+                seq_of[n] =
+                    event.hasCanonicalSeq() ? event.seq() : next_seq++;
+                reference[{when, seq_of[n]}] = i;
             } else if (action == 1 && event.scheduled()) {
                 queue.deschedule(event);
-                reference.erase(
-                    {event.when(),
-                     seq_of[static_cast<std::size_t>(i)]});
+                reference.erase({event.when(), seq_of[n]});
             } else if (action == 2 && !queue.empty()) {
-                Event& popped = queue.pop();
-                ASSERT_FALSE(reference.empty());
-                const auto expected = reference.begin();
-                EXPECT_EQ(&popped,
-                          events[static_cast<std::size_t>(
-                                     expected->second)]
-                              .get());
-                reference.erase(expected);
+                pop_and_check();
+            } else if (action == 3) {
+                reserved.push_back(queue.reserveSeq());
+                ASSERT_EQ(reserved.back(), next_seq++);
+            } else if (action == 4 && !reserved.empty()
+                       && !event.scheduled()
+                       && !event.hasCanonicalSeq()) {
+                const std::size_t pick =
+                    rng.uniformInt(reserved.size());
+                const std::uint64_t seq = reserved[pick];
+                reserved[pick] = reserved.back();
+                reserved.pop_back();
+                const Tick when = next_time(rng, low);
+                queue.scheduleReserved(event, when, seq);
+                seq_of[n] = seq;
+                reference[{when, seq}] = i;
             }
             ASSERT_EQ(queue.size(), reference.size());
             if (!queue.empty()) {
@@ -577,82 +828,42 @@ TEST(EventQueueProperty, MatchesReferenceModelUnderRandomOps)
                           reference.begin()->first.first);
             }
         }
-        while (!queue.empty()) {
-            Event& popped = queue.pop();
-            const auto expected = reference.begin();
-            EXPECT_EQ(&popped, events[static_cast<std::size_t>(
-                                          expected->second)]
-                                   .get());
-            reference.erase(expected);
-        }
+        while (!queue.empty())
+            pop_and_check();
+        EXPECT_TRUE(reference.empty());
     }
 }
 
 /**
- * Property: as above, but with a bimodal time distribution (near the
- * window / far beyond it) so random interleavings constantly cross
- * the tier boundary and exercise the heap fallback.
+ * Property: against the reference model, random interleavings
+ * produce the same service order. Times cluster in four adjacent
+ * buckets, so same-bucket bursts form ahead of the cursor (and go
+ * unsorted) while later inserts land behind it.
+ */
+TEST(EventQueueProperty, MatchesReferenceModelUnderRandomOps)
+{
+    Rng rng(0xfeed);
+    checkAgainstReferenceModel(rng, 20, 128, 1000, [](Rng& r, Tick) {
+        return static_cast<Tick>(r.uniformInt(50))
+            + static_cast<Tick>(r.uniformInt(4)) * kBucketTicks;
+    });
+}
+
+/**
+ * Property: as above, but with time moving forward and a bimodal
+ * distribution (near the window / far beyond it) so random
+ * interleavings constantly cross the tier boundary and exercise the
+ * heap fallback.
  */
 TEST(EventQueueProperty, MatchesReferenceModelAcrossTiers)
 {
     Rng rng(0xbead);
-    for (int round = 0; round < 10; ++round) {
-        EventQueue queue;
-        constexpr int kEvents = 96;
-        std::vector<std::unique_ptr<RecordingEvent>> events;
-        for (int i = 0; i < kEvents; ++i)
-            events.push_back(std::make_unique<RecordingEvent>());
-
-        std::map<std::pair<Tick, std::uint64_t>, int> reference;
-        std::vector<std::uint64_t> seq_of(kEvents, 0);
-        std::uint64_t next_seq = 0;
-        Tick low = 0;
-
-        for (int op = 0; op < 1500; ++op) {
-            const int i = static_cast<int>(rng.uniformInt(kEvents));
-            auto& event = *events[static_cast<std::size_t>(i)];
-            const int action = static_cast<int>(rng.uniformInt(3));
-            if (action == 0 && !event.scheduled()) {
-                Tick when =
-                    low + static_cast<Tick>(rng.uniformInt(5000));
-                if (rng.uniformInt(4) == 0)
-                    when += 3 * kBeyondHorizon; // far beyond any window
-                queue.schedule(event, when);
-                seq_of[static_cast<std::size_t>(i)] = next_seq;
-                reference[{when, next_seq++}] = i;
-            } else if (action == 1 && event.scheduled()) {
-                queue.deschedule(event);
-                reference.erase(
-                    {event.when(),
-                     seq_of[static_cast<std::size_t>(i)]});
-            } else if (action == 2 && !queue.empty()) {
-                Event& popped = queue.pop();
-                ASSERT_FALSE(reference.empty());
-                const auto expected = reference.begin();
-                EXPECT_EQ(&popped,
-                          events[static_cast<std::size_t>(
-                                     expected->second)]
-                              .get());
-                // Simulated time marches forward: later schedules
-                // never precede what has already been served.
-                low = std::max(low, popped.when());
-                reference.erase(expected);
-            }
-            ASSERT_EQ(queue.size(), reference.size());
-            if (!queue.empty()) {
-                ASSERT_EQ(queue.nextTime(),
-                          reference.begin()->first.first);
-            }
-        }
-        while (!queue.empty()) {
-            Event& popped = queue.pop();
-            const auto expected = reference.begin();
-            EXPECT_EQ(&popped, events[static_cast<std::size_t>(
-                                          expected->second)]
-                                   .get());
-            reference.erase(expected);
-        }
-    }
+    checkAgainstReferenceModel(rng, 10, 96, 1500, [](Rng& r, Tick low) {
+        Tick when = low + static_cast<Tick>(r.uniformInt(5000));
+        if (r.uniformInt(4) == 0)
+            when += 3 * kBeyondHorizon; // far beyond any window
+        return when;
+    });
 }
 
 } // namespace
