@@ -519,7 +519,17 @@ TEST(PdesDeterminism, Fig3MiniatureHashIsShardInvariant)
 
 TEST(PdesDeterminism, Fig9MiniatureHashIsShardInvariant)
 {
-    expectShardInvariant(fig9Miniature());
+    // The random policy's per-switch route RNGs are the
+    // shard-sensitive piece: each draw must stay on its switch.
+    for (const config::FatLinkPolicy policy :
+         {config::FatLinkPolicy::LeastLoaded,
+          config::FatLinkPolicy::Static,
+          config::FatLinkPolicy::Random}) {
+        SCOPED_TRACE(config::toString(policy));
+        ExperimentConfig cfg = fig9Miniature();
+        cfg.network.fatLinkPolicy = policy;
+        expectShardInvariant(cfg);
+    }
 }
 
 TEST(PdesDeterminism, WideMeshHashIsShardInvariantThrough8Shards)
