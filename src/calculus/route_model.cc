@@ -1,6 +1,6 @@
 #include "calculus/route_model.hh"
 
-#include <cmath>
+#include <algorithm>
 
 #include "sim/logging.hh"
 #include "sim/time.hh"
@@ -35,29 +35,13 @@ outputKey(int switch_index, int port)
     return switch_index * 4096 + port;
 }
 
-/** Ring distance between columns/rows @p a and @p b on a wrapped
- *  dimension of size @p k. */
-int
-ringDistance(int a, int b, int k)
+/** The NetworkConfig the route model builds its graph from: the
+ *  single switch takes its size from the router, as in Network. */
+config::NetworkConfig
+sizedForRouter(config::NetworkConfig net, const config::RouterConfig& router)
 {
-    const int fwd = (b - a + k) % k;
-    return std::min(fwd, k - fwd);
-}
-
-/** True when the policy routes over graph-built tables. */
-bool
-tableDriven(const config::NetworkConfig& net)
-{
-    switch (net.topology) {
-      case config::TopologyKind::SingleSwitch:
-      case config::TopologyKind::FatMesh:
-        return false;
-      case config::TopologyKind::Mesh:
-      case config::TopologyKind::Torus:
-      case config::TopologyKind::Clos:
-        return true;
-    }
-    return false;
+    net.singleSwitchPorts = router.numPorts;
+    return net;
 }
 
 } // namespace
@@ -70,200 +54,100 @@ linkCapacityFlitsPerUs(const config::RouterConfig& router)
 
 RouteModel::RouteModel(const config::RouterConfig& router,
                        const config::NetworkConfig& net)
-    : router_(router), net_(net)
+    : router_(router),
+      topo_(network::Topology::build(sizedForRouter(net, router))),
+      tables_(network::buildRouting(topo_, net.effectiveRouting(),
+                                    net.fatLinkPolicy))
 {
-    if (!tableDriven(net_))
-        return;
-    const config::RoutingKind kind = net_.effectiveRouting();
-    if (kind == config::RoutingKind::Adaptive) {
-        // Adaptive paths depend on run-time load; no static route to
-        // analyse. (Hop counts stay closed-form: minimal routing.)
-        analyzable_ = false;
-        topo_.emplace(network::Topology::build(net_));
-        vcClasses_ = network::buildRouting(*topo_, kind).vcClasses;
-        return;
-    }
-    topo_.emplace(network::Topology::build(net_));
-    tables_ = network::buildRouting(*topo_, kind);
-    vcClasses_ = tables_.vcClasses;
+}
+
+const router::RouteCandidates&
+RouteModel::entry(int router, int dst) const
+{
+    const router::RouteCandidates& rc =
+        tables_.perRouter[static_cast<std::size_t>(router)]
+                         [static_cast<std::size_t>(dst)];
+    MW_ASSERT(rc.count >= 1);
+    return rc;
+}
+
+int
+RouteModel::nextRouter(int router, int port) const
+{
+    const int chan = topo_.outChannelAt(router, port);
+    MW_ASSERT(chan >= 0);
+    return topo_.channels()[static_cast<std::size_t>(chan)].dstRouter;
 }
 
 int
 RouteModel::routerHops(int src, int dst) const
 {
-    const int eps = net_.endpointsPerSwitch;
-    switch (net_.topology) {
-      case config::TopologyKind::SingleSwitch:
-        return 1;
-      case config::TopologyKind::FatMesh:
-      case config::TopologyKind::Mesh:
-      case config::TopologyKind::Torus: {
-        const int ss = src / eps;
-        const int ds = dst / eps;
-        const int sx = ss % net_.meshWidth;
-        const int sy = ss / net_.meshWidth;
-        const int dx = ds % net_.meshWidth;
-        const int dy = ds / net_.meshWidth;
-        if (net_.topology == config::TopologyKind::Torus) {
-            return 1 + ringDistance(sx, dx, net_.meshWidth)
-                + ringDistance(sy, dy, net_.meshHeight);
-        }
-        int hops = 1 + std::abs(sx - dx) + std::abs(sy - dy);
-        if (tableDriven(net_)
-            && net_.effectiveRouting() == config::RoutingKind::UpDown
-            && ss != ds) {
-            // Tree routes are not minimal; count the walked path.
-            hops = static_cast<int>(routeOf(src, dst).size()) - 1;
-        }
-        return hops;
-      }
-      case config::TopologyKind::Clos:
-        return src / net_.closN == dst / net_.closN ? 1 : 3;
+    const int dest_r = topo_.routerOfNode(dst);
+    int hops = 1;
+    for (int cur = topo_.routerOfNode(src); cur != dest_r; ++hops) {
+        // Adaptive entries follow the escape (last) candidate: the
+        // minimal dimension-order route.
+        const router::RouteCandidates& rc = entry(cur, dst);
+        const int pick =
+            rc.select == router::RouteCandidates::Select::AdaptiveEscape
+            ? rc.count - 1
+            : 0;
+        cur = nextRouter(cur, rc.ports[static_cast<std::size_t>(pick)]);
+        MW_ASSERT(hops <= topo_.numRouters());
     }
-    return 1;
+    return hops;
 }
 
 Route
 RouteModel::routeOf(int src, int dst) const
 {
     MW_ASSERT(src != dst);
-    if (!tableDriven(net_))
-        return legacyRouteOf(src, dst);
-    MW_ASSERT(analyzable_);
+    MW_ASSERT(analyzable());
 
     const double cap = linkCapacityFlitsPerUs(router_);
     const double hop_latency = routerHopLatencyUs(router_);
-    const network::Topology& topo = *topo_;
 
     Route route;
+    // Injection multiplexer: the source end of the injection link.
     route.push_back({-(src + 1), cap, router_.injectionScheduler,
                      static_cast<double>(router_.linkDelayCycles)
                          * cycleUs(router_)});
 
-    int cur = topo.routerOfNode(src);
-    const int dest_r = topo.routerOfNode(dst);
-    int guard = 0;
+    int cur = topo_.routerOfNode(src);
+    const int dest_r = topo_.routerOfNode(dst);
     while (cur != dest_r) {
-        const router::RouteCandidates& rc =
-            tables_.perRouter[static_cast<std::size_t>(cur)]
-                             [static_cast<std::size_t>(dst)];
-        MW_ASSERT(rc.count >= 1);
-        const int chan = topo.outChannelAt(cur, rc.ports[0]);
-        MW_ASSERT(chan >= 0);
-        const int next =
-            topo.channels()[static_cast<std::size_t>(chan)].dstRouter;
-        if (rc.count > 1) {
-            // Clos up-phase: the least-loaded pick spreads a flow
-            // over all m spines - one aggregate server of m x rate,
-            // and the same for the symmetric spine->leaf down
-            // bundle (keyed by the first spine's down port, shared
-            // by every flow into that leaf).
-            MW_ASSERT(topo.kind() == config::TopologyKind::Clos);
-            const double bundle =
-                cap * static_cast<double>(rc.count);
-            route.push_back({outputKey(cur, rc.ports[0]), bundle,
-                             router_.scheduler, hop_latency});
-            route.push_back({outputKey(next, dest_r), bundle,
-                             router_.scheduler, hop_latency});
-            cur = dest_r;
-            break;
-        }
-        route.push_back({outputKey(cur, rc.ports[0]), cap,
+        const router::RouteCandidates& rc = entry(cur, dst);
+        // The router spreads a flow over every candidate (least-
+        // loaded or random pick): one aggregate server of count x
+        // link rate, keyed by the first port.
+        const double width = cap * static_cast<double>(rc.count);
+        route.push_back({outputKey(cur, rc.ports[0]), width,
                          router_.scheduler, hop_latency});
+        const int next = nextRouter(cur, rc.ports[0]);
+        const bool fat_channel = std::all_of(
+            rc.ports.begin(), rc.ports.begin() + rc.count,
+            [&](int port) { return nextRouter(cur, port) == next; });
         cur = next;
-        MW_ASSERT(++guard <= topo.numRouters());
+        if (!fat_channel) {
+            // Clos up-phase: the candidates lead to different
+            // spines, so the symmetric spine->leaf down hop is
+            // bundled the same way (keyed by the first spine's down
+            // port, shared by every flow into that leaf).
+            const int down = entry(cur, dst).ports[0];
+            route.push_back({outputKey(cur, down), width,
+                             router_.scheduler, hop_latency});
+            cur = nextRouter(cur, down);
+        }
+        MW_ASSERT(route.size() <= static_cast<std::size_t>(
+                      topo_.numRouters()) + 1);
     }
 
     // Ejection: the destination router's endpoint port.
     route.push_back(
         {outputKey(dest_r,
-                   topo.endpoints()[static_cast<std::size_t>(dst)]
+                   topo_.endpoints()[static_cast<std::size_t>(dst)]
                        .port),
          cap, router_.scheduler, hop_latency});
-    return route;
-}
-
-Route
-RouteModel::legacyRouteOf(int src, int dst) const
-{
-    const config::RouterConfig& router = router_;
-    const config::NetworkConfig& net = net_;
-    const double cap = linkCapacityFlitsPerUs(router);
-    const double hop_latency = routerHopLatencyUs(router);
-
-    Route route;
-    // Injection multiplexer: the source end of the injection link.
-    route.push_back({-(src + 1), cap, router.injectionScheduler,
-                     static_cast<double>(router.linkDelayCycles)
-                         * cycleUs(router)});
-
-    if (net.topology == config::TopologyKind::SingleSwitch) {
-        // One router; the ejection port is the destination's port.
-        route.push_back(
-            {outputKey(0, dst), cap, router.scheduler, hop_latency});
-        return route;
-    }
-
-    // Fat mesh: deterministic XY, X moves first (buildFatMesh()).
-    const int eps = net.endpointsPerSwitch;
-    const int width = net.meshWidth;
-    const int height = net.meshHeight;
-    const int fat = net.fatFactor;
-    const int dest_switch = dst / eps;
-    int cur = src / eps;
-
-    // Port map mirror of Topology::fatMesh(): endpoint ports first,
-    // then fat channels per present direction in East/West/South/
-    // North order.
-    auto dir_base = [&](int s, int dir) {
-        const int x = s % width;
-        const int y = s / width;
-        int next = eps;
-        const bool present[4] = {x < width - 1, x > 0, y < height - 1,
-                                 y > 0};
-        for (int d = 0; d < 4; ++d) {
-            if (d == dir) {
-                MW_ASSERT(present[d]);
-                return next;
-            }
-            if (present[d])
-                next += fat;
-        }
-        sim::panic("routeOf: direction %d absent at switch %d", dir, s);
-    };
-
-    while (cur != dest_switch) {
-        const int x = cur % width;
-        const int y = cur / width;
-        const int dx = dest_switch % width;
-        const int dy = dest_switch / width;
-        int dir;   // 0=E 1=W 2=S 3=N, as in Network::Direction.
-        int step;  // Switch-index delta.
-        if (dx != x) {
-            dir = dx > x ? 0 : 1;
-            step = dx > x ? 1 : -1;
-        } else {
-            dir = dy > y ? 2 : 3;
-            step = dy > y ? width : -width;
-        }
-        const int base = dir_base(cur, dir);
-        if (net.fatLinkPolicy == config::FatLinkPolicy::Static) {
-            // The simulator picks port base + dst % fat per header.
-            route.push_back({outputKey(cur, base + dst % fat), cap,
-                             router.scheduler, hop_latency});
-        } else {
-            // Least-loaded / random spread over the parallel links:
-            // model the fat channel as one server of fat x rate.
-            route.push_back({outputKey(cur, base),
-                             cap * static_cast<double>(fat),
-                             router.scheduler, hop_latency});
-        }
-        cur += step;
-    }
-
-    // Ejection: the destination switch's endpoint port.
-    route.push_back({outputKey(cur, dst % eps), cap, router.scheduler,
-                     hop_latency});
     return route;
 }
 

@@ -12,13 +12,12 @@
  *    destination router's output port, and the NI sink drains at link
  *    rate, so ejection adds no further contention point.
  *
- * For the fat mesh the model reproduces buildFatMesh()'s deterministic
- * XY routing (X moves first, then Y) and treats a fat channel under
- * the least-loaded or random policies as one aggregate server of
- * fat x link rate (the policies spread a stream's messages across the
- * parallel links); under the static policy each parallel link is its
- * own single-rate server keyed by destination hash, matching the
- * simulator's port choice.
+ * The model walks the same route tables the simulator's routers
+ * load (network::buildRouting), for every shape. A hop whose entry
+ * lists several candidates - a fat channel under the least-loaded
+ * or random policies - is one aggregate server of count x link rate
+ * (the router spreads a stream's messages across them); under the
+ * static policy the entry names one link, a single-rate server.
  *
  * Each contention point carries a stable identity key so the oracle
  * can intersect routes: two streams interfere at a point iff their
@@ -28,7 +27,6 @@
 #ifndef MEDIAWORM_CALCULUS_ROUTE_MODEL_HH
 #define MEDIAWORM_CALCULUS_ROUTE_MODEL_HH
 
-#include <optional>
 #include <vector>
 
 #include "config/network_config.hh"
@@ -45,8 +43,8 @@ struct ContentionPoint
      * Stable identity for interference matching. Injection points
      * use -(node + 1); router output points use
      * switchIndex * 4096 + outputPortKey, where outputPortKey is the
-     * concrete port (endpoint and static-policy fat links) or the fat
-     * channel's first port (aggregated fat channels).
+     * entry's port (endpoint and static-policy fat links) or its
+     * first port (aggregated multi-candidate hops).
      */
     int key = 0;
 
@@ -68,15 +66,14 @@ using Route = std::vector<ContentionPoint>;
 /**
  * Precomputed route model for one (router, network) configuration.
  *
- * The single switch and the fat mesh keep their closed-form paths;
- * mesh/torus/Clos build the topology graph and the deterministic
- * routing tables once (network/routing.hh) and walk them per
- * stream, so the model analyses exactly the paths the simulator
- * routes. Multi-candidate hops (the Clos up-phase under up-down
- * routing) become one aggregate server of count x link rate, with
- * the symmetric spine->leaf down-phase bundled the same way -
- * every flow into a leaf shares the bundle's key, so interference
- * matching stays exact at bundle granularity.
+ * Builds the topology graph and the routing tables once
+ * (network/routing.hh) and walks them per stream, so the model
+ * analyses exactly the paths the simulator routes. Multi-candidate
+ * hops become one aggregate server of count x link rate. When the
+ * candidates lead to different routers (the Clos up-phase under
+ * up-down routing) the symmetric spine->leaf down hop is bundled
+ * the same way - every flow into a leaf shares the bundle's key, so
+ * interference matching stays exact at bundle granularity.
  *
  * Adaptive routing has no static path: analyzable() returns false
  * and the oracle reports every stream unbounded instead of walking.
@@ -88,28 +85,28 @@ class RouteModel
                const config::NetworkConfig& net);
 
     /** False when the routing policy has no static path (adaptive). */
-    bool analyzable() const { return analyzable_; }
+    bool analyzable() const { return !tables_.adaptive; }
 
     /** VC classes of the active policy (RouterConfig::vcClasses). */
-    int vcClasses() const { return vcClasses_; }
+    int vcClasses() const { return tables_.vcClasses; }
 
     /** The (src, dst) stream's ordered contention points. Requires
      *  analyzable(). */
     Route routeOf(int src, int dst) const;
 
-    /** Routers on the (src, dst) path: 1 for the single switch,
-     *  1 + switch distance otherwise. Valid for every policy. */
+    /** Routers on the (src, dst) path; adaptive routes count their
+     *  escape path. Valid for every policy. */
     int routerHops(int src, int dst) const;
 
   private:
-    Route legacyRouteOf(int src, int dst) const;
+    /** The table entry at @p router for destination @p dst. */
+    const router::RouteCandidates& entry(int router, int dst) const;
+
+    /** The router across the channel leaving @p router at @p port. */
+    int nextRouter(int router, int port) const;
 
     config::RouterConfig router_;
-    config::NetworkConfig net_;
-    bool analyzable_ = true;
-    int vcClasses_ = 1;
-    /** Graph + tables, built for mesh/torus/Clos only. */
-    std::optional<network::Topology> topo_;
+    network::Topology topo_;
     network::RoutingTables tables_;
 };
 

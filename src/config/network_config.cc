@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "config/router_config.hh"
 #include "sim/logging.hh"
 
 namespace mediaworm::config {
@@ -89,21 +90,14 @@ NetworkConfig::numRouters() const
 RoutingKind
 NetworkConfig::effectiveRouting() const
 {
+    // Every single-switch route is an ejection, so the switch
+    // ignores the requested policy (and keeps one VC class).
+    if (topology == TopologyKind::SingleSwitch)
+        return RoutingKind::DimensionOrder;
     if (routing != RoutingKind::Default)
         return routing;
-    switch (topology) {
-      case TopologyKind::SingleSwitch:
-      case TopologyKind::FatMesh:
-        // Legacy shapes keep their built-in routing (identity / the
-        // paper's XY with fat-link selection).
-        return RoutingKind::Default;
-      case TopologyKind::Mesh:
-      case TopologyKind::Torus:
-        return RoutingKind::DimensionOrder;
-      case TopologyKind::Clos:
-        return RoutingKind::UpDown;
-    }
-    return RoutingKind::Default;
+    return topology == TopologyKind::Clos ? RoutingKind::UpDown
+                                          : RoutingKind::DimensionOrder;
 }
 
 void
@@ -116,10 +110,10 @@ NetworkConfig::validate(int router_ports) const
     if (topology == TopologyKind::Clos) {
         if (closM < 1 || closN < 1 || closR < 1)
             fatal("NetworkConfig: clos(m,n,r) must all be >= 1");
-        if (closM > 4)
+        if (closM > kMaxRouteCandidates)
             fatal("NetworkConfig: clos spine count %d exceeds the "
-                  "4-candidate route limit",
-                  closM);
+                  "%d-candidate route limit",
+                  closM, kMaxRouteCandidates);
         if (closN + closM > router_ports)
             fatal("NetworkConfig: clos leaf needs %d ports (n=%d "
                   "endpoints + m=%d uplinks) but the router has %d",
@@ -142,6 +136,11 @@ NetworkConfig::validate(int router_ports) const
         fatal("NetworkConfig: a mesh needs at least 2 switches");
     if (fatFactor < 1)
         fatal("NetworkConfig: fatFactor must be >= 1");
+    if (topology == TopologyKind::FatMesh
+        && fatFactor > kMaxRouteCandidates)
+        fatal("NetworkConfig: fatFactor %d exceeds the %d-candidate "
+              "route limit",
+              fatFactor, kMaxRouteCandidates);
     if (endpointsPerSwitch < 1)
         fatal("NetworkConfig: endpointsPerSwitch must be >= 1");
     if (topology == TopologyKind::FatMesh

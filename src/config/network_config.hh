@@ -28,9 +28,10 @@ enum class FatLinkPolicy {
 
 /**
  * Routing policy over the topology graph (network/routing.hh).
- * Default resolves per topology: identity for the single switch,
- * the paper's XY + fat-link policy for the fat mesh, dimension-order
- * for mesh/torus, up-down (Clos natural routing) for the Clos.
+ * Default resolves per topology: dimension-order (the paper's XY +
+ * fat-link policy on the fat mesh) for the grid shapes, up-down
+ * (Clos natural routing) for the Clos. The single switch ignores the
+ * policy: every route there is an ejection.
  */
 enum class RoutingKind {
     Default,
@@ -90,7 +91,7 @@ struct NetworkConfig
     /** Routers in the configured topology. */
     int numRouters() const;
 
-    /** The routing kind Default resolves to for this topology. */
+    /** The concrete routing kind for this topology (never Default). */
     RoutingKind effectiveRouting() const;
 
     /** Aborts via fatal() if the shape is inconsistent. */

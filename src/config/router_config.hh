@@ -12,6 +12,13 @@
 
 namespace mediaworm::config {
 
+/**
+ * Candidate output ports one route-table entry holds
+ * (router::RouteCandidates). NetworkConfig::validate() bounds the
+ * Clos spine count and the fat-mesh fat factor by it.
+ */
+inline constexpr int kMaxRouteCandidates = 4;
+
 /** Which resource-scheduling discipline a multiplexer uses. */
 enum class SchedulerKind {
     Fifo,             ///< Oldest flit first (conventional router).

@@ -1,7 +1,5 @@
 #include "network/network.hh"
 
-#include <array>
-
 #include "network/routing.hh"
 #include "sim/logging.hh"
 
@@ -11,9 +9,6 @@ namespace {
 
 /** Credit depth that never throttles an ejection sink. */
 constexpr int kSinkCredits = 1 << 20;
-
-/** Mesh directions, in port-assignment order. */
-enum Direction { kEast = 0, kWest = 1, kSouth = 2, kNorth = 3 };
 
 } // namespace
 
@@ -32,7 +27,7 @@ Network::Network(std::vector<sim::Simulator*> shard_sims,
                  const config::NetworkConfig& net_cfg,
                  MetricsHub& metrics, sim::Rng& rng)
     : sims_(std::move(shard_sims)), plan_(plan), routerCfg_(router_cfg),
-      netCfg_(net_cfg), metrics_(metrics), rng_(&rng)
+      netCfg_(net_cfg), metrics_(metrics)
 {
     MW_ASSERT(!sims_.empty());
     MW_ASSERT(static_cast<int>(sims_.size()) == plan_.numShards
@@ -47,19 +42,25 @@ Network::Network(std::vector<sim::Simulator*> shard_sims,
                                + routerCfg_.outputCycles)
         * routerCfg_.cycleTime();
 
-    switch (netCfg_.topology) {
-      case config::TopologyKind::SingleSwitch:
-        MW_ASSERT(plan_.trivial());
-        buildSingleSwitch();
-        break;
-      case config::TopologyKind::FatMesh:
-        buildFatMesh();
-        break;
-      case config::TopologyKind::Mesh:
-      case config::TopologyKind::Torus:
-      case config::TopologyKind::Clos:
-        buildRouted();
-        break;
+    const Topology topo = Topology::build(netCfg_);
+    RoutingTables tables = buildRouting(
+        topo, netCfg_.effectiveRouting(), netCfg_.fatLinkPolicy);
+    // The routers copy their config at construction, so the VC-class
+    // structure must be in place before wiring.
+    routerCfg_.vcClasses = tables.vcClasses;
+    routerCfg_.validate();
+    wireTopology(topo);
+
+    // The Random fat-link policy draws per routed header: each
+    // switch gets its own split, in switch order, so the draws stay
+    // on the switch's shard.
+    const bool random_picks =
+        netCfg_.topology == config::TopologyKind::FatMesh
+        && netCfg_.fatLinkPolicy == config::FatLinkPolicy::Random;
+    for (int r = 0; r < topo.numRouters(); ++r) {
+        routers_[static_cast<std::size_t>(r)]->setRouteTable(
+            std::move(tables.perRouter[static_cast<std::size_t>(r)]),
+            random_picks ? rng.split() : sim::Rng());
     }
 }
 
@@ -148,131 +149,6 @@ Network::wireTopology(const Topology& topo)
                                 routerCfg_.flitBufferDepth);
         routers_[static_cast<std::size_t>(ch.dstRouter)]
             ->connectInputLink(ch.dstPort, link);
-    }
-}
-
-void
-Network::buildSingleSwitch()
-{
-    wireTopology(Topology::singleSwitch(routerCfg_.numPorts));
-
-    // One endpoint per port: the destination id is the output port.
-    routers_[0]->setRouteFunction([](sim::NodeId dest) {
-        return router::RouteCandidates::single(dest.value());
-    });
-    // Static topology: precompute the table so headers route with an
-    // array load instead of a std::function call.
-    router::RouteTable table(
-        static_cast<std::size_t>(routerCfg_.numPorts));
-    for (int node = 0; node < routerCfg_.numPorts; ++node)
-        table[static_cast<std::size_t>(node)] =
-            router::RouteCandidates::single(node);
-    routers_[0]->setRouteTable(std::move(table));
-}
-
-void
-Network::buildRouted()
-{
-    const Topology topo = Topology::build(netCfg_);
-    const RoutingTables tables =
-        buildRouting(topo, netCfg_.effectiveRouting());
-    // The routers copy their config at construction, so the VC-class
-    // structure must be in place before wiring.
-    routerCfg_.vcClasses = tables.vcClasses;
-    routerCfg_.validate();
-    wireTopology(topo);
-    for (int r = 0; r < topo.numRouters(); ++r) {
-        routers_[static_cast<std::size_t>(r)]->setRouteTable(
-            tables.perRouter[static_cast<std::size_t>(r)]);
-    }
-}
-
-void
-Network::buildFatMesh()
-{
-    const int width = netCfg_.meshWidth;
-    const int height = netCfg_.meshHeight;
-    const int fat = netCfg_.fatFactor;
-    const int eps = netCfg_.endpointsPerSwitch;
-    const int num_switches = width * height;
-
-    const Topology topo =
-        Topology::fatMesh(width, height, fat, eps);
-    wireTopology(topo);
-
-    // Deterministic XY routing with fat-channel selection (the
-    // paper's policy; kept as a closure because the Random policy
-    // draws at route time).
-    for (int s = 0; s < num_switches; ++s) {
-        const int x = s % width;
-        const int y = s / width;
-        const std::array<int, 4> ports = {
-            topo.dirPort(s, kEast), topo.dirPort(s, kWest),
-            topo.dirPort(s, kSouth), topo.dirPort(s, kNorth)};
-        const config::FatLinkPolicy policy = netCfg_.fatLinkPolicy;
-        // The Random policy draws per routed header at run time;
-        // give each switch its own split so the draws stay inside
-        // the switch's shard (construction-order deterministic).
-        sim::Rng* rng = rng_;
-        if (policy == config::FatLinkPolicy::Random) {
-            routeRngs_.push_back(
-                std::make_unique<sim::Rng>(rng_->split()));
-            rng = routeRngs_.back().get();
-        }
-        auto route =
-            [=, this](sim::NodeId dest) -> router::RouteCandidates {
-                const int dest_switch = dest.value() / eps;
-                if (dest_switch == s) {
-                    return router::RouteCandidates::single(
-                        dest.value() % eps);
-                }
-                const int dx = dest_switch % width;
-                const int dy = dest_switch / width;
-                Direction dir;
-                if (dx != x)
-                    dir = dx > x ? kEast : kWest;
-                else
-                    dir = dy > y ? kSouth : kNorth;
-                const int first =
-                    ports[static_cast<std::size_t>(dir)];
-                MW_ASSERT(first >= 0);
-                switch (policy) {
-                  case config::FatLinkPolicy::LeastLoaded: {
-                    router::RouteCandidates rc;
-                    rc.count = fat;
-                    for (int k = 0; k < fat; ++k)
-                        rc.ports[static_cast<std::size_t>(k)] =
-                            first + k;
-                    return rc;
-                  }
-                  case config::FatLinkPolicy::Static:
-                    return router::RouteCandidates::single(
-                        first + dest.value() % fat);
-                  case config::FatLinkPolicy::Random:
-                    return router::RouteCandidates::single(
-                        first
-                        + static_cast<int>(rng->uniformInt(
-                            static_cast<std::uint64_t>(fat))));
-                }
-                sim::panic("unreachable fat-link policy");
-            };
-        routers_[static_cast<std::size_t>(s)]->setRouteFunction(route);
-
-        // XY routes are static per destination for the least-loaded
-        // and static policies (candidate sets do not depend on when
-        // the route is asked for), so precompute them. The random
-        // policy draws from the RNG per header and must stay
-        // functional.
-        if (policy != config::FatLinkPolicy::Random) {
-            const int num_nodes = num_switches * eps;
-            router::RouteTable table(
-                static_cast<std::size_t>(num_nodes));
-            for (int node = 0; node < num_nodes; ++node)
-                table[static_cast<std::size_t>(node)] =
-                    route(sim::NodeId(node));
-            routers_[static_cast<std::size_t>(s)]->setRouteTable(
-                std::move(table));
-        }
     }
 }
 

@@ -5,8 +5,9 @@
  * topology graph (network/topology.hh): the paper's two systems - a
  * single switch with one endpoint per port and a k x k fat-mesh with
  * parallel inter-switch links (Section 3.4) - plus k-ary 2-meshes,
- * 2-D tori and 3-stage Clos networks routed by the policy layer
- * (network/routing.hh).
+ * 2-D tori and 3-stage Clos networks. Every shape takes one build
+ * path: wire the graph, then load each router with its table from
+ * the routing-policy layer (network/routing.hh).
  *
  * Construction is shard-aware: given a ShardPlan, each router (with
  * its endpoints' NIs and their injection/ejection links) is built on
@@ -152,10 +153,6 @@ class Network
     void attachTracer(sim::Tracer& tracer);
 
   private:
-    void buildSingleSwitch();
-    void buildFatMesh();
-    /** Mesh / torus / Clos: generic graph wiring + policy tables. */
-    void buildRouted();
     /** Instantiates routers, endpoints and inter-router links for
      *  @p topo, in the canonical creation order. */
     void wireTopology(const Topology& topo);
@@ -171,15 +168,11 @@ class Network
     config::RouterConfig routerCfg_;
     config::NetworkConfig netCfg_;
     MetricsHub& metrics_;
-    sim::Rng* rng_;
     sim::Tick linkDelay_;
 
     std::vector<std::unique_ptr<router::WormholeRouter>> routers_;
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
     std::vector<std::unique_ptr<router::Link>> links_;
-    /** Per-switch RNGs for the Random fat-link policy: route draws
-     *  must stay shard-local, so each switch owns a split. */
-    std::vector<std::unique_ptr<sim::Rng>> routeRngs_;
     std::vector<CrossChannel> crossChannels_;
     /** nodeRouter_[node] = hosting router (from the topology graph). */
     std::vector<int> nodeRouter_;

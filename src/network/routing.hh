@@ -5,8 +5,16 @@
  * deadlock-free, and exposes the channel-dependency graph (CDG) the
  * deadlock-freedom tests check.
  *
+ * Every shape routes through these tables, including the paper's
+ * two: on the single switch every entry is an ejection entry, so the
+ * policy has nothing to choose; the fat mesh is mesh XY whose every
+ * inter-switch hop is a fat channel (see FatLinkPolicy).
+ *
  * Policies
- *  - DimensionOrder: deterministic XY on meshes; on tori the
+ *  - DimensionOrder: deterministic XY on meshes, where a fat
+ *    channel's entry applies the fat-link policy (all parallel links
+ *    as least-loaded or Select::Random candidates, or the static
+ *    link first + dest % fat); on tori the
  *    shortest way around each ring with two dateline VC classes
  *    (class 0 while the remaining ring path still crosses the wrap
  *    channel, class 1 after), which orders every ring's channels
@@ -60,11 +68,12 @@ struct RoutingTables
 /**
  * Builds route tables for @p kind over @p topo. @p kind must be a
  * concrete policy (not Default; resolve with
- * NetworkConfig::effectiveRouting() first) except for SingleSwitch,
- * where every policy is the identity.
+ * NetworkConfig::effectiveRouting() first). @p fat_links picks among
+ * the parallel links of fat channels (fat mesh only).
  */
-RoutingTables buildRouting(const Topology& topo,
-                           config::RoutingKind kind);
+RoutingTables buildRouting(
+    const Topology& topo, config::RoutingKind kind,
+    config::FatLinkPolicy fat_links = config::FatLinkPolicy::LeastLoaded);
 
 /**
  * BFS spanning tree over the topology's channels, rooted at router

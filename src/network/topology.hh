@@ -58,7 +58,7 @@ class Topology
      * parallel links between adjacent switches and @p eps endpoints
      * per switch. Port map per switch: endpoint ports first, then
      * fat channels per present direction in East/West/South/North
-     * order (the historical buildFatMesh() layout).
+     * order (the layout the determinism goldens were captured on).
      */
     static Topology fatMesh(int width, int height, int fat, int eps);
 

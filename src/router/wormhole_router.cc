@@ -107,15 +107,10 @@ WormholeRouter::connectOutputLink(int port, Link& link,
 }
 
 void
-WormholeRouter::setRouteFunction(RouteFunction fn)
-{
-    routeFn_ = std::move(fn);
-}
-
-void
-WormholeRouter::setRouteTable(RouteTable table)
+WormholeRouter::setRouteTable(RouteTable table, sim::Rng pick_rng)
 {
     routeTable_ = std::move(table);
+    pickRng_ = pick_rng;
 }
 
 int
@@ -213,14 +208,9 @@ WormholeRouter::routeComputed(int port, int vc)
     const Flit& header = ivc.buffer.front();
     MW_ASSERT(header.isHeader());
 
-    RouteCandidates candidates;
     const auto dest = static_cast<std::size_t>(header.dest.value());
-    if (dest < routeTable_.size()) {
-        candidates = routeTable_[dest];
-    } else {
-        MW_ASSERT(routeFn_ != nullptr);
-        candidates = routeFn_(header.dest);
-    }
+    MW_DEBUG_ASSERT(dest < routeTable_.size());
+    const RouteCandidates& candidates = routeTable_[dest];
     MW_ASSERT(candidates.count >= 1);
 
     // VC-class mapping: class -1 keeps the legacy identity (output
@@ -256,6 +246,9 @@ WormholeRouter::routeComputed(int port, int vc)
                 choice = i;
             }
         }
+    } else if (candidates.select == RouteCandidates::Select::Random) {
+        choice = static_cast<int>(pickRng_.uniformInt(
+            static_cast<std::uint64_t>(candidates.count)));
     } else {
         // Fat-channel selection: pick the least-loaded candidate port
         // (Section 3.4: "a message can use any one of the two links

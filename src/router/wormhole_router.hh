@@ -28,7 +28,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,8 +47,8 @@
 namespace mediaworm::router {
 
 /**
- * Output-port candidates for one destination, as produced by a
- * routing function or the routing-policy layer (network/routing.hh).
+ * Output-port candidates for one destination, as produced by the
+ * routing-policy layer (network/routing.hh).
  *
  * Each candidate pairs an output port with a VC class. Class -1 is
  * the legacy mapping (output VC = the header's vcLane verbatim);
@@ -65,6 +64,9 @@ struct RouteCandidates
     enum class Select : std::uint8_t {
         /** Least-loaded output port (fat channels, Clos up-phase). */
         LeastLoaded,
+        /** Uniform draw from the router's pick RNG (the Random
+         *  fat-link policy). */
+        Random,
         /**
          * Candidates 0..count-2 are adaptive choices taken only when
          * their mapped output VC is free right now; the last
@@ -75,8 +77,9 @@ struct RouteCandidates
         AdaptiveEscape,
     };
 
-    std::array<int, 4> ports{};
-    std::array<std::int8_t, 4> vcClasses{-1, -1, -1, -1};
+    std::array<int, config::kMaxRouteCandidates> ports{};
+    std::array<std::int8_t, config::kMaxRouteCandidates> vcClasses{
+        -1, -1, -1, -1};
     int count = 0;
     Select select = Select::LeastLoaded;
 
@@ -92,15 +95,7 @@ struct RouteCandidates
     }
 };
 
-/** Maps a destination endpoint to candidate output ports. */
-using RouteFunction = std::function<RouteCandidates(sim::NodeId dest)>;
-
-/**
- * Precomputed destination -> candidate-ports table, indexed by node
- * id. The fast path for static topologies (single switch, XY-routed
- * fat mesh): header routing becomes one array load instead of a
- * std::function call per header flit.
- */
+/** Destination -> candidate-ports table, indexed by node id. */
 using RouteTable = std::vector<RouteCandidates>;
 
 /**
@@ -146,17 +141,12 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     void connectOutputLink(int port, Link& link,
                            int downstream_buffer_depth);
 
-    /** Installs the routing function. Must be set before traffic. */
-    void setRouteFunction(RouteFunction fn);
-
     /**
-     * Installs a precomputed route table covering every destination
-     * node id; headers then route with one array load. The
-     * functional form (setRouteFunction) remains the fallback for
-     * destinations outside the table and for load- or random-
-     * dependent policies that cannot be tabulated.
+     * Installs the route table, which must cover every destination
+     * node id; headers route with one array load. @p pick_rng draws
+     * the Select::Random picks. Must be set before traffic.
      */
-    void setRouteTable(RouteTable table);
+    void setRouteTable(RouteTable table, sim::Rng pick_rng = sim::Rng());
 
     /** Hardware configuration. */
     const config::RouterConfig& cfg() const { return cfg_; }
@@ -550,8 +540,8 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     std::string name_;
     sim::Tick cycleTime_;
 
-    RouteFunction routeFn_;
-    RouteTable routeTable_; ///< Fast path; empty when not tabulable.
+    RouteTable routeTable_;
+    sim::Rng pickRng_; ///< Draws Select::Random candidates.
 
     // Fixed arrays: ports embed events and cannot be moved.
     std::unique_ptr<InputPort[]> inputs_;

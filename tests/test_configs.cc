@@ -190,6 +190,20 @@ TEST(NetworkConfigDeath, RejectsPortOverflow)
     EXPECT_EXIT(cfg.validate(8), testing::ExitedWithCode(1), "port");
 }
 
+TEST(NetworkConfigDeath, RejectsFatFactorBeyondRouteCandidates)
+{
+    // Fits the port budget (1 endpoint + 7 fat links on 8 ports),
+    // but a route entry holds only 4 candidate ports.
+    NetworkConfig cfg;
+    cfg.topology = TopologyKind::FatMesh;
+    cfg.meshWidth = 2;
+    cfg.meshHeight = 1;
+    cfg.endpointsPerSwitch = 1;
+    cfg.fatFactor = 7;
+    EXPECT_EXIT(cfg.validate(8), testing::ExitedWithCode(1),
+                "4-candidate route limit");
+}
+
 TEST(NetworkConfigDeath, RejectsSingleSwitchMesh)
 {
     NetworkConfig cfg;

@@ -7,7 +7,6 @@
  */
 
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -83,11 +82,7 @@ class RouterTest : public testing::Test
         cfg.scheduler = scheduler;
         router = std::make_unique<WormholeRouter>(simulator, cfg,
                                                   "dut");
-        router->setRouteFunction([this](NodeId dest) {
-            if (routeOverride)
-                return routeOverride(dest);
-            return RouteCandidates::single(dest.value());
-        });
+        router->setRouteTable(routes);
         for (int p = 0; p < kPorts; ++p) {
             inLinks.push_back(std::make_unique<Link>(
                 simulator, cfg.cycleTime(), "in"));
@@ -142,7 +137,14 @@ class RouterTest : public testing::Test
     std::vector<std::unique_ptr<Link>> outLinks;
     Sink sinks[kPorts];
     CreditSink creditSinks[kPorts];
-    std::function<RouteCandidates(NodeId)> routeOverride;
+    /** Route table build() installs: destination d leaves on port
+     *  d. Tests may extend it before calling build(). */
+    RouteTable routes = [] {
+        RouteTable table;
+        for (int d = 0; d < kPorts; ++d)
+            table.push_back(RouteCandidates::single(d));
+        return table;
+    }();
 };
 
 TEST_F(RouterTest, DeliversSingleMessageInOrder)
@@ -277,18 +279,12 @@ TEST_F(RouterTest, AllocationWaitersAreServedInArrivalOrder)
 
 TEST_F(RouterTest, FatChannelPicksLeastLoadedCandidate)
 {
+    // Destination 9 may leave through port 1 or port 2.
+    routes.resize(10);
+    routes[9].ports = {1, 2, 0, 0};
+    routes[9].count = 2;
     build(config::CrossbarKind::Multiplexed,
           config::SchedulerKind::VirtualClock, /*sink_depth=*/2);
-    // Destination 9 may leave through port 1 or port 2.
-    routeOverride = [](NodeId dest) {
-        if (dest.value() == 9) {
-            RouteCandidates rc;
-            rc.ports = {1, 2, 0, 0};
-            rc.count = 2;
-            return rc;
-        }
-        return RouteCandidates::single(dest.value());
-    };
 
     // First message ties break towards port 1; the tiny sink depth
     // keeps its flits queued there so the second header sees port 1

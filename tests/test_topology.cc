@@ -229,9 +229,11 @@ walk(const Topology& topo, const RoutingTables& tables, int src,
 }
 
 void
-expectDelivers(const Topology& topo, config::RoutingKind kind)
+expectDelivers(const Topology& topo, config::RoutingKind kind,
+               config::FatLinkPolicy fat_links =
+                   config::FatLinkPolicy::LeastLoaded)
 {
-    const RoutingTables tables = buildRouting(topo, kind);
+    const RoutingTables tables = buildRouting(topo, kind, fat_links);
     const int limit = 2 * topo.numRouters() + 2;
     for (int src = 0; src < topo.numNodes(); ++src) {
         for (int dst = 0; dst < topo.numNodes(); ++dst) {
@@ -247,6 +249,11 @@ expectDelivers(const Topology& topo, config::RoutingKind kind)
     }
 }
 
+/** The fat-link policies the fat-mesh batteries cover. */
+constexpr config::FatLinkPolicy kFatLinkPolicies[] = {
+    config::FatLinkPolicy::LeastLoaded, config::FatLinkPolicy::Static,
+    config::FatLinkPolicy::Random};
+
 TEST(Routing, DimensionOrderDeliversEverywhere)
 {
     expectDelivers(Topology::mesh(4, 3, 2),
@@ -255,6 +262,17 @@ TEST(Routing, DimensionOrderDeliversEverywhere)
                    config::RoutingKind::DimensionOrder);
     expectDelivers(Topology::clos(4, 4, 8),
                    config::RoutingKind::DimensionOrder);
+    // The paper's two shapes: every single-switch entry is an
+    // ejection; the fat mesh under each fat-link policy.
+    expectDelivers(Topology::singleSwitch(8),
+                   config::RoutingKind::DimensionOrder);
+    for (const config::FatLinkPolicy policy : kFatLinkPolicies) {
+        SCOPED_TRACE(config::toString(policy));
+        expectDelivers(Topology::fatMesh(2, 2, 2, 4),
+                       config::RoutingKind::DimensionOrder, policy);
+        expectDelivers(Topology::fatMesh(4, 2, 2, 4),
+                       config::RoutingKind::DimensionOrder, policy);
+    }
 }
 
 TEST(Routing, UpDownDeliversEverywhere)
@@ -275,6 +293,36 @@ TEST(Routing, AdaptiveDeliversEverywhere)
                    config::RoutingKind::Adaptive);
     expectDelivers(Topology::clos(4, 4, 8),
                    config::RoutingKind::Adaptive);
+}
+
+TEST(Routing, FatChannelEntriesFollowTheFatLinkPolicy)
+{
+    // 2x2 fat-2 mesh: switch 0's East fat pair is ports 4-5, and
+    // node 15 (switch 3) leaves East first.
+    const Topology t = Topology::fatMesh(2, 2, 2, 4);
+    using Select = router::RouteCandidates::Select;
+    for (const config::FatLinkPolicy policy : kFatLinkPolicies) {
+        SCOPED_TRACE(config::toString(policy));
+        const RoutingTables tables = buildRouting(
+            t, config::RoutingKind::DimensionOrder, policy);
+        EXPECT_EQ(tables.vcClasses, 1);
+        EXPECT_FALSE(tables.adaptive);
+        const router::RouteCandidates& rc = tables.perRouter[0][15];
+        if (policy == config::FatLinkPolicy::Static) {
+            EXPECT_EQ(rc.count, 1);
+            EXPECT_EQ(rc.ports[0], 4 + 15 % 2);
+        } else {
+            EXPECT_EQ(rc.count, 2);
+            EXPECT_EQ(rc.ports[0], 4);
+            EXPECT_EQ(rc.ports[1], 5);
+            EXPECT_EQ(rc.select, policy == config::FatLinkPolicy::Random
+                                     ? Select::Random
+                                     : Select::LeastLoaded);
+        }
+        // Ejection entries are single whatever the policy.
+        EXPECT_EQ(tables.perRouter[3][15].count, 1);
+        EXPECT_EQ(tables.perRouter[3][15].ports[0], 3);
+    }
 }
 
 TEST(Routing, DimensionOrderGridPathsAreMinimal)
@@ -319,9 +367,11 @@ TEST(Routing, BfsTreeSpansEveryTopology)
 
 void
 expectAcyclicCdg(const Topology& topo, config::RoutingKind kind,
-                 bool escape_only)
+                 bool escape_only,
+                 config::FatLinkPolicy fat_links =
+                     config::FatLinkPolicy::LeastLoaded)
 {
-    const RoutingTables tables = buildRouting(topo, kind);
+    const RoutingTables tables = buildRouting(topo, kind, fat_links);
     const auto edges =
         network::channelDependencyEdges(topo, tables, escape_only);
     const int num_nodes =
@@ -345,6 +395,17 @@ TEST(Deadlock, DimensionOrderCdgIsAcyclic)
                      config::RoutingKind::DimensionOrder, false);
     expectAcyclicCdg(Topology::clos(4, 4, 16),
                      config::RoutingKind::DimensionOrder, false);
+    expectAcyclicCdg(Topology::singleSwitch(8),
+                     config::RoutingKind::DimensionOrder, false);
+    for (const config::FatLinkPolicy policy : kFatLinkPolicies) {
+        SCOPED_TRACE(config::toString(policy));
+        expectAcyclicCdg(Topology::fatMesh(2, 2, 2, 4),
+                         config::RoutingKind::DimensionOrder, false,
+                         policy);
+        expectAcyclicCdg(Topology::fatMesh(4, 2, 2, 4),
+                         config::RoutingKind::DimensionOrder, false,
+                         policy);
+    }
 }
 
 TEST(Deadlock, UpDownCdgIsAcyclic)
