@@ -58,9 +58,13 @@ Network::Network(std::vector<sim::Simulator*> shard_sims,
         netCfg_.topology == config::TopologyKind::FatMesh
         && netCfg_.fatLinkPolicy == config::FatLinkPolicy::Random;
     for (int r = 0; r < topo.numRouters(); ++r) {
-        routers_[static_cast<std::size_t>(r)]->setRouteTable(
+        router::WormholeRouter& sw = *routers_[static_cast<std::size_t>(r)];
+        sw.setRouteTable(
             std::move(tables.perRouter[static_cast<std::size_t>(r)]),
             random_picks ? rng.split() : sim::Rng());
+        // Only wired ports have buffers; a table naming any other
+        // port is a routing bug, reported here rather than mid-run.
+        sw.checkRoutesWired();
     }
 }
 

@@ -85,46 +85,64 @@ NetworkInterface::injectMessage(const traffic::MessageDesc& message)
                    message.numFlits, routerBufferDepth_);
     }
 
-    InjectionVc& vc = vcs_[static_cast<std::size_t>(message.vcLane)];
     const sim::Tick now = simulator_.now();
-
     if (tracer_ != nullptr && tracer_->accepts(message.stream)) {
         tracer_->record({now, sim::TracePoint::HostInject,
                          message.stream, message.seq, -1,
                          node_.value(), -1, message.vcLane});
     }
 
-    // The injection multiplexer is a scheduling point like the
-    // router's stage 5: stamp every flit with the Virtual Clock of
-    // this VC lane (header installs the message's Vtick).
-    router::VirtualClockState& vclock =
-        vclock_[static_cast<std::size_t>(message.vcLane)];
-    vclock.beginMessage(message.vtick);
+    // Queue one record; its flits are built one at a time as the
+    // injection mux reaches them (loadHeader/serveMux). Their arrival
+    // sequence numbers are reserved now, so FIFO ties across lanes
+    // order exactly as if every flit had been queued at injection.
+    PendingMessage pending;
+    pending.vtick = message.vtick;
+    pending.injectTime = now;
+    pending.firstSeq = nextArrivalSeq_;
+    pending.stream = message.stream;
+    pending.dest = message.dest;
+    pending.message = router::checkedMessageSeq(message.seq);
+    pending.numFlits = message.numFlits;
+    pending.cls = message.cls;
+    pending.endOfFrame = message.endOfFrame;
+    nextArrivalSeq_ += static_cast<std::uint64_t>(message.numFlits);
+    backlogFlits_ += static_cast<std::uint64_t>(message.numFlits);
 
-    router::Flit flit;
-    flit.cls = message.cls;
-    flit.stream = message.stream;
-    flit.message = message.seq;
-    flit.messageFlits = message.numFlits;
-    flit.dest = message.dest;
-    flit.vcLane = message.vcLane;
-    flit.vtick = message.vtick;
-    flit.frame = message.frame;
-    flit.injectTime = now;
-
-    for (int i = 0; i < message.numFlits; ++i) {
-        flit.index = i;
-        flit.type = i == 0 ? router::FlitType::Header
-            : i == message.numFlits - 1 ? router::FlitType::Tail
-                                        : router::FlitType::Body;
-        flit.endOfFrame =
-            message.endOfFrame && flit.type == router::FlitType::Tail;
-        flit.stamp = vclock.tick(now);
-        flit.arrivalSeq = nextArrivalSeq_++;
-        vc.queue.push(flit);
-    }
+    InjectionVc& vc = vcs_[static_cast<std::size_t>(message.vcLane)];
+    vc.messages.push_back(pending);
+    if (vc.messages.size() == 1)
+        loadHeader(message.vcLane);
     refreshEligibility(message.vcLane);
     kickMux();
+}
+
+void
+NetworkInterface::loadHeader(int vc_index)
+{
+    InjectionVc& vc = vcs_[static_cast<std::size_t>(vc_index)];
+    const PendingMessage& m = vc.messages.front();
+    // The injection multiplexer is a scheduling point like the
+    // router's stage 5: every flit is stamped with the Virtual Clock
+    // of its VC lane, the header installing the message's Vtick.
+    // Stamps depend only on the message (its Vtick and inject time),
+    // so building them late changes no value.
+    router::VirtualClockState& vclock =
+        vclock_[static_cast<std::size_t>(vc_index)];
+    vclock.beginMessage(m.vtick);
+
+    router::Flit& flit = vc.next;
+    flit = router::Flit{};
+    flit.vtick = m.vtick;
+    flit.injectTime = m.injectTime;
+    flit.stamp = vclock.tick(m.injectTime);
+    flit.arrivalSeq = m.firstSeq;
+    flit.stream = m.stream;
+    flit.dest = m.dest;
+    flit.message = m.message;
+    flit.messageFlits = m.numFlits;
+    flit.cls = m.cls;
+    flit.vcLane = static_cast<std::uint8_t>(vc_index);
 }
 
 void
@@ -160,28 +178,24 @@ NetworkInterface::creditReturned(int vc)
 std::uint64_t
 NetworkInterface::backlogFlits() const
 {
-    std::uint64_t total = 0;
-    for (const InjectionVc& vc : vcs_)
-        total += vc.queue.size();
-    return total;
+    return backlogFlits_;
 }
 
 void
 NetworkInterface::refreshEligibility(int vc_index)
 {
-    InjectionVc& vc = vcs_[static_cast<std::size_t>(vc_index)];
+    const InjectionVc& vc = vcs_[static_cast<std::size_t>(vc_index)];
     const int credits = credits_[static_cast<std::size_t>(vc_index)];
-    bool ready = !vc.queue.empty() && credits > 0;
+    bool ready = !vc.messages.empty() && credits > 0;
     if (ready
         && cfg_.switching == config::SwitchingKind::VirtualCutThrough) {
         // Virtual cut-through gates message launch on the router
         // input buffer holding the whole message.
-        const router::Flit& head = vc.queue.front();
-        if (head.isHeader() && credits < head.messageFlits)
+        if (vc.next.isHeader() && credits < vc.next.messageFlits)
             ready = false;
     }
     if (ready)
-        arb_.setEligible(vc_index, vc.queue.front());
+        arb_.setEligible(vc_index, vc.next);
     else
         arb_.clearEligible(vc_index);
 }
@@ -205,19 +219,34 @@ NetworkInterface::serveMux()
     const int v = arb_.pick();
     InjectionVc& vc = vcs_[static_cast<std::size_t>(v)];
 
-    // Stamp the launch time in place and send straight from the
-    // queue head; the link copies the flit, so no stack copy.
-    router::Flit& flit = vc.queue.front();
+    // Stamp the launch time in place and send the lane's built flit;
+    // the link copies it, so it can be advanced in place after.
+    router::Flit& flit = vc.next;
     flit.networkEnterTime = simulator_.now();
     injectionLink_->sendFlit(flit, v);
     ++flitsInjected_;
+    --backlogFlits_;
     if (tracer_ != nullptr && tracer_->accepts(flit.stream)) {
         tracer_->record({simulator_.now(),
                          sim::TracePoint::NetworkLaunch, flit.stream,
                          flit.message, flit.index, node_.value(), -1,
                          v});
     }
-    vc.queue.dropFront();
+    if (flit.isTail()) {
+        vc.messages.pop_front();
+        if (!vc.messages.empty())
+            loadHeader(v);
+    } else {
+        const PendingMessage& m = vc.messages.front();
+        ++flit.index;
+        flit.type = flit.index == m.numFlits - 1
+            ? router::FlitType::Tail
+            : router::FlitType::Body;
+        flit.endOfFrame = m.endOfFrame && flit.isTail();
+        flit.stamp =
+            vclock_[static_cast<std::size_t>(v)].tick(m.injectTime);
+        ++flit.arrivalSeq;
+    }
     --credits_[static_cast<std::size_t>(v)];
     refreshEligibility(v);
 

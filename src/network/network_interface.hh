@@ -7,7 +7,9 @@
  * discipline - the same Virtual Clock machinery as the router's
  * output stage, since the injection link is itself a contended
  * physical channel - and credit flow control against the router's
- * input buffers.
+ * input buffers. The queues hold one record per message; each VC
+ * builds only its next flit, so host memory grows with queued
+ * messages, not queued flits.
  *
  * Ejection side: a sink that consumes flits at link rate, reassembles
  * frame completions from tail flits and reports them to the
@@ -25,8 +27,8 @@
 #include "network/metrics.hh"
 #include "router/arbiter.hh"
 #include "router/flit.hh"
-#include "router/flit_buffer.hh"
 #include "router/link.hh"
+#include "router/ring.hh"
 #include "router/virtual_clock.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
@@ -94,7 +96,7 @@ class NetworkInterface final : public traffic::Injector,
     std::uint64_t flushLazy(sim::Tick until) override;
     bool lazyPending() const override;
 
-    /** Messages queued at the host and not yet fully transmitted. */
+    /** Flits of host-queued messages not yet put on the link. */
     std::uint64_t backlogFlits() const;
 
     /** Attaches a flit tracer; nullptr detaches. */
@@ -104,12 +106,36 @@ class NetworkInterface final : public traffic::Injector,
     std::uint64_t flitsInjected() const { return flitsInjected_; }
 
   private:
+    /** A queued message: its descriptor, creation time and the
+     *  arrival sequence number reserved for its header flit (flit i
+     *  takes firstSeq + i). */
+    struct PendingMessage
+    {
+        sim::Tick vtick = router::kBestEffortVtick;
+        sim::Tick injectTime = 0;
+        std::uint64_t firstSeq = 0;
+        sim::StreamId stream;
+        sim::NodeId dest;
+        std::int32_t message = 0;
+        std::int32_t numFlits = 0;
+        router::TrafficClass cls = router::TrafficClass::BestEffort;
+        bool endOfFrame = false;
+    };
+
     /** Per-VC cold state; the hot scalars (credits, Virtual Clock)
      *  live in the flat arrays below. */
     struct InjectionVc
     {
-        router::FlitBuffer queue{0}; // unbounded host-side queue
+        router::Ring<PendingMessage> messages; ///< Unbounded host queue.
+        /** The front message's next flit, valid while messages is
+         *  non-empty: stamped through this lane's Virtual Clock
+         *  cursor (vclock_) exactly as if the whole message had been
+         *  flitized at injection. */
+        router::Flit next;
     };
+
+    /** Loads the front message's header flit into @p vc.next. */
+    void loadHeader(int vc_index);
 
     void kickMux();
     void serveMux();
@@ -136,11 +162,14 @@ class NetworkInterface final : public traffic::Injector,
     std::vector<InjectionVc> vcs_;
     // Data-oriented per-VC hot state, indexed by VC lane.
     std::vector<int> credits_;
+    /** Per-lane stamping cursor: beginMessage() as a message's header
+     *  is built, tick(injectTime) for each of its flits. */
     std::vector<router::VirtualClockState> vclock_;
     router::MuxArbiter arb_; ///< Injection-mux eligibility + kernels.
     sim::MemberFuncEvent<&NetworkInterface::muxFired> muxEvent_;
     sim::LazyTick mux_; ///< Service-slot state; elides idle ticks.
     std::uint64_t nextArrivalSeq_ = 0;
+    std::uint64_t backlogFlits_ = 0; ///< Queued flits not yet sent.
 
     router::Link* injectionLink_ = nullptr;
     int routerBufferDepth_ = 0;

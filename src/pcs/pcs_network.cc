@@ -133,15 +133,15 @@ PcsNetwork::injectMessage(const traffic::MessageDesc& message)
     MW_ASSERT(svc.active);
 
     const sim::Tick now = simulator_.now();
+    // vcLane stays 0: a circuit's VCs come from its connection
+    // (srcVc/dstVc), and PCS VC counts exceed the field's range.
     router::Flit flit;
     flit.cls = message.cls;
     flit.stream = message.stream;
-    flit.message = message.seq;
+    flit.message = router::checkedMessageSeq(message.seq);
     flit.messageFlits = message.numFlits;
     flit.dest = connection.dst;
-    flit.vcLane = connection.srcVc;
     flit.vtick = connection.vtick;
-    flit.frame = message.frame;
     flit.injectTime = now;
 
     for (int i = 0; i < message.numFlits; ++i) {

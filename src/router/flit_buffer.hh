@@ -16,17 +16,18 @@ namespace mediaworm::router {
 /**
  * Ring buffer of flits with a hard capacity.
  *
- * Capacity 0 means unbounded (used for NI injection queues, which
- * model host memory rather than router SRAM).
+ * Capacity 0 means unbounded (used for PCS host queues, which model
+ * host memory rather than router SRAM). A default-constructed buffer
+ * is unbounded and holds no storage; the router leaves the VCs of
+ * unwired ports that way and never routes a flit to them.
  */
 class FlitBuffer
 {
   public:
     /** @param capacity Maximum flits held; 0 for unbounded. */
-    explicit FlitBuffer(std::size_t capacity = 0) : capacity_(capacity)
+    explicit FlitBuffer(std::size_t capacity = 0)
+        : capacity_(capacity), ring_(capacity)
     {
-        if (capacity_ > 0)
-            ring_.reserve(capacity_);
     }
 
     /** True when no flits are buffered. */
@@ -137,7 +138,7 @@ class FlitBuffer
     }
 
     std::size_t capacity_;
-    std::vector<Flit> ring_ = std::vector<Flit>(capacity_ ? capacity_ : 0);
+    std::vector<Flit> ring_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
 };

@@ -140,7 +140,7 @@ Link::deliverFlits()
         // Deliver by reference: nothing reached from receiveFlit()
         // pushes onto this link's flit pipe (only the upstream output
         // mux sends here, via a scheduled event), so the front entry
-        // stays put until the pop below - no ~112-byte stack copy.
+        // stays put until the pop below - no 80-byte stack copy.
         const InFlightFlit& entry = flitPipe_.front();
         receiver_->receiveFlit(entry.flit, entry.vc);
         flitPipe_.pop_front();

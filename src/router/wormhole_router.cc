@@ -44,8 +44,6 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
             static_cast<std::size_t>(m));
         for (int v = 0; v < m; ++v) {
             InputVc& ivc = vcAt(ip, v);
-            ivc.buffer = FlitBuffer(
-                static_cast<std::size_t>(cfg_.flitBufferDepth));
             ivc.routeEvent.init(this, p, v);
             ivc.routeEvent.setBatchSink(this, kOpRouteComputed);
             ivc.serveEvent.init(this, p, v);
@@ -56,15 +54,6 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
 
         OutputPort& op = outputAt(p);
         op.vcs.resize(static_cast<std::size_t>(m));
-        for (OutputVc& ovc : op.vcs) {
-            ovc.buffer = FlitBuffer(
-                static_cast<std::size_t>(cfg_.flitBufferDepth));
-            // Waiter lists are bounded by the input-VC count; size
-            // them once so the hot path never allocates.
-            ovc.allocWaiters =
-                Ring<InputVcKey>(static_cast<std::size_t>(n * m));
-            ovc.spaceWaiters.reserve(static_cast<std::size_t>(n * m));
-        }
         op.xbarEvent.init(this, p);
         op.xbarEvent.setBatchSink(this, kOpXbarDeliver);
         op.muxEvent.init(this, p);
@@ -80,7 +69,6 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
                         ? cfg_.scheduler
                         : config::SchedulerKind::Fifo,
                     n, m, cfg_.simdArbiter);
-    scratchWaiters_.reserve(static_cast<std::size_t>(n * m));
     simulator_.addLazyDrain(this);
 }
 
@@ -88,8 +76,16 @@ void
 WormholeRouter::connectInputLink(int port, Link& link)
 {
     MW_ASSERT(port >= 0 && port < cfg_.numPorts);
+    InputPort& ip = inputAt(port);
+    MW_ASSERT(ip.link == nullptr);
     link.connectReceiver(&receivers_[static_cast<std::size_t>(port)]);
-    inputs_[static_cast<std::size_t>(port)].link = &link;
+    ip.link = &link;
+    // Buffers exist only on wired ports (construction leaves them
+    // empty), so unwired ports of a sparse topology cost no flits.
+    for (int v = 0; v < cfg_.numVcs; ++v) {
+        vcAt(ip, v).buffer =
+            FlitBuffer(static_cast<std::size_t>(cfg_.flitBufferDepth));
+    }
 }
 
 void
@@ -98,12 +94,16 @@ WormholeRouter::connectOutputLink(int port, Link& link,
 {
     MW_ASSERT(port >= 0 && port < cfg_.numPorts);
     MW_ASSERT(downstream_buffer_depth > 0);
-    OutputPort& op = outputs_[static_cast<std::size_t>(port)];
+    OutputPort& op = outputAt(port);
+    MW_ASSERT(op.link == nullptr);
     op.link = &link;
     link.connectCreditReceiver(
         &creditReceivers_[static_cast<std::size_t>(port)]);
-    for (int v = 0; v < cfg_.numVcs; ++v)
+    for (int v = 0; v < cfg_.numVcs; ++v) {
         outCredits_[vcIndex(port, v)] = downstream_buffer_depth;
+        vcAt(op, v).buffer =
+            FlitBuffer(static_cast<std::size_t>(cfg_.flitBufferDepth));
+    }
 }
 
 void
@@ -111,6 +111,23 @@ WormholeRouter::setRouteTable(RouteTable table, sim::Rng pick_rng)
 {
     routeTable_ = std::move(table);
     pickRng_ = pick_rng;
+}
+
+void
+WormholeRouter::checkRoutesWired() const
+{
+    for (std::size_t dest = 0; dest < routeTable_.size(); ++dest) {
+        const RouteCandidates& candidates = routeTable_[dest];
+        for (int i = 0; i < candidates.count; ++i) {
+            const int port = candidates.ports[static_cast<std::size_t>(i)];
+            if (port < 0 || port >= cfg_.numPorts
+                || outputAt(port).link == nullptr) {
+                sim::panic("%s: route to node %zu names output port %d, "
+                           "which has no link",
+                           name_.c_str(), dest, port);
+            }
+        }
+    }
 }
 
 int
@@ -138,7 +155,7 @@ WormholeRouter::flitArrived(int port, int vc, const Flit& flit)
 
     // Push first, stamp in place: the buffer hands back the stored
     // slot, so the arrival fields land directly in ring memory
-    // instead of staging the ~96-byte flit through a stack temporary.
+    // instead of staging the 64-byte flit through a stack temporary.
     Flit& stamped = ivc.buffer.push(flit);
     VirtualClockState& vclock = inVclock_[vcIndex(port, vc)];
     if (stamped.isHeader()) {
@@ -269,6 +286,15 @@ WormholeRouter::routeComputed(int port, int vc)
         candidates.ports[static_cast<std::size_t>(choice)];
     const int out_vc = map_vc(choice);
     MW_ASSERT(out_vc >= 0 && out_vc < cfg_.numVcs);
+    // Once per message, in every build: an unwired port has no
+    // buffers, so nothing may be granted there (checkRoutesWired()
+    // rejects such tables up front for whole networks).
+    if (out_port < 0 || out_port >= cfg_.numPorts
+        || outputAt(out_port).link == nullptr) {
+        sim::panic("%s: header for node %zu routed to output port %d, "
+                   "which has no link",
+                   name_.c_str(), dest, out_port);
+    }
     ++headersRouted_;
     requestOutputVc(port, vc, out_port, out_vc);
 }
@@ -282,7 +308,14 @@ WormholeRouter::requestOutputVc(int port, int vc, int out_port,
     ivc.outPort = out_port;
     ivc.outVc = out_vc;
     ivc.state = InputVcState::WaitingVc;
-    ovc.allocWaiters.push_back({port, vc});
+    // Append to the output VC's allocation FIFO.
+    const int id = waiterId({port, vc});
+    ivc.allocNext = kNoVc;
+    if (ovc.allocTail == kNoVc)
+        ovc.allocHead = id;
+    else
+        waiterVc(ovc.allocTail).allocNext = id;
+    ovc.allocTail = id;
     if (!tryGrantNextWaiter(out_port, out_vc))
         ++allocationWaits_;
 }
@@ -294,15 +327,15 @@ WormholeRouter::tryGrantNextWaiter(int out_port, int out_vc)
     const std::uint64_t vbit = std::uint64_t{1}
         << static_cast<unsigned>(out_vc);
     if ((allocatedMask_[static_cast<std::size_t>(out_port)] & vbit) != 0
-        || ovc.allocWaiters.empty())
+        || ovc.allocHead == kNoVc)
         return false;
 
-    const InputVcKey key = ovc.allocWaiters.front();
+    const InputVcKey key = waiterKey(ovc.allocHead);
+    InputVc& ivc = waiterVc(ovc.allocHead);
     if (cfg_.switching == config::SwitchingKind::VirtualCutThrough) {
         // Cut-through gate: the next hop must be able to buffer the
         // whole message, so a blocked message parks here instead of
         // stretching across the link. Re-checked on credit returns.
-        const InputVc& ivc = vcAt(inputAt(key.port), key.vc);
         MW_ASSERT(!ivc.buffer.empty()
                   && ivc.buffer.front().isHeader());
         const int message_flits = ivc.buffer.front().messageFlits;
@@ -314,7 +347,10 @@ WormholeRouter::tryGrantNextWaiter(int out_port, int out_vc)
         if (outCredits_[vcIndex(out_port, out_vc)] < message_flits)
             return false;
     }
-    ovc.allocWaiters.pop_front();
+    ovc.allocHead = ivc.allocNext;
+    if (ovc.allocHead == kNoVc)
+        ovc.allocTail = kNoVc;
+    ivc.allocNext = kNoVc;
     allocatedMask_[static_cast<std::size_t>(out_port)] |= vbit;
     grantOutputVc(key, out_port, out_vc);
     return true;
@@ -564,7 +600,6 @@ WormholeRouter::serveOutputMux(int port)
 {
     OutputPort& op = outputAt(port);
     MW_DEBUG_ASSERT(!op.mux.busy());
-    MW_DEBUG_ASSERT(op.link != nullptr);
 
     // Point-C eligibility (buffered flit + credit) is maintained
     // incrementally at deposit/credit/send time, so an idle kick is
@@ -577,7 +612,7 @@ WormholeRouter::serveOutputMux(int port)
 
     // The link copies the flit into its in-flight queue (delivery is
     // a later event), so it can be sent straight from the buffer head
-    // and dropped — no stack copy of the ~96-byte Flit.
+    // and dropped — no stack copy of the 64-byte Flit.
     const Flit& flit = ovc.buffer.front();
     const bool is_tail = flit.isTail();
     op.link->sendFlit(flit, v);
@@ -593,7 +628,7 @@ WormholeRouter::serveOutputMux(int port)
     --outCredits_[idx];
     --outOccupancy_[idx];
     refreshOutputEligibility(port, v);
-    wakeSpaceWaiters(ovc);
+    wakeSpaceWaiter(ovc);
 
     if (is_tail) {
         // Tail left stage 5: discard the Vtick state and hand the VC
@@ -625,35 +660,23 @@ WormholeRouter::outputMuxFired(int port)
 void
 WormholeRouter::registerSpaceWaiter(OutputVc& ovc, InputVcKey key)
 {
-    InputVc& ivc = vcAt(inputAt(key.port), key.vc);
-    if (ivc.inSpaceWaitList)
-        return;
-    ivc.inSpaceWaitList = true;
-    ovc.spaceWaiters.push_back(key);
+    const int id = waiterId(key);
+    MW_ASSERT(ovc.spaceWaiter == kNoVc || ovc.spaceWaiter == id);
+    ovc.spaceWaiter = id;
 }
 
 void
-WormholeRouter::wakeSpaceWaiters(OutputVc& ovc)
+WormholeRouter::wakeSpaceWaiter(OutputVc& ovc)
 {
-    if (ovc.spaceWaiters.empty())
+    if (ovc.spaceWaiter == kNoVc)
         return;
-    // Copy out first: kicked handlers may re-register. The member
-    // scratch (instead of a fresh vector) keeps both lists at their
-    // working-set capacity; wakes never nest because every path from
-    // a kick back to serveOutputMux crosses a scheduled event.
-    MW_ASSERT(scratchWaiters_.empty());
-    scratchWaiters_.assign(ovc.spaceWaiters.begin(),
-                           ovc.spaceWaiters.end());
-    ovc.spaceWaiters.clear();
-    for (const InputVcKey& key : scratchWaiters_)
-        vcAt(inputAt(key.port), key.vc).inSpaceWaitList = false;
-    for (const InputVcKey& key : scratchWaiters_) {
-        if (cfg_.crossbar == config::CrossbarKind::Multiplexed)
-            kickInputMux(key.port);
-        else
-            kickInputVcServer(key.port, key.vc);
-    }
-    scratchWaiters_.clear();
+    // Clear before the kick: a handler served inline may park again.
+    const InputVcKey key = waiterKey(ovc.spaceWaiter);
+    ovc.spaceWaiter = kNoVc;
+    if (cfg_.crossbar == config::CrossbarKind::Multiplexed)
+        kickInputMux(key.port);
+    else
+        kickInputVcServer(key.port, key.vc);
 }
 
 // --- batched dispatch (DESIGN.md section 13) --------------------------------
@@ -835,8 +858,25 @@ WormholeRouter::checkInvariants() const
                 // Wormhole grants immediately on release; only the
                 // cut-through space gate may leave waiters parked.
                 if (cfg_.switching == config::SwitchingKind::Wormhole)
-                    MW_CHECK(ovc.allocWaiters.empty());
+                    MW_CHECK(ovc.allocHead == kNoVc);
                 MW_CHECK(ovc.buffer.empty());
+            }
+            // Waiter links: every allocation waiter waits for this
+            // VC, the FIFO ends at allocTail, and a space waiter is
+            // the VC's holder.
+            int last = kNoVc;
+            for (int w = ovc.allocHead; w != kNoVc;
+                 w = waiterVc(w).allocNext) {
+                const InputVc& waiter = waiterVc(w);
+                MW_CHECK(waiter.state == InputVcState::WaitingVc);
+                MW_CHECK(waiter.outPort == p && waiter.outVc == v);
+                last = w;
+            }
+            MW_CHECK(ovc.allocTail == last);
+            if (ovc.spaceWaiter != kNoVc) {
+                const InputVc& holder = waiterVc(ovc.spaceWaiter);
+                MW_CHECK(holder.state == InputVcState::Active);
+                MW_CHECK(holder.outVcPtr == &ovc);
             }
             const bool ready =
                 !ovc.buffer.empty() && outCredits_[i] > 0;

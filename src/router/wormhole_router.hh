@@ -37,7 +37,6 @@
 #include "router/flit.hh"
 #include "router/flit_buffer.hh"
 #include "router/link.hh"
-#include "router/ring.hh"
 #include "router/virtual_clock.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
@@ -127,16 +126,18 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     WormholeRouter& operator=(const WormholeRouter&) = delete;
 
     /**
-     * Attaches the link that feeds input port @p port. The router
-     * registers itself as the link's flit receiver and uses the link
-     * to return buffer credits upstream.
+     * Attaches the link that feeds input port @p port and allocates
+     * the port's VC buffers (a port no link feeds holds no flit
+     * storage). The router registers itself as the link's flit
+     * receiver and uses the link to return buffer credits upstream.
      */
     void connectInputLink(int port, Link& link);
 
     /**
-     * Attaches the link driven by output port @p port. @p
-     * downstream_buffer_depth initializes the credit counters (the
-     * input buffer capacity of whatever sits across the link).
+     * Attaches the link driven by output port @p port and allocates
+     * the port's VC buffers. @p downstream_buffer_depth initializes
+     * the credit counters (the input buffer capacity of whatever sits
+     * across the link).
      */
     void connectOutputLink(int port, Link& link,
                            int downstream_buffer_depth);
@@ -147,6 +148,13 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
      * the Select::Random picks. Must be set before traffic.
      */
     void setRouteTable(RouteTable table, sim::Rng pick_rng = sim::Rng());
+
+    /**
+     * Panics, naming this router, the destination and the port, if
+     * any route-table candidate names an output port without a link
+     * (and so without buffers). Call once wiring is complete.
+     */
+    void checkRoutesWired() const;
 
     /** Hardware configuration. */
     const config::RouterConfig& cfg() const { return cfg_; }
@@ -212,6 +220,9 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
         int port;
         int vc;
     };
+
+    /** No input VC: the empty value of the intrusive waiter links. */
+    static constexpr int kNoVc = -1;
 
     struct OutputVc;
     struct OutputPort;
@@ -338,7 +349,11 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
         Flit inFlight;            ///< Flit traversing the crossbar.
         int inFlightOutPort = -1; ///< Destination of the in-flight flit.
         int inFlightOutVc = -1;
-        bool inSpaceWaitList = false; ///< Registered on an OutputVc.
+        /** Next waiter on the allocation FIFO of the output VC this
+         *  VC waits for (flat [port * numVcs + vc] index). An input VC
+         *  waits for at most one output VC at a time (WaitingVc), so
+         *  one link threads it through that VC's FIFO. */
+        int allocNext = kNoVc;
     };
 
     struct InputPort
@@ -359,13 +374,21 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
      * Output-VC cold state. The hot scalars the serve loops read
      * (credits, reserved slots, occupancy, Virtual Clock state,
      * allocation) live in the flat SoA arrays below, indexed
-     * [port * numVcs + vc].
+     * [port * numVcs + vc]. Waiters are flat input-VC indices.
      */
     struct OutputVc
     {
         FlitBuffer buffer;
-        Ring<InputVcKey> allocWaiters;
-        std::vector<InputVcKey> spaceWaiters;
+        /** Input VCs waiting to be granted this VC, oldest first:
+         *  an intrusive FIFO linked through InputVc::allocNext. */
+        int allocHead = kNoVc;
+        int allocTail = kNoVc;
+        /**
+         * The input VC parked until this VC's buffer frees a slot.
+         * Only the message holding this VC feeds its buffer, so at
+         * most one input VC - the holder - can wait on its space.
+         */
+        int spaceWaiter = kNoVc;
     };
 
     struct OutputPort
@@ -432,7 +455,7 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     };
 
     void registerSpaceWaiter(OutputVc& ovc, InputVcKey key);
-    void wakeSpaceWaiters(OutputVc& ovc);
+    void wakeSpaceWaiter(OutputVc& ovc);
 
     // --- eligibility-mask maintenance (DESIGN.md section 9) ---------------
     // Re-evaluates one slot's bit from current state; called at every
@@ -533,6 +556,34 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
             + static_cast<std::size_t>(vc);
     }
 
+    /** Flat index of an input VC, as stored in the waiter links. */
+    int
+    waiterId(InputVcKey key) const
+    {
+        return key.port * cfg_.numVcs + key.vc;
+    }
+
+    /** Inverse of waiterId(). */
+    InputVcKey
+    waiterKey(int id) const
+    {
+        return {id / cfg_.numVcs, id % cfg_.numVcs};
+    }
+
+    /** The input VC a waiter link names. */
+    InputVc&
+    waiterVc(int id)
+    {
+        const InputVcKey key = waiterKey(id);
+        return vcAt(inputAt(key.port), key.vc);
+    }
+    const InputVc&
+    waiterVc(int id) const
+    {
+        const InputVcKey key = waiterKey(id);
+        return vcAt(inputAt(key.port), key.vc);
+    }
+
     sim::Tick cycle() const { return cycleTime_; }
 
     sim::Simulator& simulator_;
@@ -552,7 +603,7 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     // --- data-oriented per-VC hot state (DESIGN.md section 13) ------------
     // Flat [port * numVcs + vc] arrays for the scalars the serve
     // loops and the fat-channel load signal read every round; the
-    // cold per-VC state (buffers, waiter lists) stays in the structs.
+    // cold per-VC state (buffers, waiter links) stays in the structs.
 
     /** Downstream buffer slots available per output VC. */
     std::vector<int> outCredits_;
@@ -586,7 +637,6 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     std::vector<std::uint64_t> xbarWaiters_;
 
     std::uint64_t nextInputSeq_ = 0;
-    std::vector<InputVcKey> scratchWaiters_; ///< wakeSpaceWaiters scratch.
 
     std::uint64_t flitsForwarded_ = 0;
     std::uint64_t headersRouted_ = 0;

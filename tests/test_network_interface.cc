@@ -1,21 +1,88 @@
 /**
  * @file
- * Unit tests for the network interface: flitization, injection
- * pacing, credit respect and sink-side metric reporting.
+ * Unit tests for the network interface: flitization (differentially,
+ * against an eager reference flitizer), injection pacing, credit
+ * respect and sink-side metric reporting.
  */
 
+#include <cstring>
+#include <deque>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "network/network_interface.hh"
+#include "router/virtual_clock.hh"
+#include "sim/random.hh"
 
 namespace {
 
 using namespace mediaworm;
 using namespace mediaworm::sim;
 using namespace mediaworm::network;
+
+/**
+ * Reference flitizer: builds and stamps every flit of @p message at
+ * injection time @p now, through the lane's Virtual Clock @p vclock,
+ * taking arrival sequence numbers from @p next_seq. The NI builds its
+ * flits one at a time as the multiplexer reaches them; apart from
+ * networkEnterTime (set at launch) they must equal these bit for bit.
+ */
+std::vector<router::Flit>
+referenceFlitize(const traffic::MessageDesc& message, Tick now,
+                 router::VirtualClockState& vclock,
+                 std::uint64_t& next_seq)
+{
+    vclock.beginMessage(message.vtick);
+
+    router::Flit flit;
+    flit.cls = message.cls;
+    flit.stream = message.stream;
+    flit.message = static_cast<std::int32_t>(message.seq);
+    flit.messageFlits = message.numFlits;
+    flit.dest = message.dest;
+    flit.vcLane = static_cast<std::uint8_t>(message.vcLane);
+    flit.vtick = message.vtick;
+    flit.injectTime = now;
+
+    std::vector<router::Flit> flits;
+    for (int i = 0; i < message.numFlits; ++i) {
+        flit.index = i;
+        flit.type = i == 0 ? router::FlitType::Header
+            : i == message.numFlits - 1 ? router::FlitType::Tail
+                                        : router::FlitType::Body;
+        flit.endOfFrame =
+            message.endOfFrame && flit.type == router::FlitType::Tail;
+        flit.stamp = vclock.tick(now);
+        flit.arrivalSeq = next_seq++;
+        flits.push_back(flit);
+    }
+    return flits;
+}
+
+/** Field-by-field equality, then a whole-object compare: Flit has
+ *  no padding, so memcmp also catches a field this list misses. */
+void
+expectSameFlit(const router::Flit& got, const router::Flit& want)
+{
+    EXPECT_EQ(got.vtick, want.vtick);
+    EXPECT_EQ(got.injectTime, want.injectTime);
+    EXPECT_EQ(got.networkEnterTime, want.networkEnterTime);
+    EXPECT_EQ(got.stamp, want.stamp);
+    EXPECT_EQ(got.arrivalSeq, want.arrivalSeq);
+    EXPECT_EQ(got.stream, want.stream);
+    EXPECT_EQ(got.dest, want.dest);
+    EXPECT_EQ(got.message, want.message);
+    EXPECT_EQ(got.index, want.index);
+    EXPECT_EQ(got.messageFlits, want.messageFlits);
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.cls, want.cls);
+    EXPECT_EQ(got.vcLane, want.vcLane);
+    EXPECT_EQ(got.endOfFrame, want.endOfFrame);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof(router::Flit)), 0);
+}
 
 /** Captures what the NI puts on the injection link. */
 class WireTap final : public router::FlitReceiver
@@ -90,9 +157,210 @@ TEST_F(NetworkInterfaceTest, FlitizesMessageCorrectly)
     EXPECT_EQ(tap.flits[0].messageFlits, 5);
     EXPECT_EQ(tap.flits[0].dest, NodeId(5));
     EXPECT_EQ(tap.flits[0].vtick, microseconds(8));
+    router::VirtualClockState vclock;
+    std::uint64_t seq = 0;
+    const std::vector<router::Flit> want =
+        referenceFlitize(message(5), 0, vclock, seq);
     for (std::size_t i = 0; i < tap.flits.size(); ++i) {
         EXPECT_EQ(tap.flits[i].index, static_cast<int>(i));
         EXPECT_EQ(tap.vcs[i], 0);
+        router::Flit expected = want[i];
+        expected.networkEnterTime = tap.times[i];
+        expectSameFlit(tap.flits[i], expected);
+    }
+}
+
+TEST_F(NetworkInterfaceTest, MessageSeqMustFitTheFlitField)
+{
+    const MessageSeq largest = std::numeric_limits<std::int32_t>::max();
+    ni->injectMessage(message(2, 0, largest));
+    simulator.runToCompletion();
+    ASSERT_EQ(tap.flits.size(), 2u);
+    EXPECT_EQ(tap.flits[0].message, largest);
+
+    EXPECT_EXIT(ni->injectMessage(message(2, 0, largest + 1)),
+                testing::ExitedWithCode(1),
+                "message sequence number 2147483648 does not fit");
+}
+
+/**
+ * Seeded differential run: random messages (mixed lanes, real-time
+ * and saturating best-effort Vticks, back-to-back injections on one
+ * lane) go through the NI while a sink returns each credit after a
+ * random delay, so launches stall mid-message. Every flit the NI puts
+ * on the link must equal the reference flitizer's, in lane order.
+ */
+void
+checkAgainstReference(std::uint64_t seed,
+                      config::SchedulerKind scheduler, bool stalls)
+{
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " scheduler "
+                                    << static_cast<int>(scheduler)
+                                    << " stalls " << stalls);
+    constexpr int kLanes = 4;
+    constexpr int kDepth = 3;
+    Simulator simulator;
+    config::RouterConfig cfg;
+    cfg.numVcs = kLanes;
+    cfg.injectionScheduler = scheduler;
+    MetricsHub metrics;
+    router::Link link(simulator, 0, "inj");
+    router::Link ejection(simulator, 0, "ej");
+    NetworkInterface ni(simulator, NodeId(1), cfg, metrics, "ni1");
+    Rng rng(seed);
+
+    /** Records each flit and hands its credit back later. */
+    class CreditingTap final : public router::FlitReceiver
+    {
+      public:
+        CreditingTap(Simulator& simulator, router::Link& link, Rng& rng,
+                     bool stalls)
+            : simulator_(simulator), link_(link), rng_(rng),
+              stalls_(stalls)
+        {
+        }
+
+        void
+        receiveFlit(const router::Flit& flit, int vc) override
+        {
+            EXPECT_EQ(flit.networkEnterTime, simulator_.now());
+            got.push_back({flit, vc});
+            if (!stalls_) {
+                link_.sendCredit(vc);
+                return;
+            }
+            // The last credit went out with a flit that is not its
+            // message's tail: the NI stalls mid-message.
+            int& held = outstanding_[static_cast<std::size_t>(vc)];
+            if (++held == kDepth && !flit.isTail())
+                ++midMessageStalls;
+            // Mostly short delays, sometimes a long one: launches
+            // run dry mid-message, then resume.
+            const Tick delay = (rng_.uniformInt(8) == 0 ? 40 : 1)
+                * static_cast<Tick>(rng_.uniformInt(4))
+                * microseconds(1);
+            credits_.push_back(std::make_unique<CallbackEvent>([this, vc] {
+                --outstanding_[static_cast<std::size_t>(vc)];
+                link_.sendCredit(vc);
+            }));
+            simulator_.schedule(*credits_.back(),
+                                simulator_.now() + delay);
+        }
+
+        struct Sent
+        {
+            router::Flit flit;
+            int vc;
+        };
+        std::vector<Sent> got;
+        int midMessageStalls = 0;
+
+      private:
+        Simulator& simulator_;
+        router::Link& link_;
+        Rng& rng_;
+        bool stalls_;
+        std::deque<std::unique_ptr<CallbackEvent>> credits_;
+        int outstanding_[kLanes] = {};
+    };
+
+    CreditingTap tap(simulator, link, rng, stalls);
+    link.connectReceiver(&tap);
+    ni.connectInjectionLink(link, stalls ? kDepth : 1 << 20);
+    ni.connectEjectionLink(ejection);
+
+    std::vector<std::vector<router::Flit>> want(kLanes);
+    router::VirtualClockState vclocks[kLanes];
+    std::uint64_t next_seq = 0;
+    std::vector<std::unique_ptr<CallbackEvent>> injections;
+    Tick now = 0;
+    int total = 0;
+    int back_to_back = 0; // Same tick and lane as the previous message.
+    int last_lane = -1;
+    for (int m = 0; m < 80; ++m) {
+        // A third of the messages share their predecessor's tick
+        // (back to back, often on the same lane).
+        const bool same_tick = m > 0 && rng.uniformInt(3) == 0;
+        if (!same_tick)
+            now += static_cast<Tick>(rng.uniformInt(30)) * microseconds(1);
+        traffic::MessageDesc desc;
+        desc.stream = StreamId(static_cast<std::int32_t>(m % 5));
+        desc.dest = NodeId(5);
+        desc.vcLane = static_cast<int>(rng.uniformInt(kLanes));
+        back_to_back += same_tick && desc.vcLane == last_lane;
+        last_lane = desc.vcLane;
+        desc.seq = m;
+        desc.frame = m / 3;
+        desc.numFlits = 2 + static_cast<int>(rng.uniformInt(9));
+        desc.endOfFrame = rng.uniformInt(2) == 0;
+        switch (rng.uniformInt(3)) {
+        case 0:
+            desc.cls = router::TrafficClass::BestEffort;
+            desc.vtick = router::kBestEffortVtick;
+            break;
+        case 1:
+            // A real-time Vtick large enough to saturate auxVC after
+            // a couple of flits.
+            desc.cls = router::TrafficClass::Cbr;
+            desc.vtick = router::kBestEffortVtick / 3;
+            break;
+        default:
+            desc.cls = router::TrafficClass::Vbr;
+            desc.vtick = static_cast<Tick>(1 + rng.uniformInt(20))
+                * microseconds(1);
+            break;
+        }
+        const std::vector<router::Flit> flits = referenceFlitize(
+            desc, now, vclocks[desc.vcLane], next_seq);
+        auto& lane = want[static_cast<std::size_t>(desc.vcLane)];
+        lane.insert(lane.end(), flits.begin(), flits.end());
+        total += desc.numFlits;
+        injections.push_back(std::make_unique<CallbackEvent>(
+            [&ni, desc] { ni.injectMessage(desc); }));
+        simulator.schedule(*injections.back(), now);
+    }
+    simulator.runToCompletion();
+
+    EXPECT_GT(back_to_back, 0);
+    ASSERT_EQ(tap.got.size(), static_cast<std::size_t>(total));
+    EXPECT_EQ(ni.flitsInjected(), static_cast<std::uint64_t>(total));
+    EXPECT_EQ(ni.backlogFlits(), 0u);
+    std::vector<std::size_t> next(kLanes, 0);
+    std::uint64_t last_seq = 0;
+    for (std::size_t i = 0; i < tap.got.size(); ++i) {
+        const auto& [flit, vc] = tap.got[i];
+        ASSERT_GE(vc, 0);
+        ASSERT_LT(vc, kLanes);
+        auto& lane = want[static_cast<std::size_t>(vc)];
+        std::size_t& k = next[static_cast<std::size_t>(vc)];
+        ASSERT_LT(k, lane.size());
+        router::Flit expected = lane[k++];
+        expected.networkEnterTime = flit.networkEnterTime;
+        expectSameFlit(flit, expected);
+
+        // FIFO with free credits launches the oldest queued flit
+        // each cycle, so the whole stream leaves in arrival order.
+        if (scheduler == config::SchedulerKind::Fifo && !stalls) {
+            if (i > 0) {
+                EXPECT_GT(flit.arrivalSeq, last_seq);
+            }
+            last_seq = flit.arrivalSeq;
+        }
+    }
+    if (stalls) {
+        EXPECT_GT(tap.midMessageStalls, 0);
+    }
+}
+
+TEST_F(NetworkInterfaceTest, FlitsMatchTheEagerReference)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        for (const config::SchedulerKind scheduler :
+             {config::SchedulerKind::Fifo,
+              config::SchedulerKind::VirtualClock}) {
+            checkAgainstReference(seed, scheduler, /*stalls=*/true);
+            checkAgainstReference(seed, scheduler, /*stalls=*/false);
+        }
     }
 }
 

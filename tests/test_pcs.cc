@@ -5,6 +5,7 @@
  * experiment harness.
  */
 
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -158,9 +159,11 @@ class PcsNetworkTest : public testing::Test
     }
 
     void
-    inject(const Connection& connection, int flits, bool eof = true)
+    inject(const Connection& connection, int flits, bool eof = true,
+           MessageSeq seq = 0)
     {
         traffic::MessageDesc desc;
+        desc.seq = seq;
         desc.stream = connection.stream;
         desc.dest = connection.dst;
         desc.cls = router::TrafficClass::Vbr;
@@ -185,6 +188,19 @@ TEST_F(PcsNetworkTest, CircuitDeliversMessages)
     EXPECT_EQ(metrics.flitsDelivered(), 20u);
     EXPECT_EQ(metrics.frames().framesDelivered(), 1u);
     EXPECT_EQ(net.flitsDelivered(), 20u);
+}
+
+TEST_F(PcsNetworkTest, MessageSeqMustFitTheFlitField)
+{
+    const Connection connection = connect(0);
+    const MessageSeq largest = std::numeric_limits<std::int32_t>::max();
+    inject(connection, 4, true, largest);
+    simulator.runToCompletion();
+    EXPECT_EQ(net.flitsDelivered(), 4u);
+
+    EXPECT_EXIT(inject(connection, 4, true, largest + 1),
+                testing::ExitedWithCode(1),
+                "message sequence number 2147483648 does not fit");
 }
 
 TEST_F(PcsNetworkTest, BackToBackMessagesShareTheCircuit)

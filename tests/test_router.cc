@@ -102,19 +102,94 @@ class RouterTest : public testing::Test
     sendMessage(int port, int vc, int dest, int flits, int stream,
                 Tick vtick = microseconds(8))
     {
+        sendFlits(port, vc, dest, flits, stream, 0, flits, vtick);
+    }
+
+    /** Sends flits [@p from, @p to) of a @p flits -flit message. */
+    void
+    sendFlits(int port, int vc, int dest, int flits, int stream,
+              int from, int to, Tick vtick = microseconds(8))
+    {
         Flit flit;
         flit.stream = StreamId(stream);
         flit.messageFlits = flits;
         flit.dest = NodeId(dest);
-        flit.vcLane = vc;
+        flit.vcLane = static_cast<std::uint8_t>(vc);
         flit.vtick = vtick;
-        for (int i = 0; i < flits; ++i) {
+        for (int i = from; i < to; ++i) {
             flit.index = i;
             flit.type = i == 0 ? FlitType::Header
                 : i == flits - 1 ? FlitType::Tail
                                  : FlitType::Body;
             inLinks[static_cast<std::size_t>(port)]->sendFlit(flit, vc);
         }
+    }
+
+    /**
+     * Parks input VCs on full output VCs: with @p sink_depth = 1 a
+     * 12-flit message sends one flit downstream, fills the 8-flit
+     * output VC buffer and keeps 3 flits in its input VC, whose gate
+     * then fails until a downstream credit frees a slot. The message
+     * is sent in two parts because the input buffer holds 8 flits.
+     */
+    void
+    sendParkedMessage(int port, int vc, int dest, int stream)
+    {
+        sendFlits(port, vc, dest, 12, stream, 0, 8);
+        simulator.runToCompletion();
+        sendFlits(port, vc, dest, 12, stream, 8, 12);
+        simulator.runToCompletion();
+    }
+
+    /** Returns @p count downstream credits on output (@p port, @p vc)
+     *  and runs until the router is quiescent again. */
+    void
+    returnCredits(int port, int vc, int count)
+    {
+        for (int i = 0; i < count; ++i)
+            outLinks[static_cast<std::size_t>(port)]->sendCredit(vc);
+        simulator.runToCompletion();
+    }
+
+    /**
+     * Parks two holders on full output VCs of port 3 and frees one
+     * slot at a time: each freed slot wakes exactly its VC's holder.
+     */
+    void
+    checkSpaceWake(config::CrossbarKind crossbar)
+    {
+        build(crossbar, config::SchedulerKind::VirtualClock,
+              /*sink_depth=*/1);
+
+        // Input VCs (0, 1) and (1, 2) park on output VCs (3, 1) and
+        // (3, 2): 9 flits crossed (one downstream, eight buffered),
+        // 3 wait upstream.
+        sendParkedMessage(0, 1, 3, 100);
+        sendParkedMessage(1, 2, 3, 200);
+        EXPECT_EQ(creditSinks[0].credits[1], 9);
+        EXPECT_EQ(creditSinks[1].credits[2], 9);
+        EXPECT_EQ(sinks[3].arrivals.size(), 2u);
+        router->checkInvariants();
+
+        // A credit on VC 2 frees one slot of (3, 2): its holder
+        // wakes and moves one flit; (0, 1) stays parked.
+        returnCredits(3, 2, 1);
+        EXPECT_EQ(creditSinks[1].credits[2], 10);
+        EXPECT_EQ(creditSinks[0].credits[1], 9);
+        router->checkInvariants();
+
+        // Then (3, 1) frees a slot and its holder wakes in turn.
+        returnCredits(3, 1, 1);
+        EXPECT_EQ(creditSinks[0].credits[1], 10);
+        EXPECT_EQ(creditSinks[1].credits[2], 10);
+        router->checkInvariants();
+
+        returnCredits(3, 1, 12);
+        returnCredits(3, 2, 12);
+        EXPECT_EQ(creditSinks[0].credits[1], 12);
+        EXPECT_EQ(creditSinks[1].credits[2], 12);
+        EXPECT_EQ(sinks[3].arrivals.size(), 24u);
+        router->checkInvariants();
     }
 
     /** Tail-arrival time of @p stream at @p port; -1 if missing. */
@@ -263,18 +338,98 @@ TEST_F(RouterTest, BackToBackMessagesOnOneInputVc)
 TEST_F(RouterTest, AllocationWaitersAreServedInArrivalOrder)
 {
     build();
-    sendMessage(0, 2, 3, 5, 100);
-    CallbackEvent second(
-        [&] { sendMessage(1, 2, 3, 5, 200); });
-    CallbackEvent third(
-        [&] { sendMessage(2, 2, 3, 5, 300); });
-    simulator.schedule(second, cfg.cycleTime() * 2);
-    simulator.schedule(third, cfg.cycleTime() * 4);
+    // Port 0 holds output VC (3, 2) for 8 flits; three more headers
+    // queue for it from ports 2, 3 and 1, in that order, so arrival
+    // order differs from port order.
+    sendMessage(0, 2, 3, 8, 100);
+    CallbackEvent second([&] { sendMessage(2, 2, 3, 5, 200); });
+    CallbackEvent third([&] { sendMessage(3, 2, 3, 5, 300); });
+    CallbackEvent fourth([&] { sendMessage(1, 2, 3, 5, 400); });
+    simulator.schedule(second, cfg.cycleTime() * 1);
+    simulator.schedule(third, cfg.cycleTime() * 2);
+    simulator.schedule(fourth, cfg.cycleTime() * 3);
     simulator.runToCompletion();
 
-    EXPECT_EQ(router->allocationWaits(), 2u);
+    EXPECT_EQ(router->allocationWaits(), 3u);
     EXPECT_LT(tailTime(3, 100), tailTime(3, 200));
     EXPECT_LT(tailTime(3, 200), tailTime(3, 300));
+    EXPECT_LT(tailTime(3, 300), tailTime(3, 400));
+    EXPECT_EQ(sinks[3].arrivals.size(), 23u);
+    router->checkInvariants();
+}
+
+TEST_F(RouterTest, SpaceWaiterWakesWhenItsOutputVcFreesASlot)
+{
+    checkSpaceWake(config::CrossbarKind::Multiplexed);
+}
+
+TEST_F(RouterTest, FullCrossbarSpaceWaiterWakesWhenItsOutputVcFreesASlot)
+{
+    checkSpaceWake(config::CrossbarKind::Full);
+}
+
+TEST_F(RouterTest, ParkedHolderQueuesItsNextHeaderBehindEarlierWaiters)
+{
+    build(config::CrossbarKind::Multiplexed,
+          config::SchedulerKind::VirtualClock, /*sink_depth=*/1);
+    // Input VC (0, 2) holds output VC (3, 2) and parks on its space
+    // while its next message (101) queues behind in the same input
+    // VC. Meanwhile port 1's header waits for (3, 2)'s allocation.
+    sendParkedMessage(0, 2, 3, 100);
+    sendMessage(0, 2, 3, 4, 101);
+    sendMessage(1, 2, 3, 4, 200);
+    simulator.runToCompletion();
+    EXPECT_EQ(creditSinks[0].credits[2], 9); // 100 is still parked.
+    EXPECT_EQ(router->allocationWaits(), 1u);
+    router->checkInvariants();
+
+    // Draining (3, 2) hands it to the earlier waiter (200) first;
+    // 101's header requests only after 100's tail left its input VC.
+    returnCredits(3, 2, 40);
+    EXPECT_EQ(router->allocationWaits(), 2u);
+    EXPECT_LT(tailTime(3, 100), tailTime(3, 200));
+    EXPECT_LT(tailTime(3, 200), tailTime(3, 101));
+    EXPECT_EQ(sinks[3].arrivals.size(), 20u);
+    router->checkInvariants();
+}
+
+TEST_F(RouterTest, RoutesToUnwiredPortsAreRejected)
+{
+    // Ports 0-2 are wired; the table still sends node 3 out of the
+    // unwired port 3, which has no buffers.
+    cfg.numPorts = kPorts;
+    cfg.numVcs = kVcs;
+    cfg.flitBufferDepth = kDepth;
+    WormholeRouter sparse(simulator, cfg, "sparse");
+    sparse.setRouteTable(routes);
+    std::vector<std::unique_ptr<Link>> links;
+    for (int p = 0; p < kPorts - 1; ++p) {
+        links.push_back(
+            std::make_unique<Link>(simulator, cfg.cycleTime(), "in"));
+        sparse.connectInputLink(p, *links.back());
+        links.back()->connectCreditReceiver(&creditSinks[p]);
+        links.push_back(
+            std::make_unique<Link>(simulator, cfg.cycleTime(), "out"));
+        sinks[p].init(&simulator);
+        links.back()->connectReceiver(&sinks[p]);
+        sparse.connectOutputLink(p, *links.back(), kSinkDepth);
+    }
+    EXPECT_DEATH(sparse.checkRoutesWired(),
+                 "sparse: route to node 3 names output port 3, which "
+                 "has no link");
+
+    // A table installed without the setup check still never writes
+    // into the missing buffers: the header's route is checked in
+    // every build.
+    Flit header;
+    header.dest = NodeId(3);
+    header.messageFlits = 2;
+    EXPECT_DEATH(
+        {
+            links[0]->sendFlit(header, 0);
+            simulator.runToCompletion();
+        },
+        "sparse: header for node 3 routed to output port 3");
 }
 
 TEST_F(RouterTest, FatChannelPicksLeastLoadedCandidate)
