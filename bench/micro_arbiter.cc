@@ -1,16 +1,12 @@
 /**
  * @file
- * Arbitration-only microbenchmarks: the incremental MuxArbiter
- * kernels against the legacy rebuild-and-scan Scheduler pattern,
- * across scheduler kinds and VC counts.
+ * Arbitration-only microbenchmarks: the MuxArbiter kernels across
+ * scheduler kinds and VC counts, the head-field layout, and the
+ * whole-router MultiPortArbiter round.
  *
- * Both benchmarks run the same steady-state workload: every slot
+ * The kernel benchmarks run a steady-state workload: every slot
  * holds a flit, each round picks a winner and the winner's next head
- * arrives with a fresh (stamp, seq). The legacy variant rebuilds the
- * candidate vector by scanning all slots each round - exactly the
- * pattern the router's serve loops used before the MuxArbiter - so
- * the pair isolates the cost the eligibility bitmask removed from
- * the per-flit path.
+ * arrives with a fresh (stamp, seq).
  */
 
 #include <benchmark/benchmark.h>
@@ -19,13 +15,11 @@
 
 #include "config/router_config.hh"
 #include "router/arbiter.hh"
-#include "router/scheduler.hh"
 #include "sim/random.hh"
 
 namespace {
 
 using namespace mediaworm;
-using router::Candidate;
 using router::MuxArbiter;
 using sim::Tick;
 
@@ -79,43 +73,6 @@ BM_ArbiterKernelPick(benchmark::State& state)
 }
 
 void
-BM_LegacySchedulerPick(benchmark::State& state)
-{
-    const auto kind =
-        static_cast<config::SchedulerKind>(state.range(0));
-    const int num_vcs = static_cast<int>(state.range(1));
-
-    auto scheduler = router::makeScheduler(kind);
-    sim::Rng rng(17);
-    std::uint64_t seq = 0;
-    Tick now = 0;
-    std::vector<Candidate> slots;
-    for (int v = 0; v < num_vcs; ++v) {
-        slots.push_back(
-            {v, static_cast<Tick>(rng.uniformInt(1000000)), seq++,
-             vtickFor(v)});
-    }
-
-    std::vector<Candidate> candidates;
-    candidates.reserve(static_cast<std::size_t>(num_vcs));
-    for (auto _ : state) {
-        now += kCycle;
-        // The pre-arbiter serve-loop pattern: rescan every slot into
-        // a candidate vector, then pay the virtual pick.
-        candidates.clear();
-        for (int v = 0; v < num_vcs; ++v)
-            candidates.push_back(slots[static_cast<std::size_t>(v)]);
-        const std::size_t index = scheduler->pick(candidates);
-        const int winner = candidates[index].slot;
-        benchmark::DoNotOptimize(winner);
-        Candidate& won = slots[static_cast<std::size_t>(winner)];
-        won.stamp = now + static_cast<Tick>(rng.uniformInt(1000000));
-        won.fifoSeq = seq++;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-
-void
 arbiterArgs(benchmark::internal::Benchmark* bench)
 {
     bench->ArgNames({"kind", "vcs"});
@@ -130,7 +87,6 @@ arbiterArgs(benchmark::internal::Benchmark* bench)
 }
 
 BENCHMARK(BM_ArbiterKernelPick)->Apply(arbiterArgs);
-BENCHMARK(BM_LegacySchedulerPick)->Apply(arbiterArgs);
 
 /**
  * SoA-vs-AoS layout A/B for one Virtual Clock arbitration round.
@@ -228,23 +184,19 @@ BENCHMARK(BM_ArbiterRoundSoa)->ArgName("vcs")->Arg(16)->Arg(64);
 
 /**
  * All-ports arbitration round through the MultiPortArbiter: one
- * vectorized peekAll() sweep over every port's eligibility mask,
- * then the per-port pickMasked() serve the router actually commits
- * (kept separate because serve side effects must stay in per-port
- * event order; see DESIGN.md section 14). The simd argument A/Bs the
- * vector kernels against the scalar ctz walk on identical state -
- * winners are bit-identical by construction, only the time moves.
+ * peekAll() sweep over every port's eligibility mask, then the
+ * per-port pickMasked() serve the router actually commits (kept
+ * separate because serve side effects must stay in per-port event
+ * order; see DESIGN.md section 14).
  */
 void
 BM_MultiPortArbiter(benchmark::State& state)
 {
     const int num_ports = static_cast<int>(state.range(0));
     const int num_vcs = static_cast<int>(state.range(1));
-    const bool use_simd = state.range(2) != 0;
 
     router::MultiPortArbiter arb;
-    arb.init(config::SchedulerKind::VirtualClock, num_ports, num_vcs,
-             use_simd);
+    arb.init(config::SchedulerKind::VirtualClock, num_ports, num_vcs);
     sim::Rng rng(29);
     std::uint64_t seq = 0;
     Tick now = 0;
@@ -277,11 +229,9 @@ BM_MultiPortArbiter(benchmark::State& state)
 void
 multiPortArgs(benchmark::internal::Benchmark* bench)
 {
-    bench->ArgNames({"ports", "vcs", "simd"});
-    for (int vcs : {16, 64}) {
-        for (int simd : {0, 1})
-            bench->Args({8, vcs, simd});
-    }
+    bench->ArgNames({"ports", "vcs"});
+    for (int vcs : {16, 64})
+        bench->Args({8, vcs});
 }
 
 BENCHMARK(BM_MultiPortArbiter)->Apply(multiPortArgs);

@@ -194,17 +194,16 @@ BM_SchedulerPick(benchmark::State& state)
 {
     const auto kind =
         static_cast<config::SchedulerKind>(state.range(0));
-    auto scheduler = router::makeScheduler(kind);
-    std::vector<router::Candidate> candidates;
+    router::MuxArbiter arb;
+    arb.init(kind, 16);
     sim::Rng rng(11);
     for (int i = 0; i < 16; ++i) {
-        candidates.push_back(
-            {i, static_cast<sim::Tick>(rng.uniformInt(1000000)),
-             rng.next(), 8 * sim::kMicrosecond});
+        arb.setEligible(i, static_cast<sim::Tick>(rng.uniformInt(1000000)),
+                        rng.next(), 8 * sim::kMicrosecond);
     }
     std::size_t sink = 0;
     for (auto _ : state)
-        sink += scheduler->pick(candidates);
+        sink += static_cast<std::size_t>(arb.pick());
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations());
 }
@@ -337,20 +336,15 @@ BENCHMARK(BM_BatchedRouterTick)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Idle-epoch fast-forward A/B (DESIGN.md section 14): a nearly idle
- * router (2% offered load) whose simulated time is dominated by
- * empty stretches between frames. With fastforward:0 the kernel
- * still walks every lazy-elision drain scan on the legacy path;
- * with fastforward:1 the O(1) lazy index lets the clock jump
- * straight between real events. Results are bit-identical either
- * way (tests/test_determinism.cc); the wall-time gap is the pure
- * fast-forward win, and the skipped_ticks counter shows how much
- * simulated time never touched the calendar ring.
+ * Idle-heavy run (DESIGN.md section 14): a nearly idle router (2%
+ * offered load) whose simulated time is dominated by empty stretches
+ * between frames, which the clock jumps straight across. The
+ * skipped_ticks counter shows how much simulated time never touched
+ * the calendar ring.
  */
 void
 BM_IdleEpochFastForward(benchmark::State& state)
 {
-    const bool fast_forward = state.range(0) != 0;
     for (auto _ : state) {
         core::ExperimentConfig cfg;
         cfg.traffic.inputLoad = 0.02;
@@ -358,7 +352,6 @@ BM_IdleEpochFastForward(benchmark::State& state)
         cfg.traffic.warmupFrames = 1;
         cfg.traffic.measuredFrames = 2;
         cfg.timeScale = 0.05;
-        cfg.fastForward = fast_forward;
         const core::ExperimentResult result =
             core::runExperiment(cfg);
         benchmark::DoNotOptimize(result.eventsFired);
@@ -369,11 +362,7 @@ BM_IdleEpochFastForward(benchmark::State& state)
             static_cast<double>(result.idleTicksSkipped));
     }
 }
-BENCHMARK(BM_IdleEpochFastForward)
-    ->ArgName("fastforward")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IdleEpochFastForward)->Unit(benchmark::kMillisecond);
 
 /**
  * Conservative-PDES scaling: one 4x2 fat-mesh experiment partitioned

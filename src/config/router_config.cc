@@ -65,10 +65,10 @@ RouterConfig::validate() const
     using sim::fatal;
     if (numPorts < 1 || numPorts > 64)
         fatal("RouterConfig: numPorts %d out of range [1,64]", numPorts);
-    // 64 is the width of the arbitration eligibility bitmasks
-    // (router/arbiter.hh); the paper's sweeps top out at 24 VCs.
-    if (numVcs < 1 || numVcs > 64)
-        fatal("RouterConfig: numVcs %d out of range [1,64]", numVcs);
+    // The paper's sweeps top out at 24 VCs.
+    if (numVcs < 1 || numVcs > kMaxVcs)
+        fatal("RouterConfig: numVcs %d out of range [1,%d]", numVcs,
+              kMaxVcs);
     if (vcClasses < 1 || vcClasses > numVcs)
         fatal("RouterConfig: vcClasses %d out of range [1,%d]",
               vcClasses, numVcs);

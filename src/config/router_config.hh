@@ -19,6 +19,14 @@ namespace mediaworm::config {
  */
 inline constexpr int kMaxRouteCandidates = 4;
 
+/**
+ * Virtual channels one physical channel may carry: the width of the
+ * 64-bit eligibility masks every multiplexer arbitrates over
+ * (router/arbiter.hh). RouterConfig and PcsConfig validate numVcs
+ * against it.
+ */
+inline constexpr int kMaxVcs = 64;
+
 /** Which resource-scheduling discipline a multiplexer uses. */
 enum class SchedulerKind {
     Fifo,             ///< Oldest flit first (conventional router).
@@ -69,7 +77,7 @@ const char* toString(SwitchingKind kind);
 struct RouterConfig
 {
     int numPorts = 8;          ///< Physical channels (n), at most 64.
-    int numVcs = 16;           ///< Virtual channels per PC (m), at most 64.
+    int numVcs = 16;           ///< Virtual channels per PC (m), at most kMaxVcs.
 
     /**
      * VC classes the routing policy partitions the output VCs into
@@ -98,15 +106,6 @@ struct RouterConfig
      * end-to-end priority from the host outward (ablation knob).
      */
     SchedulerKind injectionScheduler = SchedulerKind::Fifo;
-
-    /**
-     * Opts the arbiters (router and NI) into the vectorized pick
-     * kernels where the build compiled them in (router/simd.hh).
-     * Winner selection is bit-identical with the flag on or off; the
-     * toggle exists for differential determinism tests and kernel
-     * A/B benchmarks.
-     */
-    bool simdArbiter = true;
 
     /** Stages 1-3 traversed by a header before switch allocation. */
     int headerPipelineCycles = 3;

@@ -69,10 +69,8 @@ runExperiment(const ExperimentConfig& cfg)
             ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(s))));
         sims.push_back(extra_sims.back().get());
     }
-    for (sim::Simulator* shard : sims) {
+    for (sim::Simulator* shard : sims)
         shard->setBatchedDispatch(cfg.batchedDispatch);
-        shard->setFastForward(cfg.fastForward);
-    }
 
     network::MetricsHub metrics;
     sim::Rng net_rng = simulator.rng().split();

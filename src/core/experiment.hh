@@ -74,17 +74,6 @@ struct ExperimentConfig
     bool batchedDispatch = true;
 
     /**
-     * Idle-epoch fast-forward (sim::Simulator::setFastForward). On
-     * (the default) the kernel keeps an O(1) index over elided
-     * wakeups so fully idle stretches of simulated time are jumped
-     * analytically instead of scanned per drain; off restores the
-     * legacy always-scan path. Either setting produces bit-identical
-     * results - deterministicHash does not depend on it
-     * (tests/test_determinism.cc enforces this).
-     */
-    bool fastForward = true;
-
-    /**
      * Observability: per-stream telemetry, flight recorder, event
      * trace. All off by default; enabling any of them changes no
      * deterministic output (see obs/observer.hh). A telemetry window

@@ -39,9 +39,9 @@
 #include "network/metrics.hh"
 #include "network/network.hh"
 #include "network/network_interface.hh"
+#include "router/arbiter.hh"
 #include "router/flit.hh"
 #include "router/link.hh"
-#include "router/scheduler.hh"
 #include "router/virtual_clock.hh"
 #include "router/wormhole_router.hh"
 #include "sim/simulator.hh"

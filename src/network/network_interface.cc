@@ -16,7 +16,7 @@ NetworkInterface::NetworkInterface(sim::Simulator& simulator,
       vclock_(static_cast<std::size_t>(cfg.numVcs)),
       muxEvent_(this, "NetworkInterface::mux")
 {
-    arb_.init(cfg.injectionScheduler, cfg.numVcs, cfg.simdArbiter);
+    arb_.init(cfg.injectionScheduler, cfg.numVcs);
     muxEvent_.setBatchSink(this, 0);
     simulator_.addLazyDrain(this);
 }

@@ -25,8 +25,9 @@ PcsConfig::validate() const
     using sim::fatal;
     if (numPorts < 2 || numPorts > 64)
         fatal("PcsConfig: numPorts %d out of range [2,64]", numPorts);
-    if (numVcs < 1 || numVcs > 1024)
-        fatal("PcsConfig: numVcs %d out of range [1,1024]", numVcs);
+    if (numVcs < 1 || numVcs > config::kMaxVcs)
+        fatal("PcsConfig: numVcs %d out of range [1,%d]", numVcs,
+              config::kMaxVcs);
     if (flitBufferDepth < 1)
         fatal("PcsConfig: flitBufferDepth must be >= 1");
     if (flitSizeBits < 1 || linkBandwidthMbps < 1)

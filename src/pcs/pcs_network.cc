@@ -27,7 +27,7 @@ PcsNetwork::PcsNetwork(sim::Simulator& simulator, const PcsConfig& cfg,
         SourceUnit& su = sources_[static_cast<std::size_t>(node)];
         su.vcs = std::make_unique<SourceVc[]>(
             static_cast<std::size_t>(m));
-        su.scheduler = router::makeScheduler(cfg_.linkScheduler);
+        su.arb.init(cfg_.linkScheduler, m);
         su.muxEvent.setCallback([this, node] {
             sources_[static_cast<std::size_t>(node)].muxBusy = false;
             serveSourceMux(node);
@@ -40,13 +40,12 @@ PcsNetwork::PcsNetwork(sim::Simulator& simulator, const PcsConfig& cfg,
                 router::FlitBuffer(
                     static_cast<std::size_t>(cfg_.flitBufferDepth));
         }
-        du.scheduler = router::makeScheduler(cfg_.linkScheduler);
+        du.arb.init(cfg_.linkScheduler, m);
         du.muxEvent.setCallback([this, node] {
             dests_[static_cast<std::size_t>(node)].muxBusy = false;
             serveDestMux(node);
         });
     }
-    scratch_.reserve(static_cast<std::size_t>(m));
 }
 
 void
@@ -134,7 +133,7 @@ PcsNetwork::injectMessage(const traffic::MessageDesc& message)
 
     const sim::Tick now = simulator_.now();
     // vcLane stays 0: a circuit's VCs come from its connection
-    // (srcVc/dstVc), and PCS VC counts exceed the field's range.
+    // (srcVc/dstVc).
     router::Flit flit;
     flit.cls = message.cls;
     flit.stream = message.stream;
@@ -153,8 +152,9 @@ PcsNetwork::injectMessage(const traffic::MessageDesc& message)
             message.endOfFrame && flit.type == router::FlitType::Tail;
         flit.stamp = svc.vclock.tick(now);
         flit.arrivalSeq = su.nextSeq++;
-        svc.queue.push(flit);
+        svc.queue.push_back(flit);
     }
+    refreshSource(su, connection.srcVc);
     kickSourceMux(connection.src.value());
 }
 
@@ -170,6 +170,7 @@ PcsNetwork::flitArrived(int node, int vc, const router::Flit& flit)
     stamped.stamp = dvc.vclock.tick(simulator_.now());
     stamped.arrivalSeq = du.nextSeq++;
     dvc.buffer.push(stamped);
+    refreshDest(du, vc);
     kickDestMux(node);
 }
 
@@ -178,7 +179,28 @@ PcsNetwork::creditArrived(int node, int vc)
 {
     SourceUnit& su = sources_[static_cast<std::size_t>(node)];
     ++su.vcs[static_cast<std::size_t>(vc)].credits;
+    refreshSource(su, vc);
     kickSourceMux(node);
+}
+
+void
+PcsNetwork::refreshSource(SourceUnit& su, int vc)
+{
+    const SourceVc& svc = su.vcs[static_cast<std::size_t>(vc)];
+    if (!svc.queue.empty() && svc.credits > 0)
+        su.arb.setEligible(vc, svc.queue.front());
+    else
+        su.arb.clearEligible(vc);
+}
+
+void
+PcsNetwork::refreshDest(DestUnit& du, int vc)
+{
+    const DestVc& dvc = du.vcs[static_cast<std::size_t>(vc)];
+    if (!dvc.buffer.empty())
+        du.arb.setEligible(vc, dvc.buffer.front());
+    else
+        du.arb.clearEligible(vc);
 }
 
 void
@@ -194,23 +216,16 @@ PcsNetwork::serveSourceMux(int node)
     SourceUnit& su = sources_[static_cast<std::size_t>(node)];
     MW_ASSERT(!su.muxBusy);
 
-    scratch_.clear();
-    for (int v = 0; v < cfg_.numVcs; ++v) {
-        SourceVc& svc = su.vcs[static_cast<std::size_t>(v)];
-        if (!svc.active || svc.queue.empty() || svc.credits <= 0)
-            continue;
-        const router::Flit& head = svc.queue.front();
-        scratch_.push_back({v, head.stamp, head.arrivalSeq, head.vtick});
-    }
-    if (scratch_.empty())
+    if (!su.arb.anyEligible())
         return;
 
-    const std::size_t winner = su.scheduler->pick(scratch_);
-    const int v = scratch_[winner].slot;
+    const int v = su.arb.pick();
     SourceVc& svc = su.vcs[static_cast<std::size_t>(v)];
 
-    const router::Flit flit = svc.queue.pop();
+    const router::Flit flit = svc.queue.front();
+    svc.queue.pop_front();
     --svc.credits;
+    refreshSource(su, v);
     svc.link->sendFlit(flit, svc.dstVc);
 
     su.muxBusy = true;
@@ -230,22 +245,14 @@ PcsNetwork::serveDestMux(int node)
     DestUnit& du = dests_[static_cast<std::size_t>(node)];
     MW_ASSERT(!du.muxBusy);
 
-    scratch_.clear();
-    for (int v = 0; v < cfg_.numVcs; ++v) {
-        DestVc& dvc = du.vcs[static_cast<std::size_t>(v)];
-        if (!dvc.active || dvc.buffer.empty())
-            continue;
-        const router::Flit& head = dvc.buffer.front();
-        scratch_.push_back({v, head.stamp, head.arrivalSeq, head.vtick});
-    }
-    if (scratch_.empty())
+    if (!du.arb.anyEligible())
         return;
 
-    const std::size_t winner = du.scheduler->pick(scratch_);
-    const int v = scratch_[winner].slot;
+    const int v = du.arb.pick();
     DestVc& dvc = du.vcs[static_cast<std::size_t>(v)];
 
     const router::Flit flit = dvc.buffer.pop();
+    refreshDest(du, v);
     dvc.link->sendCredit(dvc.srcVc);
 
     // The flit leaves on the ejection channel now; record delivery.

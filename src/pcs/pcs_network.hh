@@ -23,10 +23,11 @@
 #include "network/metrics.hh"
 #include "pcs/connection_table.hh"
 #include "pcs/pcs_config.hh"
+#include "router/arbiter.hh"
 #include "router/flit.hh"
 #include "router/flit_buffer.hh"
 #include "router/link.hh"
-#include "router/scheduler.hh"
+#include "router/ring.hh"
 #include "router/virtual_clock.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
@@ -76,7 +77,7 @@ class PcsNetwork final : public traffic::Injector
     struct SourceVc
     {
         bool active = false;
-        router::FlitBuffer queue{0}; // unbounded host queue
+        router::Ring<router::Flit> queue; ///< Unbounded host queue.
         int credits = 0;
         int dstVc = -1;
         router::VirtualClockState vclock;
@@ -86,7 +87,7 @@ class PcsNetwork final : public traffic::Injector
     struct SourceUnit
     {
         std::unique_ptr<SourceVc[]> vcs;
-        std::unique_ptr<router::Scheduler> scheduler;
+        router::MuxArbiter arb; ///< Eligible: queued and credited.
         sim::CallbackEvent muxEvent;
         bool muxBusy = false;
         std::uint64_t nextSeq = 0;
@@ -104,7 +105,7 @@ class PcsNetwork final : public traffic::Injector
     struct DestUnit
     {
         std::unique_ptr<DestVc[]> vcs;
-        std::unique_ptr<router::Scheduler> scheduler;
+        router::MuxArbiter arb; ///< Eligible: buffered.
         sim::CallbackEvent muxEvent;
         bool muxBusy = false;
         std::uint64_t nextSeq = 0;
@@ -154,6 +155,9 @@ class PcsNetwork final : public traffic::Injector
 
     void flitArrived(int node, int vc, const router::Flit& flit);
     void creditArrived(int node, int vc);
+    /** Re-derives one VC's mux eligibility and cached head. */
+    void refreshSource(SourceUnit& su, int vc);
+    void refreshDest(DestUnit& du, int vc);
     void kickSourceMux(int node);
     void serveSourceMux(int node);
     void kickDestMux(int node);
@@ -174,7 +178,6 @@ class PcsNetwork final : public traffic::Injector
     /** stream id -> connection (index assigned by ConnectionTable). */
     std::vector<Connection> byStream_;
 
-    std::vector<router::Candidate> scratch_;
     std::uint64_t flitsDelivered_ = 0;
 };
 

@@ -2,63 +2,92 @@
  * @file
  * Incremental multiplexer arbitration (DESIGN.md sections 9 and 14).
  *
- * Two arbiter front-ends share one set of pick kernels:
+ * Every multiplexer in the simulator - the router's points A and C,
+ * the network interface's injection mux and the PCS source and
+ * destination links - arbitrates through the one set of pick kernels
+ * below. Two front-ends hold the state:
  *
- *  - MuxArbiter: a single multiplexer's state (the network
- *    interface's injection mux, and the reference shape the
- *    differential fuzz in tests/test_arbiter.cc exercises);
+ *  - MuxArbiter: a single multiplexer's state (the NI injection mux
+ *    and each PCS link mux);
  *  - MultiPortArbiter: every multiplexer of one router in flat
  *    struct-of-arrays storage - one 64-bit eligibility mask per port
- *    and one contiguous, 4-record-padded HeadKey array - so a
- *    router's serve paths touch a handful of shared cache lines and
- *    the whole-router sweep (peekAll) evaluates all ports in one
- *    call.
+ *    and one contiguous HeadKey array - so a router's serve paths
+ *    touch a handful of shared cache lines and the whole-router
+ *    sweep (peekAll) evaluates all ports in one call.
  *
  * Each multiplexer keeps
  *
- *  - a 64-bit *eligibility bitmask* with one bit per VC slot, set and
- *    cleared at the events that change eligibility (head enqueue/pop,
- *    credit return, VC grant/release), and
+ *  - a 64-bit *eligibility bitmask* with one bit per VC slot
+ *    (config::kMaxVcs), set and cleared at the events that change
+ *    eligibility (head enqueue/pop, credit return, VC grant/release),
+ *    and
  *  - cached *head fields* per slot, split by access pattern: the
  *    (stamp, fifoSeq) pair every tie-break compares lives in one
- *    contiguous 16-byte-record array (router/simd.hh's HeadKey),
- *    while the WRR-only vtick sits in a separate array the other
- *    disciplines never touch - refreshed whenever the slot's head
- *    flit changes.
+ *    contiguous 16-byte-record array (HeadKey), while the WRR-only
+ *    vtick sits in a separate array the other disciplines never
+ *    touch - refreshed whenever the slot's head flit changes.
  *
  * The winner is computed by kernels selected on config::SchedulerKind
  * through a four-way switch the compiler turns into direct, inlinable
- * calls - no virtual dispatch and no per-round allocation. The
- * stateless disciplines (FIFO, Virtual Clock) additionally dispatch
- * between the scalar ctz enumeration and the vectorized kernels in
- * simd.hh on the eligible-slot count (kSimdMinEligible); both return
- * the same winner, so the choice has no behavioral footprint.
+ * calls - no virtual dispatch and no per-round allocation.
  *
- * Winner selection is bit-identical to the legacy Scheduler classes
- * (kept in scheduler.hh as the reference implementation): the legacy
- * code builds its candidate vector by scanning slots in ascending
- * order, and a ctz loop enumerates set bits in exactly that order, so
- * every tie-break - FIFO's strictly-smaller arrival seq, Virtual
- * Clock's (stamp, fifoSeq) lexicographic order, round-robin's
- * smallest-slot-above rotation, WRR's first-largest-deficit - resolves
- * identically. tests/test_arbiter.cc fuzzes this equivalence.
+ * Every kernel enumerates the eligible slots in ascending order with
+ * a ctz loop, so each tie-break resolves toward the smaller slot:
+ * FIFO's strictly-smaller arrival seq, Virtual Clock's (stamp,
+ * fifoSeq) lexicographic order, round-robin's smallest-slot-above
+ * rotation, WRR's first-largest-deficit. tests/test_arbiter.cc fuzzes
+ * the kernels against the candidate-vector Scheduler classes they
+ * replaced, kept in tests/ as the reference oracle.
  */
 
 #ifndef MEDIAWORM_ROUTER_ARBITER_HH
 #define MEDIAWORM_ROUTER_ARBITER_HH
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "config/router_config.hh"
 #include "router/flit.hh"
-#include "router/scheduler.hh"
-#include "router/simd.hh"
 #include "sim/logging.hh"
 #include "sim/time.hh"
 
 namespace mediaworm::router {
+
+/**
+ * The (stamp, fifoSeq) tie-break pair of one slot's head flit; 16
+ * bytes, so four slots share a cache line.
+ */
+struct HeadKey
+{
+    sim::Tick stamp = 0;
+    std::uint64_t fifoSeq = 0;
+};
+
+/**
+ * Weighted round robin's one-flit service quantum in Q32.32 fixed
+ * point. Deficits are integers so repeated replenishment accumulates
+ * exactly - the old double-based accounting drifted when rate ratios
+ * had no finite binary expansion (1/3, 1/10, ...), skewing long-run
+ * service shares.
+ */
+constexpr std::uint64_t kWrrQuantum = std::uint64_t{1} << 32;
+
+/**
+ * Replenishment weight of a slot requesting one flit per @p vtick
+ * when the fastest competing slot requests one per @p min_vtick:
+ * floor(min_vtick / vtick) in Q32.32. The fastest slot gets exactly
+ * kWrrQuantum, pinning the guarantee that one replenish pass always
+ * makes some slot eligible.
+ */
+inline std::uint64_t
+wrrWeight(sim::Tick min_vtick, sim::Tick vtick)
+{
+    return static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(
+             static_cast<std::uint64_t>(min_vtick))
+         << 32)
+        / static_cast<std::uint64_t>(vtick));
+}
 
 /** Cached scheduling fields of a slot's head flit. */
 struct HeadRecord
@@ -98,7 +127,7 @@ pickRoundRobin(std::uint64_t m, int& last_slot)
 
 /** One pass over the seq halves of the key array. */
 inline int
-pickFifoScalar(std::uint64_t m, const HeadKey* keys)
+pickFifo(std::uint64_t m, const HeadKey* keys)
 {
     int best = lowestBit(m);
     std::uint64_t best_seq = keys[best].fifoSeq;
@@ -118,7 +147,7 @@ pickFifoScalar(std::uint64_t m, const HeadKey* keys)
 /** Lexicographic (stamp, fifoSeq): both fields of one 16-byte
  *  record, one contiguous stream. */
 inline int
-pickVirtualClockScalar(std::uint64_t m, const HeadKey* keys)
+pickVirtualClock(std::uint64_t m, const HeadKey* keys)
 {
     int best = lowestBit(m);
     HeadKey best_key = keys[best];
@@ -138,8 +167,8 @@ pickVirtualClockScalar(std::uint64_t m, const HeadKey* keys)
 }
 
 /**
- * Deficit round robin in Q32.32 fixed point (see wrrWeight in
- * scheduler.hh). Two rounds at most: the replenish pass credits the
+ * Deficit round robin in Q32.32 fixed point (see wrrWeight). Two
+ * rounds at most: the replenish pass credits the
  * fastest eligible slot with exactly one quantum.
  */
 inline int
@@ -183,43 +212,6 @@ pickWrr(std::uint64_t m, const sim::Tick* vticks,
     sim::panic("arbiter: no WRR slot became eligible");
 }
 
-/** FIFO pick with scalar/SIMD dispatch on the eligible count. */
-inline int
-pickFifo(std::uint64_t m, const HeadKey* keys, int num_slots,
-         bool use_simd)
-{
-#if MW_SIMD_COMPILED
-    if (use_simd && std::popcount(m) >= kSimdMinEligible)
-        return simd::pickFifo(m, keys, num_slots);
-#else
-    (void)num_slots;
-    (void)use_simd;
-#endif
-    return pickFifoScalar(m, keys);
-}
-
-/** Virtual Clock pick with scalar/SIMD dispatch. */
-inline int
-pickVirtualClock(std::uint64_t m, const HeadKey* keys, int num_slots,
-                 bool use_simd)
-{
-#if MW_SIMD_COMPILED
-    if (use_simd && std::popcount(m) >= kSimdMinEligible)
-        return simd::pickVirtualClock(m, keys, num_slots);
-#else
-    (void)num_slots;
-    (void)use_simd;
-#endif
-    return pickVirtualClockScalar(m, keys);
-}
-
-/** Key arrays are padded to whole 4-record SIMD groups. */
-inline std::size_t
-paddedSlots(int num_slots)
-{
-    return (static_cast<std::size_t>(num_slots) + 3) & ~std::size_t{3};
-}
-
 } // namespace arb
 
 /**
@@ -233,19 +225,16 @@ class MuxArbiter
 
     /**
      * Fixes the discipline and slot count. @p num_slots must be at
-     * most 64 (one bitmask bit per VC; RouterConfig::validate
-     * enforces the same bound on numVcs). @p use_simd opts the
-     * stateless disciplines into the vectorized kernels where
-     * compiled in; winners are identical either way.
+     * most config::kMaxVcs (one bitmask bit per VC; the router and
+     * PCS configs validate numVcs against the same bound).
      */
     void
-    init(config::SchedulerKind kind, int num_slots, bool use_simd = true)
+    init(config::SchedulerKind kind, int num_slots)
     {
-        MW_ASSERT(num_slots >= 1 && num_slots <= 64);
+        MW_ASSERT(num_slots >= 1 && num_slots <= config::kMaxVcs);
         kind_ = kind;
         numSlots_ = num_slots;
-        simd_ = use_simd && MW_SIMD_COMPILED != 0;
-        keys_.assign(arb::paddedSlots(num_slots), HeadKey{});
+        keys_.assign(static_cast<std::size_t>(num_slots), HeadKey{});
         vticks_.assign(static_cast<std::size_t>(num_slots),
                        kBestEffortVtick);
         if (kind_ == config::SchedulerKind::WeightedRoundRobin)
@@ -330,12 +319,11 @@ class MuxArbiter
         MW_DEBUG_ASSERT(m != 0 && (m & ~mask_) == 0);
         switch (kind_) {
           case config::SchedulerKind::Fifo:
-            return arb::pickFifo(m, keys_.data(), numSlots_, simd_);
+            return arb::pickFifo(m, keys_.data());
           case config::SchedulerKind::RoundRobin:
             return arb::pickRoundRobin(m, lastSlot_);
           case config::SchedulerKind::VirtualClock:
-            return arb::pickVirtualClock(m, keys_.data(), numSlots_,
-                                         simd_);
+            return arb::pickVirtualClock(m, keys_.data());
           case config::SchedulerKind::WeightedRoundRobin:
             return arb::pickWrr(m, vticks_.data(), deficit_.data(),
                                 lastSlot_);
@@ -347,7 +335,6 @@ class MuxArbiter
     std::uint64_t mask_ = 0;
     config::SchedulerKind kind_ = config::SchedulerKind::Fifo;
     int numSlots_ = 0;
-    bool simd_ = false;
     int lastSlot_ = -1; ///< Rotation pointer (RoundRobin, WRR).
     // Cached head fields, split by access pattern (see file comment).
     std::vector<HeadKey> keys_;
@@ -358,13 +345,12 @@ class MuxArbiter
 /**
  * All multiplexers of one router in flat struct-of-arrays storage
  * (DESIGN.md section 14): masks_[p] is port p's eligibility bitmask
- * and keys_[p * stride + v] its slot v head key, with the stride
- * padded to whole 4-record SIMD groups. One instance serves a
- * router's input muxes and another its output muxes, replacing the
- * per-port MuxArbiter members - the serve loops index two shared
- * arrays instead of chasing per-port objects, and whole-router
- * queries (peekAll, the invariant cross-check) sweep the arrays in
- * one call.
+ * and keys_[p * numSlots + v] its slot v head key. One instance
+ * serves a router's input muxes and another its output muxes,
+ * replacing per-port MuxArbiter members - the serve loops index two
+ * shared arrays instead of chasing per-port objects, and
+ * whole-router queries (peekAll, the invariant cross-check) sweep the
+ * arrays in one call.
  *
  * Picks remain per-port operations invoked in the exact event order
  * the batched dispatcher pulls them in: a serve's side effects
@@ -380,25 +366,23 @@ class MultiPortArbiter
   public:
     MultiPortArbiter() = default;
 
-    /** Fixes discipline, port count and per-port slot count; see
-     *  MuxArbiter::init() for the SIMD opt-in. */
+    /** Fixes discipline, port count and per-port slot count (at
+     *  most config::kMaxVcs, as for MuxArbiter::init()). */
     void
-    init(config::SchedulerKind kind, int num_ports, int num_slots,
-         bool use_simd = true)
+    init(config::SchedulerKind kind, int num_ports, int num_slots)
     {
         MW_ASSERT(num_ports >= 1 && num_ports <= 64);
-        MW_ASSERT(num_slots >= 1 && num_slots <= 64);
+        MW_ASSERT(num_slots >= 1 && num_slots <= config::kMaxVcs);
         kind_ = kind;
         numPorts_ = num_ports;
         numSlots_ = num_slots;
-        stride_ = arb::paddedSlots(num_slots);
-        simd_ = use_simd && MW_SIMD_COMPILED != 0;
         const auto ports = static_cast<std::size_t>(num_ports);
+        const auto slots = ports * static_cast<std::size_t>(num_slots);
         masks_.assign(ports, 0);
-        keys_.assign(ports * stride_, HeadKey{});
-        vticks_.assign(ports * stride_, kBestEffortVtick);
+        keys_.assign(slots, HeadKey{});
+        vticks_.assign(slots, kBestEffortVtick);
         if (kind_ == config::SchedulerKind::WeightedRoundRobin)
-            deficit_.assign(ports * stride_, 0);
+            deficit_.assign(slots, 0);
         lastSlot_.assign(ports, -1);
     }
 
@@ -478,12 +462,12 @@ class MultiPortArbiter
         const HeadKey* keys = keys_.data() + base(port);
         switch (kind_) {
           case config::SchedulerKind::Fifo:
-            return arb::pickFifo(m, keys, numSlots_, simd_);
+            return arb::pickFifo(m, keys);
           case config::SchedulerKind::RoundRobin:
             return arb::pickRoundRobin(
                 m, lastSlot_[static_cast<std::size_t>(port)]);
           case config::SchedulerKind::VirtualClock:
-            return arb::pickVirtualClock(m, keys, numSlots_, simd_);
+            return arb::pickVirtualClock(m, keys);
           case config::SchedulerKind::WeightedRoundRobin:
             return arb::pickWrr(
                 m, vticks_.data() + base(port),
@@ -513,15 +497,15 @@ class MultiPortArbiter
         MW_DEBUG_ASSERT(m != 0 && (m & ~mask(port)) == 0);
         const HeadKey* keys = keys_.data() + base(port);
         if (kind_ == config::SchedulerKind::Fifo)
-            return arb::pickFifo(m, keys, numSlots_, simd_);
-        return arb::pickVirtualClock(m, keys, numSlots_, simd_);
+            return arb::pickFifo(m, keys);
+        return arb::pickVirtualClock(m, keys);
     }
 
     /**
      * One-pass whole-router sweep: writes each port's would-be winner
      * to @p winners[port], -1 where the port has no eligible slot.
-     * Side-effect free (stateless disciplines only); the diagnostics
-     * and benchmark entry point for the vectorized kernels.
+     * Side-effect free (stateless disciplines only); used by
+     * diagnostics and the arbitration benchmarks.
      */
     void
     peekAll(int* winners) const
@@ -536,14 +520,13 @@ class MultiPortArbiter
     std::size_t
     base(int port) const
     {
-        return static_cast<std::size_t>(port) * stride_;
+        return static_cast<std::size_t>(port)
+            * static_cast<std::size_t>(numSlots_);
     }
 
     config::SchedulerKind kind_ = config::SchedulerKind::Fifo;
     int numPorts_ = 0;
     int numSlots_ = 0;
-    std::size_t stride_ = 0;
-    bool simd_ = false;
     std::vector<std::uint64_t> masks_;
     std::vector<HeadKey> keys_;
     std::vector<sim::Tick> vticks_;  ///< WRR rate requests only.

@@ -16,15 +16,15 @@ namespace mediaworm::router {
 /**
  * Ring buffer of flits with a hard capacity.
  *
- * Capacity 0 means unbounded (used for PCS host queues, which model
- * host memory rather than router SRAM). A default-constructed buffer
- * is unbounded and holds no storage; the router leaves the VCs of
- * unwired ports that way and never routes a flit to them.
+ * Unbounded host queues (the NI's, PCS's) use router::Ring instead.
+ * A default-constructed buffer has capacity 0 and holds no storage;
+ * the router leaves the VCs of unwired ports that way and never
+ * routes a flit to them.
  */
 class FlitBuffer
 {
   public:
-    /** @param capacity Maximum flits held; 0 for unbounded. */
+    /** @param capacity Maximum flits held. */
     explicit FlitBuffer(std::size_t capacity = 0)
         : capacity_(capacity), ring_(capacity)
     {
@@ -36,20 +36,14 @@ class FlitBuffer
     /** Buffered flit count. */
     std::size_t size() const { return size_; }
 
-    /** Configured capacity; 0 if unbounded. */
+    /** Configured capacity. */
     std::size_t capacity() const { return capacity_; }
 
-    /** Remaining space; a large value if unbounded. */
-    std::size_t
-    space() const
-    {
-        if (capacity_ == 0)
-            return static_cast<std::size_t>(-1) / 2;
-        return capacity_ - size_;
-    }
+    /** Remaining space. */
+    std::size_t space() const { return capacity_ - size_; }
 
-    /** True if at capacity (never for unbounded buffers). */
-    bool full() const { return capacity_ != 0 && size_ == capacity_; }
+    /** True if at capacity. */
+    bool full() const { return size_ == capacity_; }
 
     /**
      * Appends a flit; the buffer must not be full. Returns a
@@ -61,12 +55,6 @@ class FlitBuffer
     push(const Flit& flit)
     {
         MW_DEBUG_ASSERT(!full());
-        if (capacity_ == 0) {
-            // Unbounded: plain growable ring via vector doubling.
-            if (size_ == ring_.size()) {
-                grow();
-            }
-        }
         // head_ < ring size and size_ <= ring size, so one
         // conditional subtract wraps; avoids a per-push integer
         // division (ring sizes are not powers of two in general).
@@ -125,18 +113,6 @@ class FlitBuffer
     }
 
   private:
-    void
-    grow()
-    {
-        const std::size_t old_cap = ring_.size();
-        const std::size_t new_cap = old_cap == 0 ? 16 : old_cap * 2;
-        std::vector<Flit> next(new_cap);
-        for (std::size_t i = 0; i < size_; ++i)
-            next[i] = ring_[(head_ + i) % old_cap];
-        ring_ = std::move(next);
-        head_ = 0;
-    }
-
     std::size_t capacity_;
     std::vector<Flit> ring_;
     std::size_t head_ = 0;

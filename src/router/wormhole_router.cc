@@ -64,11 +64,11 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
     // defined. Point C uses the configured discipline for full
     // crossbars (where it is the only flit-level contention point)
     // and FIFO otherwise, matching Section 3.3's placement argument.
-    inputArb_.init(cfg_.scheduler, n, m, cfg_.simdArbiter);
+    inputArb_.init(cfg_.scheduler, n, m);
     outputArb_.init(cfg_.crossbar == config::CrossbarKind::Full
                         ? cfg_.scheduler
                         : config::SchedulerKind::Fifo,
-                    n, m, cfg_.simdArbiter);
+                    n, m);
     simulator_.addLazyDrain(this);
 }
 

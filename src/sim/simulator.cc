@@ -86,10 +86,6 @@ Simulator::runToCompletion()
 bool
 Simulator::lazyTickPending() const
 {
-    // The settle index tracks the outstanding count exactly; the
-    // per-drain scan remains as the legacy differential path.
-    if (fastForward_)
-        return lazyCount_ != 0;
     for (const LazyDrain* drain : lazyDrains_) {
         if (drain->lazyPending())
             return true;

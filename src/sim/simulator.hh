@@ -11,7 +11,6 @@
 #ifndef MEDIAWORM_SIM_SIMULATOR_HH
 #define MEDIAWORM_SIM_SIMULATOR_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -176,25 +175,11 @@ class Simulator
 
     /**
      * Total elided (never-enqueued) no-op wakeups since construction;
-     * a subset of eventsFired(). The idle-epoch fast-forward counter:
-     * each one is a queue insert, pop and virtual dispatch the kernel
-     * skipped while remaining bit-identical to the legacy path.
+     * a subset of eventsFired(). Each one is a queue insert, pop and
+     * virtual dispatch the kernel skipped while remaining
+     * bit-identical to the per-event path.
      */
     std::uint64_t elidedEvents() const { return elidedEvents_; }
-
-    /**
-     * Enables/disables the idle-epoch fast-forward bookkeeping
-     * (default on): the O(1) lazy-wakeup settle index that lets run()
-     * and the PDES epoch loop skip the per-drain scan when no elided
-     * wakeup can mature in the window, plus the skipped-tick
-     * accounting. Off restores the always-scan legacy path; results
-     * are bit-identical either way - the toggle exists for the
-     * differential determinism goldens.
-     */
-    void setFastForward(bool on) { fastForward_ = on; }
-
-    /** True if fast-forward bookkeeping is enabled. */
-    bool fastForward() const { return fastForward_; }
 
     /**
      * Idle ticks the clock jumped over instead of draining: for every
@@ -210,11 +195,12 @@ class Simulator
 
     /**
      * Credits every elided wakeup with readyAt <= @p until, without
-     * advancing the clock. run() calls this on its way out; the PDES
-     * executor also calls it directly after its epoch loop, where the
-     * final window may stop short of the cap while elided no-op
-     * wakeups - which the legacy path would have kept running epochs
-     * to fire - still sit between the two.
+     * advancing the clock, by asking every registered drain (one scan
+     * over this kernel's routers and NIs). run() calls this on its
+     * way out; the PDES executor also calls it directly after its
+     * epoch loop, where the final window may stop short of the cap
+     * while elided no-op wakeups - which the per-event path would
+     * have kept running epochs to fire - still sit between the two.
      * @return Number of wakeups credited.
      */
     std::uint64_t
@@ -222,24 +208,10 @@ class Simulator
     {
         if (!batched_)
             return 0;
-        // Fast-forward fast path: the (count, min-readyAt) index
-        // proves no elided wakeup matures by `until`, so the whole
-        // per-drain scan - O(ports) across every component, paid once
-        // per PDES epoch - collapses to this one comparison.
-        if (fastForward_ && (lazyCount_ == 0 || lazyMin_ > until))
-            return 0;
         std::uint64_t credited = 0;
         for (LazyDrain* drain : lazyDrains_)
             credited += drain->flushLazy(until);
         creditElided(credited);
-        MW_DEBUG_ASSERT(lazyCount_ >= credited);
-        lazyCount_ -= credited;
-        // Everything at or before `until` was just flushed, so the
-        // surviving minimum is past the window; kTickNever when the
-        // index is empty.
-        lazyMin_ = lazyCount_ == 0
-                       ? kTickNever
-                       : std::max(lazyMin_, until + 1);
         return credited;
     }
 
@@ -248,26 +220,6 @@ class Simulator
 
   private:
     friend class LazyTick;
-
-    /** A LazyTick elided a wakeup maturing at @p readyAt. */
-    void
-    noteLazyArmed(Tick readyAt)
-    {
-        ++lazyCount_;
-        if (readyAt < lazyMin_)
-            lazyMin_ = readyAt;
-    }
-
-    /** A LazyTick settled one elided wakeup (kick credit or rearm).
-     *  lazyMin_ stays a conservative lower bound; it re-tightens at
-     *  the next settleLazy(). */
-    void
-    noteLazySettled()
-    {
-        MW_DEBUG_ASSERT(lazyCount_ > 0);
-        if (--lazyCount_ == 0)
-            lazyMin_ = kTickNever;
-    }
 
     EventQueue queue_;
     Rng rng_;
@@ -278,16 +230,7 @@ class Simulator
     /** Tie-break key of the event currently being fired. */
     std::uint64_t curSeq_ = 0;
     bool batched_ = true;
-    bool fastForward_ = true;
     std::vector<LazyDrain*> lazyDrains_;
-    /**
-     * Fast-forward settle index over every registered drain's elided
-     * wakeups: exact outstanding count, plus a conservative-low bound
-     * on the earliest readyAt (never above the true minimum, so the
-     * settleLazy() fast path can only err toward scanning).
-     */
-    std::uint64_t lazyCount_ = 0;
-    Tick lazyMin_ = kTickNever;
 };
 
 /**
@@ -296,7 +239,7 @@ class Simulator
  * The router and NI multiplexers re-arm a wakeup one cycle after
  * every service; when the arbiter mask is empty that wakeup is a
  * provable no-op (serve() returns without side effects), yet the
- * legacy path still paid a queue insert, pop and dispatch for it.
+ * per-event path still pays a queue insert, pop and dispatch for it.
  * LazyTick elides exactly those wakeups while preserving
  * bit-identical behavior:
  *
@@ -308,12 +251,13 @@ class Simulator
  *    that key against the event being fired right now: if the wakeup
  *    is still ahead it is re-materialized at its exact original
  *    position via scheduleReserved(); if it is behind, it already
- *    fired as a no-op in the legacy order, so it is credited and the
+ *    fired as a no-op in the per-event order, so it is credited and the
  *    caller serves inline (just as it would after a non-busy slot).
  *  - flushLazy()/flush() settle the remaining no-ops at the end of
- *    each run() window, and pending() reports wakeups beyond the
- *    horizon (the legacy path would have left those in the queue,
- *    marking the run truncated).
+ *    each run() window (Simulator::settleLazy scans every drain),
+ *    and pending() reports wakeups beyond the horizon (the per-event
+ *    path would have left those in the queue, marking the run
+ *    truncated).
  */
 class LazyTick
 {
@@ -336,7 +280,6 @@ class LazyTick
             readyAt_ = sim.now() + delay;
             seq_ = sim.reserveSeq();
             state_ = State::Lazy;
-            sim.noteLazyArmed(readyAt_);
         } else {
             sim.scheduleAfter(event, delay);
             state_ = State::Armed;
@@ -361,7 +304,6 @@ class LazyTick
         case State::Armed:
             return false;
         case State::Lazy:
-            sim.noteLazySettled();
             if (sim.keyAlreadyFired(readyAt_, seq_)) {
                 sim.creditElided(1);
                 state_ = State::Idle;

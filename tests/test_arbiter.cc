@@ -1,8 +1,9 @@
 /**
  * @file
- * Differential fuzz of the MuxArbiter kernels against the legacy
- * Scheduler classes, plus targeted tests of the incremental-state
- * API and the fixed-point WRR deficit accounting.
+ * Differential fuzz of the MuxArbiter kernels against the reference
+ * Scheduler classes (tests/reference_scheduler.hh), plus targeted
+ * tests of the incremental-state API and the fixed-point WRR deficit
+ * accounting.
  *
  * The MuxArbiter (router/arbiter.hh) must select the same winner as
  * the virtual Scheduler it replaced for every discipline and every
@@ -20,14 +21,15 @@
 #include <vector>
 
 #include "config/router_config.hh"
+#include "reference_scheduler.hh"
 #include "router/arbiter.hh"
 #include "router/flit.hh"
-#include "router/scheduler.hh"
 #include "sim/random.hh"
 
 namespace {
 
 using namespace mediaworm::router;
+using namespace mediaworm::reference;
 using mediaworm::config::SchedulerKind;
 using mediaworm::sim::Rng;
 using mediaworm::sim::Tick;

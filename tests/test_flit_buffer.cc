@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit and property tests for the ring-buffer flit FIFO.
+ * Unit and property tests for the bounded flit FIFO (FlitBuffer) and
+ * the growable ring that backs unbounded host queues.
  */
 
 #include <deque>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "router/flit_buffer.hh"
+#include "router/ring.hh"
 #include "sim/random.hh"
 
 namespace {
@@ -86,30 +88,36 @@ TEST(FlitBuffer, ClearEmptiesButKeepsCapacity)
     EXPECT_EQ(buffer.front().index, 2);
 }
 
-TEST(FlitBuffer, UnboundedGrows)
+// --- Ring: the unbounded host queue (NI, PCS) -------------------------------
+
+TEST(Ring, GrowsWithoutBound)
 {
-    FlitBuffer buffer(0);
-    EXPECT_EQ(buffer.capacity(), 0u);
-    EXPECT_FALSE(buffer.full());
+    Ring<Flit> queue;
+    EXPECT_EQ(queue.capacity(), 0u);
     for (int i = 0; i < 10000; ++i)
-        buffer.push(makeFlit(i));
-    EXPECT_EQ(buffer.size(), 10000u);
-    for (int i = 0; i < 10000; ++i)
-        EXPECT_EQ(buffer.pop().index, i);
+        queue.push_back(makeFlit(i));
+    EXPECT_EQ(queue.size(), 10000u);
+    for (int i = 0; i < 10000; ++i) {
+        EXPECT_EQ(queue.front().index, i);
+        queue.pop_front();
+    }
+    EXPECT_TRUE(queue.empty());
 }
 
-TEST(FlitBuffer, UnboundedGrowthPreservesOrderAcrossWrap)
+TEST(Ring, GrowthPreservesOrderAcrossWrap)
 {
-    FlitBuffer buffer(0);
+    Ring<Flit> queue;
     // Interleave pushes and pops so head is nonzero when it grows.
     for (int i = 0; i < 10; ++i)
-        buffer.push(makeFlit(i));
+        queue.push_back(makeFlit(i));
     for (int i = 0; i < 7; ++i)
-        buffer.pop();
+        queue.pop_front();
     for (int i = 10; i < 100; ++i)
-        buffer.push(makeFlit(i));
-    for (int i = 7; i < 100; ++i)
-        EXPECT_EQ(buffer.pop().index, i);
+        queue.push_back(makeFlit(i));
+    for (int i = 7; i < 100; ++i) {
+        EXPECT_EQ(queue.front().index, i);
+        queue.pop_front();
+    }
 }
 
 /** Property: random push/pop interleavings match std::deque. */

@@ -44,6 +44,16 @@ TEST(PcsConfigDeath, RejectsBadShape)
     EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1), "numPorts");
 }
 
+TEST(PcsConfigDeath, RejectsMoreVcsThanAnArbiterHolds)
+{
+    // Each link multiplexer is a router::MuxArbiter with one
+    // eligibility-mask bit per VC.
+    PcsConfig cfg;
+    cfg.numVcs = config::kMaxVcs + 1;
+    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                "numVcs 65 out of range \\[1,64\\]");
+}
+
 // --- ConnectionTable ------------------------------------------------------------
 
 TEST(ConnectionTable, EstablishReservesBothEnds)
@@ -275,6 +285,53 @@ TEST(PcsExperiment, DeterministicForSeed)
     EXPECT_EQ(a.eventsFired, b.eventsFired);
     EXPECT_EQ(a.attempts, b.attempts);
     EXPECT_DOUBLE_EQ(a.meanIntervalMs, b.meanIntervalMs);
+}
+
+/**
+ * Pins the PCS experiment's outputs for every link discipline on a
+ * small contended point (load 0.8, scale 0.02, 1+2 frames). The
+ * interval statistics differ per discipline here, so any change to
+ * a link multiplexer's winners moves them.
+ */
+TEST(PcsExperiment, GoldenOutputsPerScheduler)
+{
+    struct Golden
+    {
+        config::SchedulerKind kind;
+        double meanIntervalMs;
+        double stddevIntervalMs;
+    };
+    const Golden goldens[] = {
+        {config::SchedulerKind::Fifo, 0.65374049168999993,
+         0.016451252759264987},
+        {config::SchedulerKind::RoundRobin, 0.65307917894949519,
+         0.019163557368203507},
+        {config::SchedulerKind::VirtualClock, 0.65371041509395977,
+         0.02970431571975421},
+        {config::SchedulerKind::WeightedRoundRobin, 0.65305527667340124,
+         0.018817928539789603},
+    };
+    for (const Golden& golden : goldens) {
+        PcsExperimentConfig cfg;
+        cfg.pcs.linkScheduler = golden.kind;
+        cfg.traffic.inputLoad = 0.8;
+        cfg.traffic.warmupFrames = 1;
+        cfg.traffic.measuredFrames = 2;
+        cfg.timeScale = 0.02;
+        cfg.seed = 5;
+
+        const PcsExperimentResult r = runPcsExperiment(cfg);
+        const char* name = config::toString(golden.kind);
+        EXPECT_DOUBLE_EQ(r.meanIntervalMs, golden.meanIntervalMs)
+            << name;
+        EXPECT_DOUBLE_EQ(r.stddevIntervalMs, golden.stddevIntervalMs)
+            << name;
+        EXPECT_EQ(r.established, 158u) << name;
+        EXPECT_EQ(r.dropped, 149u) << name;
+        EXPECT_EQ(r.framesDelivered, 474u) << name;
+        EXPECT_EQ(r.eventsFired, 169791u) << name;
+        EXPECT_FALSE(r.truncated) << name;
+    }
 }
 
 } // namespace

@@ -1,13 +1,18 @@
 /**
  * @file
  * Unit, property and parameterized tests for the multiplexer
- * scheduling disciplines.
+ * scheduling disciplines, driven through router::MuxArbiter - the
+ * one arbitration path every multiplexer in the simulator uses.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <vector>
+
+#include "router/arbiter.hh"
 #include "router/flit.hh"
-#include "router/scheduler.hh"
 #include "sim/random.hh"
 
 namespace {
@@ -18,131 +23,113 @@ using mediaworm::sim::Rng;
 using mediaworm::sim::Tick;
 using mediaworm::sim::microseconds;
 
-Candidate
-candidate(int slot, Tick stamp, std::uint64_t seq,
-          Tick vtick = microseconds(8))
+/** One eligible slot's head fields. */
+struct Slot
 {
-    return {slot, stamp, seq, vtick};
+    int slot;
+    Tick stamp;
+    std::uint64_t seq;
+    Tick vtick = microseconds(8);
+};
+
+/** An arbiter of @p kind with exactly @p slots eligible. */
+MuxArbiter
+arbiterWith(SchedulerKind kind, const std::vector<Slot>& slots,
+            int num_slots = 8)
+{
+    MuxArbiter arb;
+    arb.init(kind, num_slots);
+    for (const Slot& s : slots)
+        arb.setEligible(s.slot, s.stamp, s.seq, s.vtick);
+    return arb;
 }
 
 // --- FIFO ---------------------------------------------------------------------
 
 TEST(FifoScheduler, PicksOldestArrival)
 {
-    FifoScheduler fifo;
-    const std::vector<Candidate> candidates = {
-        candidate(0, 100, 7),
-        candidate(1, 50, 3),
-        candidate(2, 200, 9),
-    };
-    EXPECT_EQ(fifo.pick(candidates), 1u);
+    MuxArbiter fifo = arbiterWith(SchedulerKind::Fifo,
+                                  {{0, 100, 7}, {1, 50, 3}, {2, 200, 9}});
+    EXPECT_EQ(fifo.pick(), 1);
 }
 
 TEST(FifoScheduler, IgnoresStamps)
 {
-    FifoScheduler fifo;
-    const std::vector<Candidate> candidates = {
-        candidate(0, 1, 10), // earliest stamp, latest arrival
-        candidate(1, 999, 2),
-    };
-    EXPECT_EQ(fifo.pick(candidates), 1u);
+    // Slot 0 has the earliest stamp but the latest arrival.
+    MuxArbiter fifo =
+        arbiterWith(SchedulerKind::Fifo, {{0, 1, 10}, {1, 999, 2}});
+    EXPECT_EQ(fifo.pick(), 1);
 }
 
 // --- Virtual Clock -----------------------------------------------------------
 
 TEST(VirtualClockScheduler, PicksLowestStamp)
 {
-    VirtualClockScheduler vc;
-    const std::vector<Candidate> candidates = {
-        candidate(0, 300, 1),
-        candidate(1, 100, 2),
-        candidate(2, 200, 3),
-    };
-    EXPECT_EQ(vc.pick(candidates), 1u);
+    MuxArbiter vc = arbiterWith(SchedulerKind::VirtualClock,
+                                {{0, 300, 1}, {1, 100, 2}, {2, 200, 3}});
+    EXPECT_EQ(vc.pick(), 1);
 }
 
 TEST(VirtualClockScheduler, BreaksTiesFifo)
 {
-    VirtualClockScheduler vc;
-    const std::vector<Candidate> candidates = {
-        candidate(0, 100, 9),
-        candidate(1, 100, 4),
-    };
-    EXPECT_EQ(vc.pick(candidates), 1u);
+    MuxArbiter vc = arbiterWith(SchedulerKind::VirtualClock,
+                                {{0, 100, 9}, {1, 100, 4}});
+    EXPECT_EQ(vc.pick(), 1);
 }
 
 TEST(VirtualClockScheduler, RealTimeBeatsBestEffort)
 {
-    VirtualClockScheduler vc;
-    const std::vector<Candidate> candidates = {
-        candidate(0, kBestEffortVtick, 1, kBestEffortVtick),
-        candidate(1, microseconds(500), 99),
-    };
-    EXPECT_EQ(vc.pick(candidates), 1u);
+    MuxArbiter vc = arbiterWith(
+        SchedulerKind::VirtualClock,
+        {{0, kBestEffortVtick, 1, kBestEffortVtick},
+         {1, microseconds(500), 99}});
+    EXPECT_EQ(vc.pick(), 1);
 }
 
 // --- Round robin ----------------------------------------------------------------
 
 TEST(RoundRobinScheduler, RotatesAcrossSlots)
 {
-    RoundRobinScheduler rr;
-    const std::vector<Candidate> candidates = {
-        candidate(0, 0, 0),
-        candidate(1, 0, 1),
-        candidate(2, 0, 2),
-    };
+    MuxArbiter rr = arbiterWith(SchedulerKind::RoundRobin,
+                                {{0, 0, 0}, {1, 0, 1}, {2, 0, 2}});
     std::vector<int> picks;
     for (int i = 0; i < 6; ++i)
-        picks.push_back(
-            candidates[rr.pick(candidates)].slot);
+        picks.push_back(rr.pick());
     EXPECT_EQ(picks, (std::vector<int>{0, 1, 2, 0, 1, 2}));
 }
 
 TEST(RoundRobinScheduler, SkipsMissingSlots)
 {
-    RoundRobinScheduler rr;
-    const std::vector<Candidate> all = {
-        candidate(0, 0, 0),
-        candidate(1, 0, 1),
-        candidate(2, 0, 2),
-    };
-    EXPECT_EQ(all[rr.pick(all)].slot, 0);
+    MuxArbiter rr = arbiterWith(SchedulerKind::RoundRobin,
+                                {{0, 0, 0}, {1, 0, 1}, {2, 0, 2}});
+    EXPECT_EQ(rr.pick(), 0);
     // Slot 1 drops out; rotation continues from the last winner.
-    const std::vector<Candidate> partial = {
-        candidate(0, 0, 0),
-        candidate(2, 0, 2),
-    };
-    EXPECT_EQ(partial[rr.pick(partial)].slot, 2);
-    EXPECT_EQ(partial[rr.pick(partial)].slot, 0);
+    rr.clearEligible(1);
+    EXPECT_EQ(rr.pick(), 2);
+    EXPECT_EQ(rr.pick(), 0);
 }
 
 // --- Weighted round robin ---------------------------------------------------------
 
 TEST(WeightedRoundRobin, ServesProportionallyToRate)
 {
-    WeightedRoundRobinScheduler wrr;
     // Slot 0 requests twice the rate of slot 1.
-    const std::vector<Candidate> candidates = {
-        candidate(0, 0, 0, microseconds(4)),
-        candidate(1, 0, 1, microseconds(8)),
-    };
+    MuxArbiter wrr = arbiterWith(
+        SchedulerKind::WeightedRoundRobin,
+        {{0, 0, 0, microseconds(4)}, {1, 0, 1, microseconds(8)}});
     int grants[2] = {};
     for (int i = 0; i < 300; ++i)
-        ++grants[candidates[wrr.pick(candidates)].slot];
+        ++grants[wrr.pick()];
     EXPECT_NEAR(static_cast<double>(grants[0]) / grants[1], 2.0, 0.1);
 }
 
 TEST(WeightedRoundRobin, EqualRatesShareEvenly)
 {
-    WeightedRoundRobinScheduler wrr;
-    const std::vector<Candidate> candidates = {
-        candidate(0, 0, 0, microseconds(8)),
-        candidate(1, 0, 1, microseconds(8)),
-        candidate(2, 0, 2, microseconds(8)),
-    };
+    MuxArbiter wrr = arbiterWith(SchedulerKind::WeightedRoundRobin,
+                                 {{0, 0, 0}, {1, 0, 1}, {2, 0, 2}});
     int grants[3] = {};
     for (int i = 0; i < 300; ++i)
-        ++grants[candidates[wrr.pick(candidates)].slot];
+        ++grants[wrr.pick()];
     EXPECT_NEAR(grants[0], 100, 5);
     EXPECT_NEAR(grants[1], 100, 5);
     EXPECT_NEAR(grants[2], 100, 5);
@@ -150,19 +137,17 @@ TEST(WeightedRoundRobin, EqualRatesShareEvenly)
 
 TEST(WeightedRoundRobin, AllBestEffortStillProgresses)
 {
-    WeightedRoundRobinScheduler wrr;
-    const std::vector<Candidate> candidates = {
-        candidate(0, 0, 0, kBestEffortVtick),
-        candidate(1, 0, 1, kBestEffortVtick),
-    };
+    MuxArbiter wrr = arbiterWith(
+        SchedulerKind::WeightedRoundRobin,
+        {{0, 0, 0, kBestEffortVtick}, {1, 0, 1, kBestEffortVtick}});
     int grants[2] = {};
     for (int i = 0; i < 100; ++i)
-        ++grants[candidates[wrr.pick(candidates)].slot];
+        ++grants[wrr.pick()];
     EXPECT_GT(grants[0], 20);
     EXPECT_GT(grants[1], 20);
 }
 
-// --- Factory -------------------------------------------------------------------
+// --- Initialisation ------------------------------------------------------------
 
 TEST(SchedulerFactory, MakesEveryKind)
 {
@@ -170,9 +155,13 @@ TEST(SchedulerFactory, MakesEveryKind)
          {SchedulerKind::Fifo, SchedulerKind::RoundRobin,
           SchedulerKind::VirtualClock,
           SchedulerKind::WeightedRoundRobin}) {
-        auto scheduler = makeScheduler(kind);
-        ASSERT_NE(scheduler, nullptr);
-        EXPECT_STREQ(scheduler->name(), toString(kind));
+        MuxArbiter arb;
+        arb.init(kind, kMaxVcs);
+        EXPECT_EQ(arb.kind(), kind) << toString(kind);
+        EXPECT_FALSE(arb.anyEligible()) << toString(kind);
+        // The widest arbiter still reaches its top slot.
+        arb.setEligible(kMaxVcs - 1, 0, 0, microseconds(8));
+        EXPECT_EQ(arb.pick(), kMaxVcs - 1) << toString(kind);
     }
 }
 
@@ -182,47 +171,62 @@ class AllSchedulers : public testing::TestWithParam<SchedulerKind>
 {
 };
 
+/** Re-draws the head fields of every slot in @p mask. */
+void
+refill(MuxArbiter& arb, std::uint64_t mask, Rng& rng)
+{
+    while (mask != 0) {
+        const int slot = std::countr_zero(mask);
+        mask &= mask - 1;
+        arb.setEligible(slot, static_cast<Tick>(rng.uniformInt(1000)),
+                        rng.next(), microseconds(1 + rng.uniformInt(20)));
+    }
+}
+
 TEST_P(AllSchedulers, PickIsAlwaysInRange)
 {
-    auto scheduler = makeScheduler(GetParam());
+    MuxArbiter arb;
+    arb.init(GetParam(), 32);
     Rng rng(2024);
     for (int round = 0; round < 500; ++round) {
-        const std::size_t n = 1 + rng.uniformInt(16);
-        std::vector<Candidate> candidates;
-        for (std::size_t i = 0; i < n; ++i) {
-            candidates.push_back(candidate(
-                static_cast<int>(rng.uniformInt(32)),
-                static_cast<Tick>(rng.uniformInt(1000)), rng.next(),
-                microseconds(1 + rng.uniformInt(20))));
-        }
-        const std::size_t pick = scheduler->pick(candidates);
-        ASSERT_LT(pick, candidates.size());
+        const std::uint64_t mask = rng.next() & 0xffffffffu;
+        if (mask == 0)
+            continue;
+        for (int s = 0; s < 32; ++s)
+            arb.clearEligible(s);
+        refill(arb, mask, rng);
+        const int pick = arb.pick();
+        ASSERT_TRUE((mask >> pick) & 1u) << "round " << round;
     }
 }
 
 TEST_P(AllSchedulers, SingleCandidateAlwaysWins)
 {
-    auto scheduler = makeScheduler(GetParam());
-    const std::vector<Candidate> one = {candidate(5, 123, 9)};
+    MuxArbiter arb = arbiterWith(GetParam(), {{5, 123, 9}});
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(scheduler->pick(one), 0u);
+        EXPECT_EQ(arb.pick(), 5);
 }
 
 TEST_P(AllSchedulers, DeterministicGivenSameHistory)
 {
-    auto a = makeScheduler(GetParam());
-    auto b = makeScheduler(GetParam());
-    Rng rng(7);
+    MuxArbiter a;
+    MuxArbiter b;
+    a.init(GetParam(), 8);
+    b.init(GetParam(), 8);
+    Rng rng_a(7);
+    Rng rng_b(7);
     for (int round = 0; round < 200; ++round) {
-        const std::size_t n = 1 + rng.uniformInt(8);
-        std::vector<Candidate> candidates;
-        for (std::size_t i = 0; i < n; ++i) {
-            candidates.push_back(candidate(
-                static_cast<int>(i),
-                static_cast<Tick>(rng.uniformInt(1000)), rng.next(),
-                microseconds(1 + rng.uniformInt(20))));
+        const std::uint64_t mask = rng_a.next() & 0xffu;
+        rng_b.next();
+        if (mask == 0)
+            continue;
+        for (int s = 0; s < 8; ++s) {
+            a.clearEligible(s);
+            b.clearEligible(s);
         }
-        ASSERT_EQ(a->pick(candidates), b->pick(candidates));
+        refill(a, mask, rng_a);
+        refill(b, mask, rng_b);
+        ASSERT_EQ(a.pick(), b.pick()) << "round " << round;
     }
 }
 

@@ -257,27 +257,23 @@ TEST(Simulator, LazyKickAheadOfClockRematerializesExactly)
 
 TEST(Simulator, SettleLazyCreditsMaturedWakeupsAtRunEnd)
 {
-    for (const bool fast_forward : {true, false}) {
-        Simulator simulator;
-        simulator.setFastForward(fast_forward);
-        OneSlotMux mux(simulator);
+    Simulator simulator;
+    OneSlotMux mux(simulator);
 
-        mux.tick_.arm(simulator, mux.event_, 100, /*maskEmpty=*/true);
-        // run() settles matured wakeups on its way out; the legacy
-        // and fast-forward paths must agree exactly.
-        simulator.run(150);
-        EXPECT_EQ(simulator.elidedEvents(), 1u) << fast_forward;
-        EXPECT_EQ(simulator.eventsFired(), 1u) << fast_forward;
-        EXPECT_FALSE(mux.tick_.pending());
-        EXPECT_FALSE(simulator.lazyTickPending());
+    mux.tick_.arm(simulator, mux.event_, 100, /*maskEmpty=*/true);
+    // run() settles matured wakeups on its way out.
+    simulator.run(150);
+    EXPECT_EQ(simulator.elidedEvents(), 1u);
+    EXPECT_EQ(simulator.eventsFired(), 1u);
+    EXPECT_FALSE(mux.tick_.pending());
+    EXPECT_FALSE(simulator.lazyTickPending());
 
-        // A second arm beyond the horizon stays pending (the run
-        // would report truncation), in both modes.
-        mux.tick_.arm(simulator, mux.event_, 500, /*maskEmpty=*/true);
-        simulator.run(200);
-        EXPECT_TRUE(simulator.lazyTickPending()) << fast_forward;
-        EXPECT_EQ(simulator.elidedEvents(), 1u) << fast_forward;
-    }
+    // A second arm beyond the horizon stays pending (the run would
+    // report truncation).
+    mux.tick_.arm(simulator, mux.event_, 500, /*maskEmpty=*/true);
+    simulator.run(200);
+    EXPECT_TRUE(simulator.lazyTickPending());
+    EXPECT_EQ(simulator.elidedEvents(), 1u);
 }
 
 } // namespace

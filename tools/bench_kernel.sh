@@ -98,19 +98,15 @@ compiler_flags=$(echo "$(cache_var CMAKE_CXX_FLAGS) $type_flags" \
     | xargs || true)
 compiler=$(cache_var CMAKE_CXX_COMPILER)
 compiler=${compiler:-unknown}
-# MEDIAWORM_SIMD=ON adds -mavx2 via add_compile_options, which the
-# cached CMAKE_CXX_FLAGS does not show - record the option itself.
-simd=$(cache_var MEDIAWORM_SIMD)
-simd=${simd:-unknown}
 
 python3 - "$raw" "$arbiter_raw" "$out_json" "$label" \
     "$cores" "$cpu_model" "$governor" "$turbo" "$build_type" \
-    "$compiler" "$compiler_flags" "$simd" <<'EOF'
+    "$compiler" "$compiler_flags" <<'EOF'
 import json
 import sys
 
 (raw_path, arbiter_path, out_path, label, cores, cpu_model, governor,
- turbo, build_type, compiler, compiler_flags, simd) = sys.argv[1:13]
+ turbo, build_type, compiler, compiler_flags) = sys.argv[1:12]
 
 benchmarks = {}
 events_per_sec = None
@@ -149,7 +145,6 @@ host = {
     "build_type": build_type,
     "compiler": compiler,
     "compiler_flags": compiler_flags,
-    "simd": simd,
 }
 
 # Cross-host comparisons are the main way this trend file misleads:
@@ -159,7 +154,7 @@ prior = [e for e in doc["entries"] if e["label"] != label]
 if prior:
     base = prior[-1].get("host", {})
     for key in ("cpu_model", "cores", "governor", "turbo",
-                "build_type", "compiler_flags", "simd"):
+                "build_type", "compiler_flags"):
         theirs = base.get(key)
         ours = host.get(key)
         if theirs is not None and theirs != ours:

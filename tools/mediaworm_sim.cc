@@ -122,8 +122,6 @@ main(int argc, char** argv)
     bool flight_recorder = false;
     bool bounds_flag = false;
     bool provision_mode = false;
-    bool no_fast_forward = false;
-    bool no_simd = false;
     double sla_ms = 33.0;
     std::string trace_out;
 
@@ -139,7 +137,7 @@ main(int argc, char** argv)
     parser.addDouble("mix", "real-time share x/(x+y) of the load",
                      &mix, 0.0, 1.0);
     parser.addInt("vcs", "virtual channels per physical channel",
-                  &vcs, 1, 256);
+                  &vcs, 1, config::kMaxVcs);
     parser.addInt("buffers", "flit buffer depth per VC", &buffers, 1,
                   4096);
     parser.addInt("link-mbps", "physical channel bandwidth",
@@ -217,16 +215,6 @@ main(int argc, char** argv)
                      "chrome://tracing) of the first point's flit "
                      "events",
                      &trace_out);
-    parser.addFlag("no-fast-forward",
-                   "disable idle-epoch fast-forward (legacy "
-                   "always-scan kernel path; results are "
-                   "bit-identical either way)",
-                   &no_fast_forward);
-    parser.addFlag("no-simd",
-                   "disable the vectorized arbitration kernels "
-                   "(scalar picks; results are bit-identical "
-                   "either way)",
-                   &no_simd);
     parser.addFlag("flight-recorder",
                    "arm the crash-time flight recorder (dumps the "
                    "recent event trail to stderr on an assertion "
@@ -307,8 +295,6 @@ main(int argc, char** argv)
     base.obs.flightRecorder = flight_recorder;
     base.obs.trace = !trace_out.empty();
     base.calculus.enabled = bounds_flag || provision_mode;
-    base.fastForward = !no_fast_forward;
-    base.router.simdArbiter = !no_simd;
 
     if (provision_mode) {
         calculus::ProvisionRequest request;
