@@ -5,8 +5,10 @@
  * respect and sink-side metric reporting.
  */
 
+#include <cstdint>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -189,10 +191,14 @@ TEST_F(NetworkInterfaceTest, MessageSeqMustFitTheFlitField)
  * lane) go through the NI while a sink returns each credit after a
  * random delay, so launches stall mid-message. Every flit the NI puts
  * on the link must equal the reference flitizer's, in lane order.
+ * Stores in @p launch_order an FNV-1a hash of the interleaved (lane,
+ * arrivalSeq) launch order, which pins the injection mux's choice on
+ * every cycle.
  */
 void
 checkAgainstReference(std::uint64_t seed,
-                      config::SchedulerKind scheduler, bool stalls)
+                      config::SchedulerKind scheduler, bool stalls,
+                      std::uint64_t* launch_order = nullptr)
 {
     SCOPED_TRACE(testing::Message() << "seed " << seed << " scheduler "
                                     << static_cast<int>(scheduler)
@@ -327,8 +333,14 @@ checkAgainstReference(std::uint64_t seed,
     EXPECT_EQ(ni.backlogFlits(), 0u);
     std::vector<std::size_t> next(kLanes, 0);
     std::uint64_t last_seq = 0;
+    std::uint64_t order_hash = 0xcbf29ce484222325ULL;
+    const auto mix = [&order_hash](std::uint64_t x) {
+        order_hash = (order_hash ^ x) * 0x100000001b3ULL;
+    };
     for (std::size_t i = 0; i < tap.got.size(); ++i) {
         const auto& [flit, vc] = tap.got[i];
+        mix(static_cast<std::uint64_t>(vc));
+        mix(flit.arrivalSeq);
         ASSERT_GE(vc, 0);
         ASSERT_LT(vc, kLanes);
         auto& lane = want[static_cast<std::size_t>(vc)];
@@ -350,17 +362,50 @@ checkAgainstReference(std::uint64_t seed,
     if (stalls) {
         EXPECT_GT(tap.midMessageStalls, 0);
     }
+    if (launch_order != nullptr)
+        *launch_order = order_hash;
 }
+
+constexpr config::SchedulerKind kAllSchedulers[] = {
+    config::SchedulerKind::Fifo, config::SchedulerKind::RoundRobin,
+    config::SchedulerKind::VirtualClock,
+    config::SchedulerKind::WeightedRoundRobin};
 
 TEST_F(NetworkInterfaceTest, FlitsMatchTheEagerReference)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        for (const config::SchedulerKind scheduler :
-             {config::SchedulerKind::Fifo,
-              config::SchedulerKind::VirtualClock}) {
+        for (const config::SchedulerKind scheduler : kAllSchedulers) {
             checkAgainstReference(seed, scheduler, /*stalls=*/true);
             checkAgainstReference(seed, scheduler, /*stalls=*/false);
         }
+    }
+}
+
+/**
+ * Golden of the injection mux's launch order under each discipline:
+ * which lane wins each cycle, and which flit it sends. The hashes
+ * were captured before the mux moved between arbiter front-ends; any
+ * change to the pick kernels or the eligibility refreshes shows here.
+ */
+TEST_F(NetworkInterfaceTest, LaunchOrderGoldenPerScheduler)
+{
+    constexpr std::uint64_t kGolden[][2] = {
+        // {stalling credits, free credits}, in kAllSchedulers order.
+        {1164099406795714709ULL, 8957626343272768085ULL},
+        {4536296879278971113ULL, 2562559925893454453ULL},
+        {2055809086741246001ULL, 17715439875217564753ULL},
+        {14802251516241936009ULL, 16966582037386391001ULL},
+    };
+    for (std::size_t k = 0; k < std::size(kAllSchedulers); ++k) {
+        const config::SchedulerKind scheduler = kAllSchedulers[k];
+        SCOPED_TRACE(config::toString(scheduler));
+        std::uint64_t stalling = 0;
+        std::uint64_t free_flowing = 0;
+        checkAgainstReference(7, scheduler, /*stalls=*/true, &stalling);
+        checkAgainstReference(7, scheduler, /*stalls=*/false,
+                              &free_flowing);
+        EXPECT_EQ(stalling, kGolden[k][0]);
+        EXPECT_EQ(free_flowing, kGolden[k][1]);
     }
 }
 
