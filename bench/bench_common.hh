@@ -12,7 +12,7 @@
  *   MW_BENCH_JOBS      worker threads (default: hardware threads)
  *   MW_BENCH_REPS      seed replications per point (default 1)
  *   MW_BENCH_JSON_DIR  if set, write a BENCH_<name>.json campaign
- *                      artifact (schema mediaworm-campaign-v2,
+ *                      artifact (schema mediaworm-campaign-v3,
  *                      timing section included) into this directory
  */
 

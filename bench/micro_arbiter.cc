@@ -1,8 +1,8 @@
 /**
  * @file
- * Arbitration-only microbenchmarks: the MuxArbiter kernels across
- * scheduler kinds and VC counts, the head-field layout, and the
- * whole-router MultiPortArbiter round.
+ * Arbitration-only microbenchmarks: the router::MultiPortArbiter
+ * kernels on one mux across scheduler kinds and VC counts, the
+ * head-field layout, and a whole-router round of per-port picks.
  *
  * The kernel benchmarks run a steady-state workload: every slot
  * holds a flit, each round picks a winner and the winner's next head
@@ -20,7 +20,7 @@
 namespace {
 
 using namespace mediaworm;
-using router::MuxArbiter;
+using router::MultiPortArbiter;
 using sim::Tick;
 
 constexpr Tick kCycle = 80000; // 400 Mbps, 32-bit flits.
@@ -48,24 +48,24 @@ BM_ArbiterKernelPick(benchmark::State& state)
         static_cast<config::SchedulerKind>(state.range(0));
     const int num_vcs = static_cast<int>(state.range(1));
 
-    MuxArbiter arb;
-    arb.init(kind, num_vcs);
+    MultiPortArbiter arb;
+    arb.init(kind, 1, num_vcs);
     sim::Rng rng(17);
     std::uint64_t seq = 0;
     Tick now = 0;
     for (int v = 0; v < num_vcs; ++v) {
-        arb.setEligible(v,
+        arb.setEligible(0, v,
                         static_cast<Tick>(rng.uniformInt(1000000)),
                         seq++, vtickFor(v));
     }
 
     for (auto _ : state) {
         now += kCycle;
-        const int winner = arb.pick();
+        const int winner = arb.pick(0);
         benchmark::DoNotOptimize(winner);
         // The winner's head leaves; the next queued flit arrives.
         arb.setEligible(
-            winner,
+            0, winner,
             now + static_cast<Tick>(rng.uniformInt(1000000)), seq++,
             vtickFor(winner));
     }
@@ -91,8 +91,8 @@ BENCHMARK(BM_ArbiterKernelPick)->Apply(arbiterArgs);
 /**
  * SoA-vs-AoS layout A/B for one Virtual Clock arbitration round.
  *
- * The MuxArbiter stores its cached head fields as three parallel
- * arrays (struct-of-arrays); before DESIGN.md section 13 they were a
+ * The arbiter stores its cached head fields in struct-of-arrays
+ * form (a HeadKey array plus a vtick array); before DESIGN.md section 13 they were a
  * vector of HeadRecord structs embedded among the rest of the per-VC
  * hot state. This pair isolates the layout effect alone: both
  * variants run the identical (stamp, fifoSeq) lexicographic kernel
@@ -156,23 +156,23 @@ void
 BM_ArbiterRoundSoa(benchmark::State& state)
 {
     const int num_vcs = static_cast<int>(state.range(0));
-    MuxArbiter arb;
-    arb.init(config::SchedulerKind::VirtualClock, num_vcs);
+    MultiPortArbiter arb;
+    arb.init(config::SchedulerKind::VirtualClock, 1, num_vcs);
     sim::Rng rng(23);
     std::uint64_t seq = 0;
     Tick now = 0;
     for (int v = 0; v < num_vcs; ++v) {
-        arb.setEligible(v,
+        arb.setEligible(0, v,
                         static_cast<Tick>(rng.uniformInt(1000000)),
                         seq++, router::kBestEffortVtick);
     }
 
     for (auto _ : state) {
         now += kCycle;
-        const int winner = arb.pick();
+        const int winner = arb.pick(0);
         benchmark::DoNotOptimize(winner);
         arb.setEligible(
-            winner,
+            0, winner,
             now + static_cast<Tick>(rng.uniformInt(1000000)), seq++,
             router::kBestEffortVtick);
     }
@@ -183,11 +183,10 @@ BENCHMARK(BM_ArbiterRoundAos)->ArgName("vcs")->Arg(16)->Arg(64);
 BENCHMARK(BM_ArbiterRoundSoa)->ArgName("vcs")->Arg(16)->Arg(64);
 
 /**
- * All-ports arbitration round through the MultiPortArbiter: one
- * peekAll() sweep over every port's eligibility mask, then the
- * per-port pickMasked() serve the router actually commits (kept
- * separate because serve side effects must stay in per-port event
- * order; see DESIGN.md section 14).
+ * All-ports arbitration round through one MultiPortArbiter: a pick()
+ * per port, each followed by the winner's next head arriving - the
+ * per-port serve sequence a router runs, in port order (DESIGN.md
+ * section 14).
  */
 void
 BM_MultiPortArbiter(benchmark::State& state)
@@ -208,13 +207,10 @@ BM_MultiPortArbiter(benchmark::State& state)
         }
     }
 
-    std::vector<int> winners(static_cast<std::size_t>(num_ports));
     for (auto _ : state) {
         now += kCycle;
-        arb.peekAll(winners.data());
-        benchmark::DoNotOptimize(winners.data());
         for (int p = 0; p < num_ports; ++p) {
-            const int won = arb.pickMasked(p, arb.mask(p));
+            const int won = arb.pick(p);
             benchmark::DoNotOptimize(won);
             arb.setEligible(
                 p, won,

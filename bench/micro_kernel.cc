@@ -194,16 +194,17 @@ BM_SchedulerPick(benchmark::State& state)
 {
     const auto kind =
         static_cast<config::SchedulerKind>(state.range(0));
-    router::MuxArbiter arb;
-    arb.init(kind, 16);
+    router::MultiPortArbiter arb;
+    arb.init(kind, 1, 16);
     sim::Rng rng(11);
     for (int i = 0; i < 16; ++i) {
-        arb.setEligible(i, static_cast<sim::Tick>(rng.uniformInt(1000000)),
+        arb.setEligible(0, i,
+                        static_cast<sim::Tick>(rng.uniformInt(1000000)),
                         rng.next(), 8 * sim::kMicrosecond);
     }
     std::size_t sink = 0;
     for (auto _ : state)
-        sink += static_cast<std::size_t>(arb.pick());
+        sink += static_cast<std::size_t>(arb.pick(0));
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations());
 }

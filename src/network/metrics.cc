@@ -5,12 +5,8 @@ namespace mediaworm::network {
 void
 MetricsHub::growLanes(std::size_t count)
 {
-    while (lanes_.size() < count) {
+    while (lanes_.size() < count)
         lanes_.push_back(std::make_unique<MetricsLane>(this));
-#ifndef MEDIAWORM_NO_OBS
-        lanes_.back()->attachTelemetry(defaultTelemetry_);
-#endif
-    }
 }
 
 const stats::IntervalTracker&

@@ -23,7 +23,7 @@
  * Optionally forwards delivery observations to an attached
  * obs::StreamTelemetry collector per lane (per-stream sliding
  * windows). The forwarding is a null-pointer check when nothing is
- * attached, and compiles out entirely under -DMEDIAWORM_NO_OBS.
+ * attached.
  */
 
 #ifndef MEDIAWORM_NETWORK_METRICS_HH
@@ -34,20 +34,12 @@
 #include <memory>
 #include <vector>
 
+#include "obs/telemetry.hh"
 #include "sim/ids.hh"
 #include "sim/time.hh"
 #include "stats/accumulator.hh"
 #include "stats/histogram.hh"
 #include "stats/interval_tracker.hh"
-
-#ifndef MEDIAWORM_NO_OBS
-#include "obs/telemetry.hh"
-#else
-// Keep attachTelemetry() declarable; calls become no-ops.
-namespace mediaworm::obs {
-class StreamTelemetry;
-}
-#endif
 
 namespace mediaworm::network {
 
@@ -81,14 +73,12 @@ class MetricsLane
 
     /**
      * Attaches a per-stream telemetry collector to this lane; pass
-     * nullptr to detach. No-op under MEDIAWORM_NO_OBS.
+     * nullptr to detach. The lane does not own the collector.
      */
     void
-    attachTelemetry([[maybe_unused]] obs::StreamTelemetry* telemetry)
+    attachTelemetry(obs::StreamTelemetry* telemetry)
     {
-#ifndef MEDIAWORM_NO_OBS
         telemetry_ = telemetry;
-#endif
     }
 
   private:
@@ -103,9 +93,7 @@ class MetricsLane
     std::uint64_t beMessages_ = 0;
     std::uint64_t rtMessages_ = 0;
     std::uint64_t flitsDelivered_ = 0;
-#ifndef MEDIAWORM_NO_OBS
     obs::StreamTelemetry* telemetry_ = nullptr;
-#endif
 };
 
 /** Shared by every NI sink; aggregates delivery measurements. */
@@ -148,22 +136,6 @@ class MetricsHub
 
     /** Number of lanes created so far. */
     int numLanes() const { return static_cast<int>(lanes_.size()); }
-
-    /**
-     * Attaches a telemetry collector to every current and future
-     * lane (single-collector convenience; sharded runs attach one
-     * collector per shard via lane().attachTelemetry). The hub does
-     * not own the collector. No-op under MEDIAWORM_NO_OBS.
-     */
-    void
-    attachTelemetry([[maybe_unused]] obs::StreamTelemetry* telemetry)
-    {
-#ifndef MEDIAWORM_NO_OBS
-        defaultTelemetry_ = telemetry;
-        for (auto& lane : lanes_)
-            lane->attachTelemetry(telemetry);
-#endif
-    }
 
     // Single-sink convenience recorders (lane 0): used by models
     // with one delivery point (PCS) and by unit tests.
@@ -233,9 +205,6 @@ class MetricsHub
 
     std::vector<std::unique_ptr<MetricsLane>> lanes_;
     sim::Tick measureFrom_ = kDisabled;
-#ifndef MEDIAWORM_NO_OBS
-    obs::StreamTelemetry* defaultTelemetry_ = nullptr;
-#endif
 
     /** Scratch for the merged views; rebuilt by each accessor. */
     struct Merged
@@ -257,25 +226,21 @@ MetricsLane::recordFrameDelivery(sim::StreamId stream, sim::Tick now)
     if (!frames_.enabled() && now >= hub_->measureFrom())
         frames_.enable();
     frames_.recordDelivery(stream, now);
-#ifndef MEDIAWORM_NO_OBS
     if (telemetry_ != nullptr)
         telemetry_->recordFrameDelivery(stream, now);
-#endif
 }
 
 inline void
-MetricsLane::recordRtMessage([[maybe_unused]] sim::StreamId stream,
+MetricsLane::recordRtMessage(sim::StreamId stream,
                              sim::Tick inject_time, sim::Tick now)
 {
     ++rtMessages_;
     if (inject_time >= hub_->measureFrom())
         rtMessageLatency_.add(sim::toMicroseconds(now - inject_time));
-#ifndef MEDIAWORM_NO_OBS
     if (telemetry_ != nullptr) {
         telemetry_->recordMessageDelay(
             stream, sim::toMicroseconds(now - inject_time));
     }
-#endif
 }
 
 inline void
@@ -293,14 +258,11 @@ MetricsLane::recordBeMessage(sim::Tick inject_time,
 }
 
 inline void
-MetricsLane::recordFlit([[maybe_unused]] sim::StreamId stream,
-                        [[maybe_unused]] sim::Tick now)
+MetricsLane::recordFlit(sim::StreamId stream, sim::Tick now)
 {
     ++flitsDelivered_;
-#ifndef MEDIAWORM_NO_OBS
     if (telemetry_ != nullptr)
         telemetry_->recordFlit(stream, now);
-#endif
 }
 
 } // namespace mediaworm::network

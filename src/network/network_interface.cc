@@ -16,7 +16,7 @@ NetworkInterface::NetworkInterface(sim::Simulator& simulator,
       vclock_(static_cast<std::size_t>(cfg.numVcs)),
       muxEvent_(this, "NetworkInterface::mux")
 {
-    arb_.init(cfg.injectionScheduler, cfg.numVcs);
+    arb_.init(cfg.injectionScheduler, /*num_ports=*/1, cfg.numVcs);
     muxEvent_.setBatchSink(this, 0);
     simulator_.addLazyDrain(this);
 }
@@ -195,9 +195,9 @@ NetworkInterface::refreshEligibility(int vc_index)
             ready = false;
     }
     if (ready)
-        arb_.setEligible(vc_index, vc.next);
+        arb_.setEligible(0, vc_index, vc.next);
     else
-        arb_.clearEligible(vc_index);
+        arb_.clearEligible(0, vc_index);
 }
 
 void
@@ -213,10 +213,10 @@ NetworkInterface::serveMux()
     MW_DEBUG_ASSERT(!mux_.busy());
     MW_DEBUG_ASSERT(injectionLink_ != nullptr);
 
-    if (!arb_.anyEligible())
+    if (!arb_.anyEligible(0))
         return;
 
-    const int v = arb_.pick();
+    const int v = arb_.pick(0);
     InjectionVc& vc = vcs_[static_cast<std::size_t>(v)];
 
     // Stamp the launch time in place and send the lane's built flit;
@@ -252,7 +252,7 @@ NetworkInterface::serveMux()
 
     // Nothing eligible next cycle means a provably-idle wakeup (the
     // anyEligible() gate above has no side effects): elide it.
-    mux_.arm(simulator_, muxEvent_, cycleTime_, !arb_.anyEligible());
+    mux_.arm(simulator_, muxEvent_, cycleTime_, !arb_.anyEligible(0));
 }
 
 } // namespace mediaworm::network

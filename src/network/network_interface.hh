@@ -165,7 +165,8 @@ class NetworkInterface final : public traffic::Injector,
     /** Per-lane stamping cursor: beginMessage() as a message's header
      *  is built, tick(injectTime) for each of its flits. */
     std::vector<router::VirtualClockState> vclock_;
-    router::MuxArbiter arb_; ///< Injection-mux eligibility + kernels.
+    /** The injection mux: one port, one slot per VC lane. */
+    router::MultiPortArbiter arb_;
     sim::MemberFuncEvent<&NetworkInterface::muxFired> muxEvent_;
     sim::LazyTick mux_; ///< Service-slot state; elides idle ticks.
     std::uint64_t nextArrivalSeq_ = 0;

@@ -111,7 +111,7 @@ struct TelemetryReport
 };
 
 /**
- * The collector. Hook it into a MetricsHub (attachTelemetry) and call
+ * The collector. Hook it into a MetricsLane (attachTelemetry) and call
  * finish() after the run drains to obtain the report.
  */
 class StreamTelemetry

@@ -87,7 +87,6 @@ class PcsNetwork final : public traffic::Injector
     struct SourceUnit
     {
         std::unique_ptr<SourceVc[]> vcs;
-        router::MuxArbiter arb; ///< Eligible: queued and credited.
         sim::CallbackEvent muxEvent;
         bool muxBusy = false;
         std::uint64_t nextSeq = 0;
@@ -105,7 +104,6 @@ class PcsNetwork final : public traffic::Injector
     struct DestUnit
     {
         std::unique_ptr<DestVc[]> vcs;
-        router::MuxArbiter arb; ///< Eligible: buffered.
         sim::CallbackEvent muxEvent;
         bool muxBusy = false;
         std::uint64_t nextSeq = 0;
@@ -156,8 +154,8 @@ class PcsNetwork final : public traffic::Injector
     void flitArrived(int node, int vc, const router::Flit& flit);
     void creditArrived(int node, int vc);
     /** Re-derives one VC's mux eligibility and cached head. */
-    void refreshSource(SourceUnit& su, int vc);
-    void refreshDest(DestUnit& du, int vc);
+    void refreshSource(int node, int vc);
+    void refreshDest(int node, int vc);
     void kickSourceMux(int node);
     void serveSourceMux(int node);
     void kickDestMux(int node);
@@ -171,6 +169,9 @@ class PcsNetwork final : public traffic::Injector
 
     std::unique_ptr<SourceUnit[]> sources_;
     std::unique_ptr<DestUnit[]> dests_;
+    // Every node's source and destination link muxes, port = node.
+    router::MultiPortArbiter sourceArb_; ///< Eligible: queued, credited.
+    router::MultiPortArbiter destArb_;   ///< Eligible: buffered.
     std::unique_ptr<DestReceiver[]> destReceivers_;
     std::unique_ptr<SourceCreditReceiver[]> creditReceivers_;
     std::vector<std::unique_ptr<router::Link>> links_;

@@ -621,11 +621,11 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
      *  message (replaces a bool strewn across fat structs; popcount
      *  gives outputLoad its allocation term in one instruction). */
     std::vector<std::uint64_t> allocatedMask_;
-    // One-pass arbitration (DESIGN.md section 14): all point-A and
-    // point-C multiplexers of this router share two MultiPortArbiter
+    // Arbitration (DESIGN.md section 14): all point-A and point-C
+    // multiplexers of this router share two MultiPortArbiter
     // instances - per-port masks and HeadKey rows in flat arrays - so
-    // the serve loops and the whole-router sweeps index shared
-    // storage instead of per-port objects.
+    // the serve loops index shared storage instead of per-port
+    // objects.
     MultiPortArbiter inputArb_;  ///< Point A, one mux per input port.
     MultiPortArbiter outputArb_; ///< Point C, one mux per output port.
     /** Bit p = output port p's crossbar server holds a flit. The gate

@@ -6,18 +6,6 @@
 
 namespace mediaworm::sim {
 
-UniformDistribution::UniformDistribution(double lo, double hi)
-    : lo_(lo), hi_(hi)
-{
-    MW_ASSERT(lo <= hi);
-}
-
-double
-UniformDistribution::sample(Rng& rng)
-{
-    return rng.uniform(lo_, hi_);
-}
-
 NormalDistribution::NormalDistribution(double mean, double stddev)
     : mean_(mean), stddev_(stddev)
 {
@@ -61,18 +49,6 @@ TruncatedNormalDistribution::sample(Rng& rng)
         x = normal_.sample(rng);
     } while (x < floor_);
     return x;
-}
-
-ExponentialDistribution::ExponentialDistribution(double mean) : mean_(mean)
-{
-    MW_ASSERT(mean > 0.0);
-}
-
-double
-ExponentialDistribution::sample(Rng& rng)
-{
-    // 1 - uniform01() is in (0, 1], keeping log() finite.
-    return -mean_ * std::log(1.0 - rng.uniform01());
 }
 
 } // namespace mediaworm::sim

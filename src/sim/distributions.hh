@@ -39,20 +39,6 @@ class ConstantDistribution final : public Distribution
     double value_;
 };
 
-/** Continuous uniform on [lo, hi). */
-class UniformDistribution final : public Distribution
-{
-  public:
-    UniformDistribution(double lo, double hi);
-
-    double sample(Rng& rng) override;
-    double mean() const override { return 0.5 * (lo_ + hi_); }
-
-  private:
-    double lo_;
-    double hi_;
-};
-
 /**
  * Normal distribution via the Marsaglia polar method.
  *
@@ -94,19 +80,6 @@ class TruncatedNormalDistribution final : public Distribution
   private:
     NormalDistribution normal_;
     double floor_;
-};
-
-/** Exponential distribution with the given mean (rate = 1/mean). */
-class ExponentialDistribution final : public Distribution
-{
-  public:
-    explicit ExponentialDistribution(double mean);
-
-    double sample(Rng& rng) override;
-    double mean() const override { return mean_; }
-
-  private:
-    double mean_;
 };
 
 } // namespace mediaworm::sim

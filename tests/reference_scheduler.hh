@@ -5,8 +5,8 @@
  * The original candidate-vector Scheduler classes: each round the
  * caller scans its slots in ascending order into a vector of eligible
  * Candidates and a virtual pick() returns the winner's index. The
- * simulator arbitrates through router::MuxArbiter's bitmask kernels
- * instead; tests/test_arbiter.cc fuzzes those kernels against these
+ * simulator arbitrates through router::MultiPortArbiter's bitmask
+ * kernels instead; tests/test_arbiter.cc fuzzes those kernels against these
  * classes, which stay deliberately simple so they are easy to check
  * by eye.
  */

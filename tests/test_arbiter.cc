@@ -1,23 +1,27 @@
 /**
  * @file
- * Differential fuzz of the MuxArbiter kernels against the reference
+ * Differential fuzz of router::MultiPortArbiter against the reference
  * Scheduler classes (tests/reference_scheduler.hh), plus targeted
  * tests of the incremental-state API and the fixed-point WRR deficit
  * accounting.
  *
- * The MuxArbiter (router/arbiter.hh) must select the same winner as
- * the virtual Scheduler it replaced for every discipline and every
+ * The arbiter (router/arbiter.hh) must select the same winner as the
+ * virtual Scheduler it replaced for every discipline and every
  * reachable mux state, including across rounds for the stateful
- * disciplines (round robin's rotation pointer, WRR's deficits). The
- * fuzzer drives both implementations with one randomized stream of
- * arbitration rounds per discipline and requires identical winners
- * on every round.
+ * disciplines (round robin's rotation pointer, WRR's deficits) - and
+ * it must keep that per-port state apart, since one instance holds
+ * every multiplexer of a router or of a PCS switch side in shared
+ * arrays. The fuzzer drives a multi-port arbiter and one reference
+ * scheduler per port with a randomized stream of interleaved
+ * eligibility changes and masked picks, and requires identical
+ * winners on every round.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "config/router_config.hh"
@@ -37,55 +41,65 @@ using mediaworm::sim::microseconds;
 
 // --- incremental-state API ----------------------------------------------------
 
-TEST(MuxArbiter, MaskTracksSetAndClear)
+TEST(MultiPortArbiter, MaskTracksSetAndClear)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::Fifo, 8);
-    EXPECT_FALSE(arb.anyEligible());
+    MultiPortArbiter arb;
+    arb.init(SchedulerKind::Fifo, 3, 8);
+    EXPECT_FALSE(arb.anyEligible(1));
 
-    arb.setEligible(3, /*stamp=*/10, /*fifo_seq=*/1, microseconds(8));
-    arb.setEligible(5, /*stamp=*/20, /*fifo_seq=*/2, microseconds(8));
-    EXPECT_TRUE(arb.anyEligible());
-    EXPECT_EQ(arb.mask(), (std::uint64_t{1} << 3) | (std::uint64_t{1} << 5));
-    EXPECT_TRUE(arb.eligible(3));
-    EXPECT_FALSE(arb.eligible(4));
+    arb.setEligible(1, 3, /*stamp=*/10, /*fifo_seq=*/1, microseconds(8));
+    arb.setEligible(1, 5, /*stamp=*/20, /*fifo_seq=*/2, microseconds(8));
+    EXPECT_TRUE(arb.anyEligible(1));
+    EXPECT_EQ(arb.mask(1),
+              (std::uint64_t{1} << 3) | (std::uint64_t{1} << 5));
+    EXPECT_TRUE(arb.eligible(1, 3));
+    EXPECT_FALSE(arb.eligible(1, 4));
+    // The other ports' masks are untouched.
+    EXPECT_EQ(arb.mask(0), 0u);
+    EXPECT_EQ(arb.mask(2), 0u);
 
-    arb.clearEligible(3);
-    arb.clearEligible(3); // idempotent
-    EXPECT_EQ(arb.mask(), std::uint64_t{1} << 5);
+    arb.clearEligible(1, 3);
+    arb.clearEligible(1, 3); // idempotent
+    EXPECT_EQ(arb.mask(1), std::uint64_t{1} << 5);
 }
 
-TEST(MuxArbiter, SetEligibleRefreshesHeadRecord)
+TEST(MultiPortArbiter, SetEligibleRefreshesHeadRecord)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::VirtualClock, 4);
-    arb.setEligible(2, 100, 7, microseconds(4));
-    EXPECT_EQ(arb.head(2).stamp, 100);
-    EXPECT_EQ(arb.head(2).fifoSeq, 7u);
+    MultiPortArbiter arb;
+    arb.init(SchedulerKind::VirtualClock, 2, 4);
+    arb.setEligible(1, 2, 100, 7, microseconds(4));
+    EXPECT_EQ(arb.head(1, 2).stamp, 100);
+    EXPECT_EQ(arb.head(1, 2).fifoSeq, 7u);
+    EXPECT_EQ(arb.head(1, 2).vtick, microseconds(4));
 
     // A pop exposing the next flit re-caches via the same call.
-    arb.setEligible(2, 250, 9, microseconds(4));
-    EXPECT_EQ(arb.head(2).stamp, 250);
-    EXPECT_EQ(arb.head(2).fifoSeq, 9u);
+    arb.setEligible(1, 2, 250, 9, microseconds(4));
+    EXPECT_EQ(arb.head(1, 2).stamp, 250);
+    EXPECT_EQ(arb.head(1, 2).fifoSeq, 9u);
+    // Port 0's slot 2 has its own record.
+    EXPECT_EQ(arb.head(0, 2).stamp, 0);
 }
 
-TEST(MuxArbiter, PickMaskedRestrictsToSubset)
+TEST(MultiPortArbiter, PickMaskedRestrictsToSubset)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::VirtualClock, 8);
-    arb.setEligible(1, /*stamp=*/10, 1, microseconds(8)); // global best
-    arb.setEligible(6, /*stamp=*/99, 2, microseconds(8));
+    MultiPortArbiter arb;
+    arb.init(SchedulerKind::VirtualClock, 2, 8);
+    arb.setEligible(0, 1, /*stamp=*/10, 1, microseconds(8)); // global best
+    arb.setEligible(0, 6, /*stamp=*/99, 2, microseconds(8));
+    arb.setEligible(1, 4, /*stamp=*/1, 3, microseconds(8));
     // Gating away slot 1 (as the input mux's space/crossbar gates do)
     // must hand the round to the best of what remains.
-    EXPECT_EQ(arb.pickMasked(std::uint64_t{1} << 6), 6);
-    EXPECT_EQ(arb.pick(), 1);
+    EXPECT_EQ(arb.pickMasked(0, std::uint64_t{1} << 6), 6);
+    EXPECT_EQ(arb.pick(0), 1);
+    EXPECT_EQ(arb.pick(1), 4);
 }
 
 // --- differential fuzz vs the legacy schedulers -------------------------------
 
 /**
- * One randomized mux: a fixed slot population whose heads change
- * between rounds, feeding both implementations identically.
+ * A randomized multi-port arbiter: per-port slot populations whose
+ * heads change between rounds, feeding the arbiter and one reference
+ * scheduler per port identically.
  */
 class DifferentialFuzz : public ::testing::TestWithParam<SchedulerKind>
 {
@@ -95,20 +109,24 @@ TEST_P(DifferentialFuzz, WinnersMatchLegacySchedulers)
 {
     const SchedulerKind kind = GetParam();
     constexpr int kRounds = 120000;
+    constexpr int kPorts = 4;
     constexpr int kNumSlots = 16;
 
     Rng rng(0x715eed5eed5eedULL
             + static_cast<std::uint64_t>(kind) * 0x9e37ULL);
 
-    MuxArbiter arb;
-    arb.init(kind, kNumSlots);
-    auto legacy = makeScheduler(kind);
+    MultiPortArbiter arb;
+    arb.init(kind, kPorts, kNumSlots);
+    std::vector<std::unique_ptr<Scheduler>> legacy;
+    for (int p = 0; p < kPorts; ++p)
+        legacy.push_back(makeScheduler(kind));
 
-    // Persistent per-slot head state, mutated incrementally the way a
-    // real mux does: winners pop (new head or empty), idle slots
-    // occasionally gain a flit. The legacy candidate vector is
-    // rebuilt from the same state by an ascending-slot scan, exactly
-    // like the code the arbiter replaced.
+    // Persistent per-(port, slot) head state, mutated incrementally
+    // the way real muxes are: winners pop (new head or empty), idle
+    // slots gain a flit, eligible ones drop out. A port's legacy
+    // candidate vector is rebuilt from the same state by an
+    // ascending-slot scan, exactly like the code the arbiter
+    // replaced.
     struct SlotState
     {
         bool eligible = false;
@@ -116,7 +134,10 @@ TEST_P(DifferentialFuzz, WinnersMatchLegacySchedulers)
         std::uint64_t fifoSeq = 0;
         Tick vtick = kBestEffortVtick;
     };
-    std::vector<SlotState> slots(kNumSlots);
+    std::vector<SlotState> slots(kPorts * kNumSlots);
+    const auto at = [&slots](int port, int slot) -> SlotState& {
+        return slots[static_cast<std::size_t>(port * kNumSlots + slot)];
+    };
     std::uint64_t next_seq = 0;
     Tick now = 0;
 
@@ -127,66 +148,94 @@ TEST_P(DifferentialFuzz, WinnersMatchLegacySchedulers)
                            microseconds(8), microseconds(10),
                            microseconds(33), kBestEffortVtick};
 
-    auto arrive = [&](int s) {
-        SlotState& st = slots[static_cast<std::size_t>(s)];
+    auto arrive = [&](int p, int s) {
+        SlotState& st = at(p, s);
         st.eligible = true;
         st.stamp = now + static_cast<Tick>(rng.uniformInt(2000));
         st.fifoSeq = next_seq++;
         st.vtick = vticks[rng.uniformInt(std::size(vticks))];
-        arb.setEligible(s, st.stamp, st.fifoSeq, st.vtick);
+        arb.setEligible(p, s, st.stamp, st.fifoSeq, st.vtick);
     };
 
     int rounds_run = 0;
+    int masked_rounds = 0;
     for (int round = 0; round < kRounds; ++round) {
         now += static_cast<Tick>(rng.uniformInt(100));
 
-        // Mutate: each slot may flip eligibility or re-stamp its head
-        // (a fresh arrival behind an empty slot, or an upstream
-        // re-route changing the head).
-        for (int s = 0; s < kNumSlots; ++s) {
-            const double roll = rng.uniform01();
-            if (roll < 0.25) {
-                arrive(s);
-            } else if (roll < 0.32) {
-                slots[static_cast<std::size_t>(s)].eligible = false;
-                arb.clearEligible(s);
+        // Mutate random (port, slot) pairs across all ports: a fresh
+        // arrival behind an empty slot, an upstream re-route changing
+        // an eligible head, or a slot losing eligibility.
+        for (int k = 0; k < kNumSlots; ++k) {
+            const int p = static_cast<int>(rng.uniformInt(kPorts));
+            const int s = static_cast<int>(rng.uniformInt(kNumSlots));
+            if (rng.uniform01() < 0.75) {
+                arrive(p, s);
+            } else {
+                at(p, s).eligible = false;
+                arb.clearEligible(p, s);
+            }
+        }
+
+        // Every port's mask mirrors its own slots only.
+        for (int p = 0; p < kPorts; ++p) {
+            std::uint64_t want = 0;
+            for (int s = 0; s < kNumSlots; ++s) {
+                if (at(p, s).eligible)
+                    want |= std::uint64_t{1} << s;
+            }
+            ASSERT_EQ(arb.mask(p), want) << "port " << p;
+        }
+
+        // One port serves this round, over its whole eligible set or
+        // over a gated subset (the input mux's serve-time pruning).
+        const int port = static_cast<int>(rng.uniformInt(kPorts));
+        std::uint64_t m = arb.mask(port);
+        if (m == 0)
+            continue;
+        ++rounds_run;
+        if (rng.bernoulli(0.5)) {
+            const std::uint64_t gated = m & rng.next();
+            if (gated != 0 && gated != m) {
+                m = gated;
+                ++masked_rounds;
             }
         }
 
         std::vector<Candidate> candidates;
         for (int s = 0; s < kNumSlots; ++s) {
-            const SlotState& st = slots[static_cast<std::size_t>(s)];
-            if (st.eligible)
+            const SlotState& st = at(port, s);
+            if ((m >> s) & 1u)
                 candidates.push_back(
                     {s, st.stamp, st.fifoSeq, st.vtick});
         }
-        if (candidates.empty())
-            continue;
-        ++rounds_run;
-
-        const std::size_t legacy_index = legacy->pick(candidates);
+        const std::size_t legacy_index =
+            legacy[static_cast<std::size_t>(port)]->pick(candidates);
         const int legacy_slot = candidates[legacy_index].slot;
-        const int kernel_slot = arb.pick();
+        const int kernel_slot = m == arb.mask(port)
+            ? arb.pick(port)
+            : arb.pickMasked(port, m);
         ASSERT_EQ(kernel_slot, legacy_slot)
-            << "divergence at round " << round << " for "
-            << mediaworm::config::toString(kind);
+            << "divergence at round " << round << " port " << port
+            << " for " << mediaworm::config::toString(kind);
 
         // The winner's head flit leaves; usually another queued flit
         // becomes the head with a later stamp/seq.
-        SlotState& won = slots[static_cast<std::size_t>(legacy_slot)];
+        SlotState& won = at(port, legacy_slot);
         if (rng.bernoulli(0.7)) {
             won.stamp = now + static_cast<Tick>(rng.uniformInt(2000));
             won.fifoSeq = next_seq++;
-            arb.setEligible(legacy_slot, won.stamp, won.fifoSeq,
+            arb.setEligible(port, legacy_slot, won.stamp, won.fifoSeq,
                             won.vtick);
         } else {
             won.eligible = false;
-            arb.clearEligible(legacy_slot);
+            arb.clearEligible(port, legacy_slot);
         }
     }
-    // The mutation rates keep the mux busy; make sure the loop
-    // actually exercised arbitration and did not vacuously pass.
+    // The mutation rates keep the muxes busy; make sure the loop
+    // actually exercised both kinds of pick and did not vacuously
+    // pass.
     EXPECT_GT(rounds_run, kRounds / 2);
+    EXPECT_GT(masked_rounds, kRounds / 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -219,18 +268,18 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(WrrFairness, ServiceSharesTrackRatesWithoutDrift)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::WeightedRoundRobin, 2);
+    MultiPortArbiter arb;
+    arb.init(SchedulerKind::WeightedRoundRobin, 1, 2);
 
     // Slot 0 requests one flit per 3 us, slot 1 one per 9 us: a 3:1
     // service ratio whose weight (1/3) is inexact in binary.
-    arb.setEligible(0, 0, 0, microseconds(3));
-    arb.setEligible(1, 0, 1, microseconds(9));
+    arb.setEligible(0, 0, 0, 0, microseconds(3));
+    arb.setEligible(0, 1, 0, 1, microseconds(9));
 
     constexpr int kServes = 400000;
     std::map<int, int> served;
     for (int i = 0; i < kServes; ++i)
-        ++served[arb.pick()];
+        ++served[arb.pick(0)];
 
     // Exactly 3:1 up to the +-1 flit granularity of the rotation.
     const double share0 =
@@ -267,19 +316,19 @@ TEST(WrrFairness, LegacySchedulerMatchesFixedPointShares)
  */
 TEST(WrrFairness, ServePatternIsPeriodic)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::WeightedRoundRobin, 2);
-    arb.setEligible(0, 0, 0, microseconds(4));
-    arb.setEligible(1, 0, 1, microseconds(8));
+    MultiPortArbiter arb;
+    arb.init(SchedulerKind::WeightedRoundRobin, 1, 2);
+    arb.setEligible(0, 0, 0, 0, microseconds(4));
+    arb.setEligible(0, 1, 0, 1, microseconds(8));
 
     std::vector<int> first(6);
     for (int& winner : first)
-        winner = arb.pick();
+        winner = arb.pick(0);
     // Every later window of 6 serves must repeat the first exactly;
     // drift would eventually insert an extra serve somewhere.
     for (int window = 0; window < 50000; ++window) {
         for (int i = 0; i < 6; ++i)
-            ASSERT_EQ(arb.pick(), first[static_cast<std::size_t>(i)])
+            ASSERT_EQ(arb.pick(0), first[static_cast<std::size_t>(i)])
                 << "pattern broke in window " << window;
     }
 }

@@ -34,18 +34,6 @@ TEST(Distributions, ConstantAlwaysReturnsValue)
     EXPECT_DOUBLE_EQ(acc.max(), 16666.0);
 }
 
-TEST(Distributions, UniformBoundsAndMean)
-{
-    UniformDistribution dist(10.0, 20.0);
-    EXPECT_DOUBLE_EQ(dist.mean(), 15.0);
-    const Accumulator acc = sample(dist, 50000);
-    EXPECT_GE(acc.min(), 10.0);
-    EXPECT_LT(acc.max(), 20.0);
-    EXPECT_NEAR(acc.mean(), 15.0, 0.05);
-    // Variance of U(a,b) is (b-a)^2/12.
-    EXPECT_NEAR(acc.variance(), 100.0 / 12.0, 0.2);
-}
-
 TEST(Distributions, NormalMatchesMoments)
 {
     NormalDistribution dist(16666.0, 3333.0);
@@ -94,17 +82,6 @@ TEST(Distributions, TruncatedNormalBarelyAffectsDistantFloor)
     EXPECT_NEAR(acc.stddev(), 3333.0, 60.0);
 }
 
-TEST(Distributions, ExponentialMoments)
-{
-    ExponentialDistribution dist(250.0);
-    EXPECT_DOUBLE_EQ(dist.mean(), 250.0);
-    const Accumulator acc = sample(dist, 100000);
-    EXPECT_NEAR(acc.mean(), 250.0, 5.0);
-    // Exponential stddev equals its mean.
-    EXPECT_NEAR(acc.stddev(), 250.0, 8.0);
-    EXPECT_GE(acc.min(), 0.0);
-}
-
 TEST(Distributions, SamplingIsDeterministicPerSeed)
 {
     NormalDistribution a(10.0, 2.0);
@@ -117,12 +94,13 @@ TEST(Distributions, SamplingIsDeterministicPerSeed)
 
 TEST(Distributions, PolymorphicUseThroughBase)
 {
+    // FrameSource holds its frame-size model through the base class.
     std::unique_ptr<Distribution> dist =
-        std::make_unique<UniformDistribution>(0.0, 1.0);
+        std::make_unique<TruncatedNormalDistribution>(10.0, 2.0, 4.0);
+    EXPECT_DOUBLE_EQ(dist->mean(), 10.0);
     Rng rng(1);
-    const double x = dist->sample(rng);
-    EXPECT_GE(x, 0.0);
-    EXPECT_LT(x, 1.0);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_GE(dist->sample(rng), 4.0);
 }
 
 } // namespace

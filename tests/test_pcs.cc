@@ -46,8 +46,8 @@ TEST(PcsConfigDeath, RejectsBadShape)
 
 TEST(PcsConfigDeath, RejectsMoreVcsThanAnArbiterHolds)
 {
-    // Each link multiplexer is a router::MuxArbiter with one
-    // eligibility-mask bit per VC.
+    // Each link multiplexer is one port of a router::MultiPortArbiter,
+    // with one eligibility-mask bit per VC.
     PcsConfig cfg;
     cfg.numVcs = config::kMaxVcs + 1;
     EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),

@@ -14,7 +14,6 @@
 #include "stats/interval_tracker.hh"
 #include "stats/rate_monitor.hh"
 #include "stats/registry.hh"
-#include "stats/time_average.hh"
 
 namespace {
 
@@ -166,33 +165,6 @@ TEST(Histogram, ToStringMentionsStats)
     hist.add(5.0);
     const std::string text = hist.toString();
     EXPECT_NE(text.find("n=1"), std::string::npos);
-}
-
-// --- TimeAverage ---------------------------------------------------------------
-
-TEST(TimeAverage, PiecewiseConstantSignal)
-{
-    TimeAverage avg(0);
-    avg.update(0, 2.0);   // 2.0 over [0, 10)
-    avg.update(10, 6.0);  // 6.0 over [10, 20)
-    EXPECT_DOUBLE_EQ(avg.average(20), 4.0);
-    EXPECT_DOUBLE_EQ(avg.current(), 6.0);
-}
-
-TEST(TimeAverage, ZeroElapsedReturnsCurrent)
-{
-    TimeAverage avg(5);
-    avg.update(5, 3.0);
-    EXPECT_DOUBLE_EQ(avg.average(5), 3.0);
-}
-
-TEST(TimeAverage, ResetRestartsWindow)
-{
-    TimeAverage avg(0);
-    avg.update(0, 100.0);
-    avg.reset(10);
-    avg.update(10, 2.0);
-    EXPECT_DOUBLE_EQ(avg.average(20), 2.0);
 }
 
 // --- RateMonitor ---------------------------------------------------------------

@@ -189,7 +189,8 @@ main(int argc, char** argv)
                    &pcs_mode);
     parser.addFlag("csv", "emit CSV rows instead of a report",
                    &csv);
-    parser.addFlag("stats", "dump the full component stat registry",
+    parser.addFlag("stats",
+                   "print delivery and event-elision counters",
                    &dump_stats);
     parser.addFlag("telemetry",
                    "collect per-stream sliding-window QoS telemetry "
@@ -451,9 +452,9 @@ main(int argc, char** argv)
                         static_cast<unsigned long long>(
                             r.flitsDelivered));
             // Reporting-only counters (shard-dependent, so they stay
-            // out of the deterministic JSON artifact): how much work
-            // the lazy-elision and idle-epoch fast-forward machinery
-            // avoided (DESIGN.md sections 13-14).
+            // out of the deterministic JSON artifact): the wakeups
+            // lazy-tick elision skipped and the idle ticks the
+            // kernel clock jumped over (DESIGN.md sections 13-14).
             std::printf("elided wakeups: %llu\nidle ticks skipped: "
                         "%llu\n",
                         static_cast<unsigned long long>(
