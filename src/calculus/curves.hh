@@ -25,6 +25,7 @@
 #ifndef MEDIAWORM_CALCULUS_CURVES_HH
 #define MEDIAWORM_CALCULUS_CURVES_HH
 
+#include <algorithm>
 #include <limits>
 
 namespace mediaworm::calculus {
@@ -51,7 +52,12 @@ struct ArrivalCurve
 };
 
 /** Aggregates two envelopes: the sum of leaky buckets. */
-ArrivalCurve aggregate(const ArrivalCurve& a, const ArrivalCurve& b);
+inline ArrivalCurve
+aggregate(const ArrivalCurve& a, const ArrivalCurve& b)
+{
+    return {a.sigmaFlits + b.sigmaFlits,
+            a.rhoFlitsPerUs + b.rhoFlitsPerUs};
+}
 
 /**
  * Rate-latency service guarantee beta(t) = R * max(0, t - T): after a
@@ -80,7 +86,14 @@ struct ServiceCurve
  * guarantee of traversing both servers in sequence.
  * R = min(R1, R2), T = T1 + T2.
  */
-ServiceCurve convolve(const ServiceCurve& a, const ServiceCurve& b);
+inline ServiceCurve
+convolve(const ServiceCurve& a, const ServiceCurve& b)
+{
+    if (!a.guarantees() || !b.guarantees())
+        return ServiceCurve::none();
+    return {std::min(a.rateFlitsPerUs, b.rateFlitsPerUs),
+            a.latencyUs + b.latencyUs};
+}
 
 /**
  * Residual (leftover) service of a constant-rate server of
@@ -96,9 +109,16 @@ ServiceCurve convolve(const ServiceCurve& a, const ServiceCurve& b);
  * Returns ServiceCurve::none() when the cross traffic saturates the
  * server (rho_I >= C): no finite guarantee exists.
  */
-ServiceCurve residual(double capacity_flits_per_us,
-                      const ArrivalCurve& interference,
-                      double base_latency_us);
+inline ServiceCurve
+residual(double capacity_flits_per_us,
+         const ArrivalCurve& interference, double base_latency_us)
+{
+    const double rate =
+        capacity_flits_per_us - interference.rhoFlitsPerUs;
+    if (rate <= 0.0)
+        return ServiceCurve::none();
+    return {rate, interference.sigmaFlits / rate + base_latency_us};
+}
 
 /**
  * Worst-case delay (horizontal deviation) of a flow with envelope
@@ -108,15 +128,30 @@ ServiceCurve residual(double capacity_flits_per_us,
  *   D <= T + sigma / R       when rho <= R,
  *   D = infinity (kUnbounded) otherwise.
  */
-double delayBoundUs(const ArrivalCurve& arrival,
-                    const ServiceCurve& service);
+inline double
+delayBoundUs(const ArrivalCurve& arrival, const ServiceCurve& service)
+{
+    if (!service.guarantees()
+        || arrival.rhoFlitsPerUs > service.rateFlitsPerUs)
+        return kUnbounded;
+    return service.latencyUs
+        + arrival.sigmaFlits / service.rateFlitsPerUs;
+}
 
 /**
  * Worst-case backlog (vertical deviation) in flits:
  * B <= sigma + rho * T, infinity when rho > R.
  */
-double backlogBoundFlits(const ArrivalCurve& arrival,
-                         const ServiceCurve& service);
+inline double
+backlogBoundFlits(const ArrivalCurve& arrival,
+                  const ServiceCurve& service)
+{
+    if (!service.guarantees()
+        || arrival.rhoFlitsPerUs > service.rateFlitsPerUs)
+        return kUnbounded;
+    return arrival.sigmaFlits
+        + arrival.rhoFlitsPerUs * service.latencyUs;
+}
 
 } // namespace mediaworm::calculus
 

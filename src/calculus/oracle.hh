@@ -15,8 +15,12 @@
  *  - Total Flow Analysis (TFA) burstiness propagation: per-flow
  *    per-hop sojourn bounds are iterated in Jacobi passes so that a
  *    flow's envelope at hop k is inflated by rho x (delay bound over
- *    hops < k). Feed-forward XY routing makes this converge within
- *    max-route-length passes.
+ *    hops < k), until a pass changes nothing. Feed-forward routes
+ *    (XY on a mesh) get there within max-route-length passes; routes
+ *    with cycles (DOR rings on a torus) may converge slowly or not
+ *    at all, and an iteration still moving at the pass cap reports
+ *    every stream unbounded. Each point keeps its members'
+ *    interference sums, so a pass costs O(sum of route lengths).
  *  - Separated Flow Analysis (SFA): with the propagated interference
  *    envelopes, each hop yields a rate-latency service curve for the
  *    target stream; the curves convolve along the route ("pay bursts
@@ -88,11 +92,15 @@ struct OracleConfig
     double rateMargin = -1.0;
 
     /**
-     * Jacobi passes for TFA burstiness propagation; 0 (default)
-     * derives max route length + 1, enough for feed-forward routes.
+     * Cap on the Jacobi passes of the TFA fixed-point iteration; 0
+     * (default) selects kDefaultTfaPasses. Reaching the cap while
+     * the iteration still moves reports every stream unbounded.
      */
     int tfaPasses = 0;
 };
+
+/** The default TFA pass cap (OracleConfig::tfaPasses = 0). */
+inline constexpr int kDefaultTfaPasses = 256;
 
 /** Source envelope and message geometry shared by every RT stream. */
 struct StreamEnvelope
@@ -132,6 +140,10 @@ struct BoundsReport
     std::vector<StreamBound> streams; ///< Sorted by stream id.
     int unboundedStreams = 0;  ///< Streams with no finite bound.
     double maxBoundUs = 0.0;   ///< Largest finite bound, 0 if none.
+    int tfaPasses = 0;         ///< TFA passes run (0: none needed).
+    /** False when the TFA iteration still moved at the pass cap; every
+     *  stream is then reported unbounded. */
+    bool tfaConverged = true;
 
     /** True when every stream has a finite bound. */
     bool allBounded() const { return unboundedStreams == 0; }
