@@ -1,7 +1,9 @@
 #include "network/topology.hh"
 
 #include <algorithm>
+#include <cstdio>
 
+#include "config/router_config.hh"
 #include "sim/logging.hh"
 
 namespace mediaworm::network {
@@ -269,6 +271,33 @@ Topology::clos(int m, int n, int r)
 
     t.finalize();
     return t;
+}
+
+double
+Topology::bufferBytes(const config::RouterConfig& router) const
+{
+    const double wired_ports =
+        static_cast<double>(endpoints_.size() + channels_.size());
+    constexpr double kFlitBytes = 64.0; // sizeof(router::Flit)
+    return wired_ports * router.numVcs * router.flitBufferDepth
+        * kFlitBytes * 2.0;
+}
+
+std::string
+Topology::budgetError(const config::RouterConfig& router) const
+{
+    const double bytes = bufferBytes(router);
+    if (bytes <= kMaxBufferBytes)
+        return {};
+    char buf[200];
+    std::snprintf(buf, sizeof(buf),
+                  "flit buffers need an estimated %.1f MiB (%d VCs x "
+                  "%d-flit buffers on every wired port), over the "
+                  "%.0f MiB limit",
+                  bytes / (1024.0 * 1024.0), router.numVcs,
+                  router.flitBufferDepth,
+                  kMaxBufferBytes / (1024.0 * 1024.0));
+    return buf;
 }
 
 Topology

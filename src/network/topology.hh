@@ -28,7 +28,18 @@
 
 #include "config/network_config.hh"
 
+namespace mediaworm::config {
+struct RouterConfig;
+} // namespace mediaworm::config
+
 namespace mediaworm::network {
+
+/**
+ * Flit-buffer memory one network may allocate, in bytes
+ * (Topology::bufferBytes). Larger configurations are rejected up
+ * front instead of failing mid-build with std::bad_alloc.
+ */
+inline constexpr double kMaxBufferBytes = 1024.0 * 1024.0 * 1024.0;
 
 /** Endpoint attachment: node i lives at (router, port). */
 struct TopoEndpoint
@@ -118,6 +129,19 @@ class Topology
 
     /** Number of distinct neighbour routers of @p router. */
     int degreeOf(int router) const;
+
+    /**
+     * Estimated flit-buffer memory of the network, in bytes: wired
+     * router ports x VCs x buffer depth x 64-byte flit x 2 (input
+     * and output buffers). Every wired port is an endpoint port or
+     * the source of exactly one channel, so wired ports = endpoints
+     * + channels. A double, so no input overflows it.
+     */
+    double bufferBytes(const config::RouterConfig& router) const;
+
+    /** Empty when bufferBytes() fits kMaxBufferBytes, otherwise a
+     *  diagnostic naming the estimate and the limit. */
+    std::string budgetError(const config::RouterConfig& router) const;
 
     /** True when every router can reach every other router. */
     bool connected() const;

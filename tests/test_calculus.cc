@@ -12,6 +12,7 @@
  */
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -249,6 +250,40 @@ TEST(RouteModel, FatMeshRouteLengthMatchesManhattanDistance)
                 EXPECT_DOUBLE_EQ(route[h].capacityFlitsPerUs,
                                  path.points[h].second)
                     << "0->" << path.dst << " point " << h;
+            }
+        }
+    }
+}
+
+TEST(RouteModel, PointIndexIsDenseAndOneToOneWithKey)
+{
+    // The index comes from the topology's port layout, not the
+    // router's port count: a 4-port router config on the fat mesh
+    // (whose switches use 8 ports) must neither alias two points nor
+    // number one past numPoints().
+    for (const int ports : {4, 8, 16}) {
+        SCOPED_TRACE(ports);
+        config::RouterConfig router;
+        router.numPorts = ports;
+        config::NetworkConfig net;
+        net.topology = config::TopologyKind::FatMesh;
+        const RouteModel model(router, net);
+        std::map<int, int> index_of_key;
+        std::map<int, int> key_of_index;
+        for (int src = 0; src < 16; ++src) {
+            for (int dst = 0; dst < 16; ++dst) {
+                if (src == dst)
+                    continue;
+                for (const ContentionPoint& cp : model.routeOf(src, dst)) {
+                    ASSERT_GE(cp.index, 0);
+                    ASSERT_LT(cp.index, model.numPoints());
+                    EXPECT_EQ(index_of_key.emplace(cp.key, cp.index)
+                                  .first->second,
+                              cp.index);
+                    EXPECT_EQ(key_of_index.emplace(cp.index, cp.key)
+                                  .first->second,
+                              cp.key);
+                }
             }
         }
     }

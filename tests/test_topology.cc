@@ -32,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config/router_config.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
 
@@ -187,6 +188,37 @@ TEST(Topology, OutChannelMapIsConsistent)
                           r);
         }
     }
+}
+
+TEST(Topology, BufferBytesCountWiredPortsBothSides)
+{
+    config::RouterConfig router; // 16 VCs x 20 flits x 64 B x 2
+    EXPECT_EQ(Topology::singleSwitch(8).bufferBytes(router),
+              8 * 40960.0);
+    // 4 switches x (4 endpoints + 2 x 2 fat links).
+    const Topology fat = Topology::fatMesh(2, 2, 2, 4);
+    EXPECT_EQ(fat.bufferBytes(router), 4 * 8 * 40960.0);
+    EXPECT_TRUE(fat.budgetError(router).empty());
+    // Clos: 8 leaves x (4 endpoints + 4 uplinks) + 4 spines x 8.
+    EXPECT_EQ(Topology::clos(4, 4, 8).bufferBytes(router),
+              (8 * 8 + 4 * 8) * 40960.0);
+}
+
+TEST(Topology, BudgetRejectsTheTorusBadAllocReproducer)
+{
+    // mediaworm_sim --topology torus8x8 --vcs 64 --buffers 4096: every
+    // value in range, but 64 routers x 5 wired ports of 64 x 4096-flit
+    // buffers on both sides is 10 GiB.
+    const Topology torus = Topology::torus(8, 8, 1);
+    config::RouterConfig router;
+    router.numVcs = config::kMaxVcs;
+    router.flitBufferDepth = 4096;
+    EXPECT_EQ(torus.bufferBytes(router), 10.0 * (1 << 30));
+    const std::string error = torus.budgetError(router);
+    EXPECT_NE(error.find("10240.0 MiB"), std::string::npos) << error;
+    EXPECT_NE(error.find("1024 MiB limit"), std::string::npos) << error;
+    router.flitBufferDepth = 400;
+    EXPECT_TRUE(torus.budgetError(router).empty());
 }
 
 // --- Routing delivery ------------------------------------------------------
