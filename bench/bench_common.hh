@@ -106,7 +106,7 @@ runCampaign(const char* name, mediaworm::campaign::Campaign& campaign)
                  "campaign: %zu points x %d reps on %d jobs in "
                  "%.2fs (%.2f Mev/s)\n",
                  campaign.size(), campaign.config().replications,
-                 campaign.config().effectiveJobs(), wall,
+                 campaign.effectiveJobs(), wall,
                  wall > 0.0
                      ? static_cast<double>(campaign.totalEvents())
                          / wall / 1e6

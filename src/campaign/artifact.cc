@@ -160,7 +160,8 @@ toJson(const Campaign& campaign, const ArtifactOptions& options)
     json.beginObject();
     json.member("schema", kArtifactSchema);
     json.member("name", options.name);
-    json.member("root_seed", campaign.config().rootSeed);
+    if (const auto root = campaign.rootSeed())
+        json.member("root_seed", *root);
     json.member("replications", static_cast<std::int64_t>(
                                     campaign.config().replications));
 
@@ -201,7 +202,7 @@ toJson(const Campaign& campaign, const ArtifactOptions& options)
         json.key("timing");
         json.beginObject();
         json.member("jobs", static_cast<std::int64_t>(
-                                campaign.config().effectiveJobs()));
+                                campaign.effectiveJobs()));
         json.member("wall_seconds", campaign.wallSeconds());
         const double wall = campaign.wallSeconds();
         json.member("events_per_sec",

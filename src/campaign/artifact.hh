@@ -7,7 +7,8 @@
  *   {
  *     "schema": "mediaworm-campaign-v3",
  *     "name": "<campaign name>",
- *     "root_seed": <u64>,
+ *     "root_seed": <u64>,   // the seed root all points share;
+ *                           // omitted when they differ
  *     "replications": <n>,
  *     "points": [
  *       {

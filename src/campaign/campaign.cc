@@ -12,19 +12,6 @@
 
 namespace mediaworm::campaign {
 
-int
-CampaignConfig::effectiveJobs() const
-{
-    if (jobs < 0)
-        sim::fatal("CampaignConfig: jobs must be >= 0, got %d", jobs);
-    if (shardsPerJob < 1)
-        sim::fatal("CampaignConfig: shardsPerJob must be >= 1, got %d",
-                   shardsPerJob);
-    if (jobs != 0)
-        return jobs;
-    return std::max(1, sim::usableCpus() / shardsPerJob);
-}
-
 const std::vector<MetricDef>&
 metricDefs()
 {
@@ -70,15 +57,40 @@ PointSummary::metric(std::string_view name) const
 
 Campaign::Campaign(CampaignConfig cfg) : cfg_(cfg)
 {
+    if (cfg_.jobs < 0)
+        sim::fatal("Campaign: jobs must be >= 0, got %d", cfg_.jobs);
     if (cfg_.replications < 1)
         sim::fatal("Campaign: replications must be >= 1, got %d",
                    cfg_.replications);
-    (void)cfg_.effectiveJobs(); // validate jobs early
+}
+
+int
+Campaign::effectiveJobs() const
+{
+    if (cfg_.jobs != 0)
+        return cfg_.jobs;
+    return std::max(1, sim::usableCpus() / maxShards_);
+}
+
+std::optional<std::uint64_t>
+Campaign::rootSeed() const
+{
+    if (points_.empty())
+        return std::nullopt;
+    const std::uint64_t root = points_.front().seedRoot;
+    for (const Point& point : points_) {
+        if (point.seedRoot != root)
+            return std::nullopt;
+    }
+    return root;
 }
 
 int
 Campaign::addPoint(std::string label, core::ExperimentConfig cfg)
 {
+    // shards = 0 (auto) resolves per run inside runExperiment; budget
+    // at least one thread per job for it.
+    maxShards_ = std::max(maxShards_, cfg.shards);
     const std::uint64_t root = cfg.seed;
     return addJob(
         std::move(label),
@@ -114,7 +126,7 @@ Campaign::run()
 {
     const auto start = std::chrono::steady_clock::now();
     const int reps = cfg_.replications;
-    const int jobs = cfg_.effectiveJobs();
+    const int jobs = effectiveJobs();
     const std::size_t total = points_.size()
         * static_cast<std::size_t>(reps);
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,30 +33,18 @@ namespace mediaworm::campaign {
 /** How a campaign executes its points. */
 struct CampaignConfig
 {
-    /** Worker threads; 1 runs inline (the classic sequential path),
-     *  0 means one per usable CPU (sim::usableCpus). */
+    /**
+     * Worker threads; 1 runs inline (the classic sequential path),
+     * 0 means one per usable CPU (sim::usableCpus) divided by the
+     * widest point's shard count (Campaign::effectiveJobs).
+     */
     int jobs = 1;
 
     /** Seed replications per point (>= 1). */
     int replications = 1;
 
-    /** Root seed used for points that do not carry their own. */
-    std::uint64_t rootSeed = 1;
-
     /** Live "done/total + ETA" line on stderr while running. */
     bool showProgress = false;
-
-    /**
-     * Threads each job uses internally (ExperimentConfig::shards of
-     * the points being run; >= 1). Only the jobs == 0 heuristic
-     * consumes it: the pool gets usable CPUs / shardsPerJob
-     * workers so jobs x shards stays within the machine instead of
-     * oversubscribing it. Explicit jobs values are taken as given.
-     */
-    int shardsPerJob = 1;
-
-    /** Worker-thread count after resolving jobs == 0. */
-    int effectiveJobs() const;
 };
 
 /**
@@ -116,9 +105,8 @@ class Campaign
 
     /**
      * Adds a standard wormhole experiment point. The point's seed
-     * root is @p cfg.seed (inherit it from the campaign root via
-     * ExperimentConfig's default or set it explicitly); the seed
-     * actually run is deriveSeed(cfg.seed, index, replication).
+     * root is @p cfg.seed; the seed actually run is
+     * deriveSeed(cfg.seed, index, replication).
      *
      * @return The point's index (insertion order).
      */
@@ -136,6 +124,19 @@ class Campaign
     std::size_t size() const { return points_.size(); }
 
     const CampaignConfig& config() const { return cfg_; }
+
+    /**
+     * Worker-thread count: jobs as configured, or for jobs == 0 the
+     * usable CPUs divided by the largest max(1, shards) among the
+     * addPoint() points (addJob() points count as 1), so that
+     * jobs x shards stays within the machine instead of
+     * oversubscribing it.
+     */
+    int effectiveJobs() const;
+
+    /** The seed root every point shares; empty when the points
+     *  disagree or there are none. */
+    std::optional<std::uint64_t> rootSeed() const;
 
     /**
      * Runs every (point, replication) pair and aggregates.
@@ -168,6 +169,8 @@ class Campaign
 
     CampaignConfig cfg_;
     std::vector<Point> points_;
+    /** Largest max(1, shards) over the points (effectiveJobs). */
+    int maxShards_ = 1;
     std::vector<PointSummary> results_;
     double wallSeconds_ = 0.0;
     std::uint64_t totalEvents_ = 0;

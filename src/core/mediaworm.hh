@@ -34,7 +34,6 @@
 #include "config/router_config.hh"
 #include "config/traffic_config.hh"
 #include "core/experiment.hh"
-#include "core/sweep.hh"
 #include "core/table.hh"
 #include "network/metrics.hh"
 #include "network/network.hh"

@@ -137,34 +137,6 @@ class MetricsHub
     /** Number of lanes created so far. */
     int numLanes() const { return static_cast<int>(lanes_.size()); }
 
-    // Single-sink convenience recorders (lane 0): used by models
-    // with one delivery point (PCS) and by unit tests.
-    void
-    recordFrameDelivery(sim::StreamId stream, sim::Tick now)
-    {
-        lane(0).recordFrameDelivery(stream, now);
-    }
-
-    void
-    recordRtMessage(sim::StreamId stream, sim::Tick inject_time,
-                    sim::Tick now)
-    {
-        lane(0).recordRtMessage(stream, inject_time, now);
-    }
-
-    void
-    recordBeMessage(sim::Tick inject_time, sim::Tick network_enter_time,
-                    sim::Tick now)
-    {
-        lane(0).recordBeMessage(inject_time, network_enter_time, now);
-    }
-
-    void
-    recordFlit(sim::StreamId stream, sim::Tick now)
-    {
-        lane(0).recordFlit(stream, now);
-    }
-
     // Merged read-side accessors. Each call re-merges the lanes in
     // ascending node order - cheap at end-of-run reporting scale,
     // deterministic regardless of how the run was sharded. The

@@ -6,7 +6,7 @@ namespace mediaworm::pcs {
 
 PcsNetwork::PcsNetwork(sim::Simulator& simulator, const PcsConfig& cfg,
                        network::MetricsHub& metrics)
-    : simulator_(simulator), cfg_(cfg), metrics_(metrics),
+    : simulator_(simulator), cfg_(cfg), lane_(metrics.lane(0)),
       cycleTime_(cfg.cycleTime()), table_(cfg)
 {
     const int n = cfg_.numPorts;
@@ -260,16 +260,14 @@ PcsNetwork::serveDestMux(int node)
     // The flit leaves on the ejection channel now; record delivery.
     const sim::Tick now = simulator_.now();
     ++flitsDelivered_;
-    metrics_.recordFlit(flit.stream, now);
+    lane_.recordFlit(flit.stream, now);
     if (flit.isTail()) {
         if (flit.cls == router::TrafficClass::BestEffort) {
-            metrics_.recordBeMessage(flit.injectTime, flit.injectTime,
-                                     now);
+            lane_.recordBeMessage(flit.injectTime, flit.injectTime, now);
         } else {
-            metrics_.recordRtMessage(flit.stream, flit.injectTime,
-                                     now);
+            lane_.recordRtMessage(flit.stream, flit.injectTime, now);
             if (flit.endOfFrame)
-                metrics_.recordFrameDelivery(flit.stream, now);
+                lane_.recordFrameDelivery(flit.stream, now);
         }
     }
 

@@ -42,7 +42,8 @@ class PcsNetwork final : public traffic::Injector
     /**
      * @param simulator Owning kernel.
      * @param cfg PCS configuration.
-     * @param metrics Shared measurement hub.
+     * @param metrics Shared measurement hub; deliveries are
+     *        recorded in its lane 0 (one delivery point).
      */
     PcsNetwork(sim::Simulator& simulator, const PcsConfig& cfg,
                network::MetricsHub& metrics);
@@ -163,7 +164,7 @@ class PcsNetwork final : public traffic::Injector
 
     sim::Simulator& simulator_;
     PcsConfig cfg_;
-    network::MetricsHub& metrics_;
+    network::MetricsLane& lane_;
     sim::Tick cycleTime_;
     ConnectionTable table_;
 

@@ -26,7 +26,6 @@
 #include "campaign/artifact.hh"
 #include "campaign/json.hh"
 #include "core/experiment.hh"
-#include "core/sweep.hh"
 #include "sim/random.hh"
 #include "traffic/admission.hh"
 #include "traffic/traffic_mix.hh"
@@ -572,12 +571,16 @@ TEST(ArtifactV3, RoundTripsThroughTheParser)
     base.timeScale = 0.02;
     base.obs.telemetry.enabled = true;
     base.calculus.enabled = true;
+    base.traffic.inputLoad = 0.5;
 
-    core::Sweep sweep(base);
-    sweep.addLoadAxis({0.5});
-    sweep.run();
+    campaign::Campaign camp;
+    camp.addPoint("load=0.50", base);
+    camp.run();
 
-    const std::string text = sweep.toJson("round-trip", false);
+    campaign::ArtifactOptions options;
+    options.name = "round-trip";
+    options.includeTiming = false;
+    const std::string text = campaign::toJson(camp, options);
     const campaign::JsonParseResult parsed =
         campaign::parseJson(text);
     ASSERT_TRUE(parsed.ok) << parsed.error << " at byte "
@@ -612,8 +615,9 @@ TEST(ArtifactV3, RoundTripsThroughTheParser)
             row.find("observed_worst_us");
         ASSERT_NE(bound, nullptr);
         ASSERT_NE(seen, nullptr);
-        if (!bound->isNull())
+        if (!bound->isNull()) {
             EXPECT_LE(seen->number, bound->number);
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -18,6 +19,7 @@
 #include "campaign/seeds.hh"
 #include "campaign/thread_pool.hh"
 #include "core/experiment.hh"
+#include "sim/cpus.hh"
 
 namespace {
 
@@ -272,6 +274,51 @@ TEST(Campaign, ArtifactSchemaShape)
     EXPECT_NE(text.find("\"timing\""), std::string::npos);
     // Timing metrics live only in the timing section.
     EXPECT_GT(text.find("\"wall_seconds\""), text.find("\"timing\""));
+}
+
+TEST(Campaign, RerunReplacesResults)
+{
+    Campaign camp = tinyCampaign(1, 1);
+    const std::uint64_t first = camp.run()[0].first().eventsFired;
+    const auto& again = camp.run();
+    ASSERT_EQ(again.size(), 3u) << "one summary per point";
+    EXPECT_EQ(again[0].label, "load=" + std::to_string(0.3))
+        << "summaries follow point insertion order";
+    EXPECT_EQ(again[2].label, "load=" + std::to_string(0.7));
+    EXPECT_EQ(again[0].first().eventsFired, first)
+        << "campaigns must be deterministic";
+}
+
+TEST(Campaign, DerivesJobBudgetAndRootSeedFromPoints)
+{
+    CampaignConfig ccfg;
+    ccfg.jobs = 0;
+    Campaign camp(ccfg);
+    EXPECT_EQ(camp.effectiveJobs(), sim::usableCpus());
+    for (double load : {0.3, 0.5}) {
+        core::ExperimentConfig cfg = tinyConfig();
+        cfg.traffic.inputLoad = load;
+        cfg.shards = 2;
+        cfg.seed = 7;
+        camp.addPoint("load=" + std::to_string(load), cfg);
+    }
+    EXPECT_EQ(camp.effectiveJobs(),
+              std::max(1, sim::usableCpus() / 2))
+        << "jobs x shards must stay within the usable CPUs";
+    camp.run();
+
+    ArtifactOptions options;
+    options.includeTiming = false;
+    EXPECT_NE(toJson(camp, options).find("\"root_seed\": 7,"),
+              std::string::npos);
+
+    // Points with different seed roots share none to report.
+    core::ExperimentConfig other = tinyConfig();
+    other.seed = 8;
+    camp.addPoint("seed=8", other);
+    camp.run();
+    EXPECT_EQ(toJson(camp, options).find("\"root_seed\""),
+              std::string::npos);
 }
 
 TEST(Campaign, CustomJobAdapterRuns)

@@ -79,8 +79,9 @@ TEST(Partition, MeshSplitsIntoBalancedContiguousStrips)
         ++per_shard[static_cast<std::size_t>(shard)];
         // Contiguous: shard ids never decrease along the row-major
         // router index.
-        if (r > 0)
+        if (r > 0) {
             EXPECT_GE(shard, plan.shardOfRouter(r - 1));
+        }
     }
     for (int count : per_shard)
         EXPECT_EQ(count, 4);
