@@ -1,7 +1,6 @@
 #include "calculus/provision.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "calculus/route_model.hh"
@@ -14,10 +13,19 @@ namespace mediaworm::calculus {
 
 namespace {
 
+/** VC counts the search tries. */
+constexpr int kVcCounts[] = {4, 8, 16, 32, 64};
+
+/** Intervals of the reserved-rate grid: kRateSteps + 1 factors. */
+constexpr int kRateSteps = 24;
+
+/** Cap on the summed lane stamp rates as a fraction of link capacity,
+ *  keeping headroom for best-effort progress. */
+constexpr double kMaxStampLoad = 0.95;
+
 /** One evaluated allocation. */
 struct Candidate
 {
-    bool meets = false;
     int numVcs = 0;
     double factor = 1.0;
     double worstUs = kUnbounded;
@@ -94,10 +102,6 @@ provision(const config::RouterConfig& router,
     scaled.frameInterval = static_cast<sim::Tick>(
         static_cast<double>(scaled.frameInterval) * time_scale);
 
-    std::vector<int> vc_candidates = request.vcCandidates;
-    if (vc_candidates.empty())
-        vc_candidates = {4, 8, 16, 32, 64};
-
     const double capacity = linkCapacityFlitsPerUs(router);
     const double base_stamp_rate =
         static_cast<double>(sim::kMicrosecond)
@@ -105,10 +109,7 @@ provision(const config::RouterConfig& router,
               scaled.streamVtick(router.flitSizeBits));
 
     ProvisionResult result;
-    for (const int num_vcs : vc_candidates) {
-        if (num_vcs < 2 || num_vcs > 64)
-            continue;
-
+    for (const int num_vcs : kVcCounts) {
         // Stamp-rate feasibility caps the reservation scale: in the
         // worst case every real-time lane of the partition is present
         // at a contention point.
@@ -117,34 +118,49 @@ provision(const config::RouterConfig& router,
         if (partition.rtCount < 1)
             continue;
         const double factor_max = std::max(
-            1.0, request.maxStampLoad * capacity
+            1.0, kMaxStampLoad * capacity
                      / (static_cast<double>(partition.rtCount)
                         * base_stamp_rate));
-
-        // Least reservation first; the bound is non-increasing in the
-        // factor, so the first hit is this VC count's answer.
-        const int steps = std::max(1, request.rateSteps);
-        for (int k = 0; k <= steps; ++k) {
+        const auto at = [&](int k) {
             const double factor = 1.0
                 + (factor_max - 1.0) * static_cast<double>(k)
-                    / static_cast<double>(steps);
-            Candidate c = evaluate(router, scaled, net, seed,
-                                   num_vcs, factor, request.oracle);
+                    / static_cast<double>(kRateSteps);
+            Candidate c = evaluate(router, scaled, net, seed, num_vcs,
+                                   factor, request.oracle);
             result.rtStreams = std::max(result.rtStreams, c.streams);
-            if (c.worstUs > request.slaUs)
-                continue;
-            c.meets = true;
-            const bool better = !result.feasible
-                || c.factor < result.reservedRateFactor
-                || (c.factor == result.reservedRateFactor
-                    && c.worstUs < result.worstBoundUs);
-            if (better) {
-                result.feasible = true;
-                result.numVcs = c.numVcs;
-                result.reservedRateFactor = c.factor;
-                result.worstBoundUs = c.worstUs;
+            return c;
+        };
+
+        // The bound is non-increasing in the factor (provision.hh), so
+        // a miss at the largest factor rules this VC count out. Else
+        // bisect, factor 1 first, for the least meeting grid point:
+        // lo misses (-1: none tried), hi is best and meets.
+        Candidate best = at(kRateSteps);
+        if (best.worstUs > request.slaUs)
+            continue;
+        int lo = -1;
+        int hi = kRateSteps;
+        int probe = 0;
+        while (hi - lo > 1) {
+            const Candidate c = at(probe);
+            if (c.worstUs <= request.slaUs) {
+                best = c;
+                hi = probe;
+            } else {
+                lo = probe;
             }
-            break;
+            probe = lo + (hi - lo) / 2;
+        }
+
+        const bool better = !result.feasible
+            || best.factor < result.reservedRateFactor
+            || (best.factor == result.reservedRateFactor
+                && best.worstUs < result.worstBoundUs);
+        if (better) {
+            result.feasible = true;
+            result.numVcs = best.numVcs;
+            result.reservedRateFactor = best.factor;
+            result.worstBoundUs = best.worstUs;
         }
     }
     return result;

@@ -84,9 +84,9 @@ TrafficConfig::describe() const
     char buf[200];
     const double x = realTimeFraction * 100.0;
     std::snprintf(buf, sizeof(buf),
-                  "load=%.2f mix=%.0f:%.0f rt=%s frame=%.0fB+-%.0fB/"
+                  "mix=%.0f:%.0f rt=%s frame=%.0fB+-%.0fB/"
                   "%.0fms msg=%d flits",
-                  inputLoad, x, 100.0 - x, toString(realTimeKind),
+                  x, 100.0 - x, toString(realTimeKind),
                   frameBytesMean, frameBytesStddev,
                   sim::toMilliseconds(frameInterval), messageFlits);
     return buf;

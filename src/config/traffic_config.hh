@@ -76,8 +76,7 @@ struct TrafficConfig
      * slower and the stream's lane is guaranteed factor x the mean
      * rate. 1.0 (the default, the paper's setting) reserves exactly
      * the mean rate; calculus::provision() raises it to buy delay
-     * guarantees with envelope headroom. Admission bookkeeping
-     * charges the reserved (scaled) rate, as it should.
+     * guarantees with envelope headroom.
      */
     double reservedRateFactor = 1.0;
 
@@ -109,7 +108,8 @@ struct TrafficConfig
     /** Aborts via fatal() if any parameter is out of range. */
     void validate() const;
 
-    /** One-line summary for logs and reports. */
+    /** One-line summary for logs and reports, without the input
+     *  load: a sweep runs the same workload at several loads. */
     std::string describe() const;
 };
 

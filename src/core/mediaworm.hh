@@ -23,7 +23,6 @@
 #include "calculus/oracle.hh"
 #include "calculus/provision.hh"
 #include "calculus/route_model.hh"
-#include "calculus/sla_admission.hh"
 #include "campaign/aggregate.hh"
 #include "campaign/artifact.hh"
 #include "campaign/campaign.hh"
@@ -47,7 +46,6 @@
 #include "stats/accumulator.hh"
 #include "stats/histogram.hh"
 #include "stats/interval_tracker.hh"
-#include "traffic/admission.hh"
 #include "traffic/best_effort_source.hh"
 #include "traffic/frame_source.hh"
 #include "traffic/stream.hh"

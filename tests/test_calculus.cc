@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the network-calculus subsystem: curve arithmetic
  * against hand-computed fixtures, envelope construction, the route
- * model, the oracle's structural properties, SLA admission, and the
- * v3 campaign-artifact round trip.
+ * model, the oracle's structural properties, and the v3
+ * campaign-artifact round trip.
  *
  * The end-to-end soundness check (simulated worst-case delay <=
  * analytic bound across paper operating points) lives in the
@@ -22,12 +22,10 @@
 #include "calculus/curves.hh"
 #include "calculus/oracle.hh"
 #include "calculus/route_model.hh"
-#include "calculus/sla_admission.hh"
 #include "campaign/artifact.hh"
 #include "campaign/json.hh"
 #include "core/experiment.hh"
 #include "sim/random.hh"
-#include "traffic/admission.hh"
 #include "traffic/traffic_mix.hh"
 
 namespace {
@@ -512,50 +510,6 @@ TEST(Oracle, DeterministicHashUnchangedByTheOracle)
     ASSERT_NE(on.bounds, nullptr);
     EXPECT_EQ(on.bounds->streams.size(),
               static_cast<std::size_t>(on.rtStreams));
-}
-
-// --------------------------------------------------------------
-// SLA admission.
-// --------------------------------------------------------------
-
-TEST(SlaAdmissionTest, LooseSlaAdmitsTightSlaVetoes)
-{
-    config::RouterConfig router;
-    config::TrafficConfig traffic;
-    config::NetworkConfig net;
-    const sim::Tick vtick = traffic.streamVtick(router.flitSizeBits);
-
-    traffic::Stream stream;
-    stream.id = sim::StreamId(0);
-    stream.src = sim::NodeId(0);
-    stream.dst = sim::NodeId(1);
-    stream.cls = router::TrafficClass::Vbr;
-    stream.vcLane = 0;
-    stream.vtick = vtick;
-    stream.frameInterval = traffic.frameInterval;
-
-    SlaAdmission loose(router, traffic, net, /*sla_us=*/1e9);
-    EXPECT_TRUE(loose.permits(stream));
-
-    SlaAdmission tight(router, traffic, net, /*sla_us=*/1e-3);
-    EXPECT_FALSE(tight.permits(stream));
-
-    // Wired into the controller, the veto surfaces as a rejection.
-    const traffic::VcPartition partition =
-        traffic::partitionVcs(router.numVcs, 0.8);
-    traffic::AdmissionController controller(router, partition,
-                                            router.numPorts);
-    controller.setAnalyticAdmission(&tight);
-    EXPECT_FALSE(controller.tryAdmit(stream));
-    EXPECT_EQ(controller.rejected(), 1u);
-
-    controller.setAnalyticAdmission(&loose);
-    EXPECT_TRUE(controller.tryAdmit(stream));
-    EXPECT_EQ(loose.admitted().size(), 1u);
-    EXPECT_TRUE(loose.report().allBounded());
-
-    controller.release(stream);
-    EXPECT_TRUE(loose.admitted().empty());
 }
 
 // --------------------------------------------------------------

@@ -373,7 +373,15 @@ main(int argc, char** argv)
     std::printf("MediaWorm %s | %s\n",
                 base.router.describe().c_str(),
                 base.network.describe().c_str());
-    std::printf("Workload: %s\n", base.traffic.describe().c_str());
+    std::string load_axis;
+    for (const double l : loads) {
+        char item[16];
+        std::snprintf(item, sizeof(item), "%s%.2f",
+                      load_axis.empty() ? "" : ",", l);
+        load_axis += item;
+    }
+    std::printf("Workload: load=%s %s\n", load_axis.c_str(),
+                base.traffic.describe().c_str());
     std::printf("Campaign: %zu point(s) x %d replication(s), "
                 "jobs=%d, root seed %d\n\n",
                 loads.size(), replications, jobs, seed);
