@@ -328,10 +328,7 @@ BM_ComputeBounds(benchmark::State& state, bool torus)
         net.topology = config::TopologyKind::FatMesh;
         traffic.realTimeFraction = 0.6;
     }
-    traffic.frameBytesMean *= scale;
-    traffic.frameBytesStddev *= scale;
-    traffic.frameInterval = static_cast<sim::Tick>(
-        static_cast<double>(traffic.frameInterval) * scale);
+    traffic = traffic.scaled(scale);
     // Split as core::runExperiment and the perfbench driver do at
     // --seed 1 (the network's split first, then the mix's), so this
     // is the stream table those runs' bounds_s figures describe.
@@ -339,7 +336,9 @@ BM_ComputeBounds(benchmark::State& state, bool torus)
     (void)root.split();
     sim::Rng mix_rng = root.split();
     const traffic::MixPlan plan = traffic::planMix(
-        router, traffic, net.totalNodes(router.numPorts), mix_rng);
+        router, traffic,
+        network::Topology::build(net, router.numPorts).numNodes(),
+        mix_rng);
     for (auto _ : state) {
         const calculus::BoundsReport report = calculus::computeBounds(
             router, traffic, net, plan.streams);

@@ -330,8 +330,6 @@ rtStreamEnvelope(const config::RouterConfig& router,
         margin = traffic.frameBytesStddev / traffic.frameBytesMean;
         break;
     }
-    if (oracle.rateMargin >= 0.0)
-        margin = oracle.rateMargin;
 
     const double mean_messages =
         std::ceil(traffic.frameBytesMean / payload_bytes);
@@ -371,10 +369,10 @@ computeBounds(const config::RouterConfig& router,
     if (streams.empty())
         return report;
 
-    const int num_nodes = net.totalNodes(router.numPorts);
     const StreamEnvelope envelope =
         rtStreamEnvelope(router, traffic, oracle);
     const RouteModel model(router, net);
+    const int num_nodes = model.numNodes();
     report.streams.reserve(streams.size());
 
     // Adaptive routing has no static path to analyse: report every

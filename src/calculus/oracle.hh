@@ -84,14 +84,6 @@ struct OracleConfig
     double burstSigmas = 4.0;
 
     /**
-     * Headroom on the sustained envelope rate over the mean rate,
-     * as a fraction. Negative (the default) selects automatically:
-     * 0 for CBR, stddev/mean for VBR and GoP (the GoP pattern itself
-     * needs no extra margin once the burst covers an I frame).
-     */
-    double rateMargin = -1.0;
-
-    /**
      * Cap on the Jacobi passes of the TFA fixed-point iteration; 0
      * (default) selects kDefaultTfaPasses. Reaching the cap while
      * the iteration still moves reports every stream unbounded.
@@ -114,7 +106,9 @@ struct StreamEnvelope
  * Builds the contract envelope of one real-time stream of
  * @p traffic: sigma covers the largest contract frame (all its
  * messages back to back, header overhead included), rho the mean
- * rate plus the configured margin.
+ * rate plus a margin: 0 for CBR, stddev/mean for VBR and GoP (the
+ * GoP pattern itself needs no extra margin once the burst covers an
+ * I frame).
  */
 StreamEnvelope rtStreamEnvelope(const config::RouterConfig& router,
                                 const config::TrafficConfig& traffic,

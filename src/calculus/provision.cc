@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "calculus/route_model.hh"
+#include "network/topology.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/time.hh"
@@ -39,8 +40,9 @@ struct Candidate
  */
 Candidate
 evaluate(config::RouterConfig router, config::TrafficConfig traffic,
-         const config::NetworkConfig& net, std::uint64_t seed,
-         int num_vcs, double factor, const OracleConfig& oracle)
+         const config::NetworkConfig& net, int num_nodes,
+         std::uint64_t seed, int num_vcs, double factor,
+         const OracleConfig& oracle)
 {
     router.numVcs = num_vcs;
     traffic.reservedRateFactor = factor;
@@ -49,8 +51,8 @@ evaluate(config::RouterConfig router, config::TrafficConfig traffic,
     sim::Rng net_rng = root.split();
     (void)net_rng;
     sim::Rng mix_rng = root.split();
-    const traffic::MixPlan plan = traffic::planMix(
-        router, traffic, net.totalNodes(router.numPorts), mix_rng);
+    const traffic::MixPlan plan =
+        traffic::planMix(router, traffic, num_nodes, mix_rng);
 
     OracleConfig ocfg = oracle;
     ocfg.enabled = true;
@@ -93,14 +95,11 @@ provision(const config::RouterConfig& router,
           double time_scale, const ProvisionRequest& request)
 {
     MW_ASSERT(request.slaUs > 0.0);
-    MW_ASSERT(time_scale > 0.0 && time_scale <= 1.0);
 
     // Same workload compression runExperiment() applies.
-    config::TrafficConfig scaled = traffic;
-    scaled.frameBytesMean *= time_scale;
-    scaled.frameBytesStddev *= time_scale;
-    scaled.frameInterval = static_cast<sim::Tick>(
-        static_cast<double>(scaled.frameInterval) * time_scale);
+    const config::TrafficConfig scaled = traffic.scaled(time_scale);
+    const int num_nodes =
+        network::Topology::build(net, router.numPorts).numNodes();
 
     const double capacity = linkCapacityFlitsPerUs(router);
     const double base_stamp_rate =
@@ -125,8 +124,8 @@ provision(const config::RouterConfig& router,
             const double factor = 1.0
                 + (factor_max - 1.0) * static_cast<double>(k)
                     / static_cast<double>(kRateSteps);
-            Candidate c = evaluate(router, scaled, net, seed, num_vcs,
-                                   factor, request.oracle);
+            Candidate c = evaluate(router, scaled, net, num_nodes, seed,
+                                   num_vcs, factor, request.oracle);
             result.rtStreams = std::max(result.rtStreams, c.streams);
             return c;
         };

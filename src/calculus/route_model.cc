@@ -21,20 +21,11 @@ cycleUs(const config::RouterConfig& router)
 double
 routerHopLatencyUs(const config::RouterConfig& router)
 {
-    return static_cast<double>(router.headerPipelineCycles
-                               + router.crossbarCycles
-                               + router.outputCycles
-                               + router.linkDelayCycles)
+    return static_cast<double>(config::kHeaderPipelineCycles
+                               + config::kCrossbarCycles
+                               + config::kOutputCycles
+                               + config::kLinkDelayCycles)
         * cycleUs(router);
-}
-
-/** The NetworkConfig the route model builds its graph from: the
- *  single switch takes its size from the router, as in Network. */
-config::NetworkConfig
-sizedForRouter(config::NetworkConfig net, const config::RouterConfig& router)
-{
-    net.singleSwitchPorts = router.numPorts;
-    return net;
 }
 
 } // namespace
@@ -48,7 +39,7 @@ linkCapacityFlitsPerUs(const config::RouterConfig& router)
 RouteModel::RouteModel(const config::RouterConfig& router,
                        const config::NetworkConfig& net)
     : router_(router),
-      topo_(network::Topology::build(sizedForRouter(net, router))),
+      topo_(network::Topology::build(net, router.numPorts)),
       tables_(network::buildRouting(topo_, net.effectiveRouting(),
                                     net.fatLinkPolicy))
 {
@@ -112,8 +103,7 @@ RouteModel::routeOf(int src, int dst) const
     Route route;
     // Injection multiplexer: the source end of the injection link.
     route.push_back({-(src + 1), cap, router_.injectionScheduler,
-                     static_cast<double>(router_.linkDelayCycles)
-                         * cycleUs(router_),
+                     config::kLinkDelayCycles * cycleUs(router_),
                      src});
 
     int cur = topo_.routerOfNode(src);

@@ -100,7 +100,12 @@ class RouteModel
             + topo_.numRouters() * topo_.portsRequired();
     }
 
-    /** VC classes of the active policy (RouterConfig::vcClasses). */
+    /** Endpoint count of the modelled topology. */
+    int numNodes() const { return topo_.numNodes(); }
+
+    /** VC classes the active policy's route tables name
+     *  (network::RoutingTables::vcClasses); each owns numVcs /
+     *  vcClasses() output VCs. */
     int vcClasses() const { return tables_.vcClasses; }
 
     /** The (src, dst) stream's ordered contention points. Requires

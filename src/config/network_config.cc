@@ -55,38 +55,6 @@ toString(RoutingKind kind)
     return "?";
 }
 
-int
-NetworkConfig::totalNodes(int router_ports) const
-{
-    switch (topology) {
-      case TopologyKind::SingleSwitch:
-        return router_ports;
-      case TopologyKind::FatMesh:
-      case TopologyKind::Mesh:
-      case TopologyKind::Torus:
-        return meshWidth * meshHeight * endpointsPerSwitch;
-      case TopologyKind::Clos:
-        return closN * closR;
-    }
-    return 0;
-}
-
-int
-NetworkConfig::numRouters() const
-{
-    switch (topology) {
-      case TopologyKind::SingleSwitch:
-        return 1;
-      case TopologyKind::FatMesh:
-      case TopologyKind::Mesh:
-      case TopologyKind::Torus:
-        return meshWidth * meshHeight;
-      case TopologyKind::Clos:
-        return closR + closM;
-    }
-    return 0;
-}
-
 RoutingKind
 NetworkConfig::effectiveRouting() const
 {
@@ -101,7 +69,7 @@ NetworkConfig::effectiveRouting() const
 }
 
 void
-NetworkConfig::validate(int router_ports) const
+NetworkConfig::validate(int /*router_ports*/) const
 {
     using sim::fatal;
     if (topology == TopologyKind::SingleSwitch)
@@ -114,14 +82,6 @@ NetworkConfig::validate(int router_ports) const
             fatal("NetworkConfig: clos spine count %d exceeds the "
                   "%d-candidate route limit",
                   closM, kMaxRouteCandidates);
-        if (closN + closM > router_ports)
-            fatal("NetworkConfig: clos leaf needs %d ports (n=%d "
-                  "endpoints + m=%d uplinks) but the router has %d",
-                  closN + closM, closN, closM, router_ports);
-        if (closR > router_ports)
-            fatal("NetworkConfig: clos spine needs %d ports (one per "
-                  "leaf) but the router has %d",
-                  closR, router_ports);
         // All three routing kinds are defined on the Clos:
         // dimension-order degenerates to a deterministic single-up
         // path (spine = dest leaf mod m), up*/down* spreads across
@@ -149,34 +109,6 @@ NetworkConfig::validate(int router_ports) const
         fatal("NetworkConfig: the fat mesh keeps its paper XY "
               "routing (Default/DimensionOrder); up*/down* and "
               "adaptive apply to mesh/torus/clos");
-
-    // Each switch needs ports for its endpoints plus fatFactor links
-    // towards each neighbour (at most 4; on the torus, exactly the
-    // present wrap directions).
-    const bool is_torus = topology == TopologyKind::Torus;
-    const int fat =
-        topology == TopologyKind::FatMesh ? fatFactor : 1;
-    int max_neighbours = 0;
-    for (int y = 0; y < meshHeight; ++y) {
-        for (int x = 0; x < meshWidth; ++x) {
-            int neighbours = 0;
-            if (is_torus) {
-                neighbours += 2 * (meshWidth > 1);
-                neighbours += 2 * (meshHeight > 1);
-            } else {
-                neighbours += (x > 0) + (x < meshWidth - 1);
-                neighbours += (y > 0) + (y < meshHeight - 1);
-            }
-            if (neighbours > max_neighbours)
-                max_neighbours = neighbours;
-        }
-    }
-    const int needed = endpointsPerSwitch + max_neighbours * fat;
-    if (needed > router_ports) {
-        fatal("NetworkConfig: %d endpoint + %d inter-switch ports "
-              "exceed the %d-port router",
-              endpointsPerSwitch, max_neighbours * fat, router_ports);
-    }
 }
 
 std::string

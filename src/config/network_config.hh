@@ -74,28 +74,20 @@ struct NetworkConfig
      */
     int endpointsPerSwitch = 4;
 
-    /**
-     * Single-switch port count used by the topology graph builder.
-     * Network overwrites it with the router's numPorts before
-     * building, so the graph and hardware always agree.
-     */
-    int singleSwitchPorts = 8;
-
     int closM = 4; ///< Spine switches.
     int closN = 4; ///< Endpoints per leaf switch.
     int closR = 8; ///< Leaf switches.
 
-    /** Number of endpoint nodes in the configured topology. */
-    int totalNodes(int router_ports) const;
-
-    /** Routers in the configured topology. */
-    int numRouters() const;
-
     /** The concrete routing kind for this topology (never Default). */
     RoutingKind effectiveRouting() const;
 
-    /** Aborts via fatal() if the shape is inconsistent. */
-    void validate(int router_ports) const;
+    /**
+     * Aborts via fatal() if a shape parameter is out of range.
+     * Whether the shape fits the router's ports is checked on the
+     * built graph (network::Topology::budgetError), so
+     * @p router_ports is not read; callers may still pass it.
+     */
+    void validate(int router_ports = 0) const;
 
     /** One-line summary for logs and reports. */
     std::string describe() const;

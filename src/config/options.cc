@@ -179,6 +179,7 @@ OptionParser::parse(int argc, const char* const* argv,
                     std::string* error)
 {
     positional_.clear();
+    given_.clear();
     helpRequested_ = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -216,8 +217,15 @@ OptionParser::parse(int argc, const char* const* argv,
             *error = "option --" + name + ": " + apply_error;
             return false;
         }
+        given_.push_back(std::move(name));
     }
     return true;
+}
+
+bool
+OptionParser::given(const std::string& name) const
+{
+    return std::find(given_.begin(), given_.end(), name) != given_.end();
 }
 
 std::string

@@ -60,6 +60,9 @@ class OptionParser
     /** True if "--help" was seen during parse(). */
     bool helpRequested() const { return helpRequested_; }
 
+    /** True if option --@p name was given during parse(). */
+    bool given(const std::string& name) const;
+
     /** Aligned usage text. */
     std::string help() const;
 
@@ -86,6 +89,7 @@ class OptionParser
     std::string description_;
     std::vector<Option> options_;
     std::vector<std::string> positional_;
+    std::vector<std::string> given_;
     bool helpRequested_ = false;
 };
 

@@ -69,9 +69,6 @@ RouterConfig::validate() const
     if (numVcs < 1 || numVcs > kMaxVcs)
         fatal("RouterConfig: numVcs %d out of range [1,%d]", numVcs,
               kMaxVcs);
-    if (vcClasses < 1 || vcClasses > numVcs)
-        fatal("RouterConfig: vcClasses %d out of range [1,%d]",
-              vcClasses, numVcs);
     if (flitBufferDepth < 1)
         fatal("RouterConfig: flitBufferDepth %d must be >= 1",
               flitBufferDepth);
@@ -80,10 +77,6 @@ RouterConfig::validate() const
     if (linkBandwidthMbps < 1)
         fatal("RouterConfig: linkBandwidthMbps %d must be >= 1",
               linkBandwidthMbps);
-    if (headerPipelineCycles < 1 || bodyPipelineCycles < 0
-        || crossbarCycles < 1 || outputCycles < 0 || linkDelayCycles < 0) {
-        fatal("RouterConfig: invalid pipeline latencies");
-    }
 }
 
 std::string

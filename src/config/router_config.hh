@@ -67,6 +67,17 @@ const char* toString(CrossbarKind kind);
 /** Returns a stable display name for a switching kind. */
 const char* toString(SwitchingKind kind);
 
+// The paper's Table 1 five-stage PROUD pipeline and its link, in
+// router cycles.
+/** Stages 1-3 traversed by a header before switch allocation. */
+inline constexpr int kHeaderPipelineCycles = 3;
+/** Stage-4 crossbar traversal latency. */
+inline constexpr int kCrossbarCycles = 1;
+/** Stage-5 output buffering/sync latency. */
+inline constexpr int kOutputCycles = 1;
+/** Link propagation delay between routers/NIs. */
+inline constexpr int kLinkDelayCycles = 1;
+
 /**
  * Static configuration of one wormhole router.
  *
@@ -78,15 +89,6 @@ struct RouterConfig
 {
     int numPorts = 8;          ///< Physical channels (n), at most 64.
     int numVcs = 16;           ///< Virtual channels per PC (m), at most kMaxVcs.
-
-    /**
-     * VC classes the routing policy partitions the output VCs into
-     * (network/routing.hh): 1 for the legacy identity mapping, 2 for
-     * torus dateline / mesh adaptive-escape, 3 for torus adaptive.
-     * Network sets this from the built routing tables; each class
-     * owns numVcs / vcClasses lanes.
-     */
-    int vcClasses = 1;
     int flitBufferDepth = 20;  ///< Flit buffer capacity per VC.
     int flitSizeBits = 32;     ///< Flit width.
     int linkBandwidthMbps = 400; ///< PC bandwidth.
@@ -106,18 +108,6 @@ struct RouterConfig
      * end-to-end priority from the host outward (ablation knob).
      */
     SchedulerKind injectionScheduler = SchedulerKind::Fifo;
-
-    /** Stages 1-3 traversed by a header before switch allocation. */
-    int headerPipelineCycles = 3;
-    /** Stage-1 latency paid by body/tail flits (bypass path). */
-    int bodyPipelineCycles = 1;
-    /** Stage-4 crossbar traversal latency. */
-    int crossbarCycles = 1;
-    /** Stage-5 output buffering/sync latency. */
-    int outputCycles = 1;
-
-    /** Link propagation delay between routers/NIs, in cycles. */
-    int linkDelayCycles = 1;
 
     /**
      * Router cycle time: the serialization time of one flit on the

@@ -33,6 +33,20 @@ toString(StreamPlacement placement)
     return "?";
 }
 
+TrafficConfig
+TrafficConfig::scaled(double time_scale) const
+{
+    if (time_scale <= 0.0 || time_scale > 1.0)
+        sim::fatal("TrafficConfig: timeScale %.3f out of (0,1]",
+                   time_scale);
+    TrafficConfig out = *this;
+    out.frameBytesMean *= time_scale;
+    out.frameBytesStddev *= time_scale;
+    out.frameInterval = static_cast<sim::Tick>(
+        static_cast<double>(frameInterval) * time_scale);
+    return out;
+}
+
 double
 TrafficConfig::streamRateMbps() const
 {

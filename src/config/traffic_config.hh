@@ -80,21 +80,37 @@ struct TrafficConfig
      */
     double reservedRateFactor = 1.0;
 
-    /**
-     * Anchor the last message of every frame at a fixed offset
-     * before the next frame, spreading the earlier messages evenly.
-     * Without anchoring, the frame-completion instant wobbles with
-     * the VBR message count (a source quantization artifact that
-     * time-scale compression would exaggerate ~1/timeScale in the
-     * normalised sigma_d); with it, sigma_d measures network jitter
-     * only. Negligible at full MPEG-2 scale either way.
-     */
-    bool anchorFrameTail = true;
-
     /** Frames injected per stream before measurement starts. */
     int warmupFrames = 3;
     /** Frames injected per stream during measurement. */
     int measuredFrames = 12;
+
+    /**
+     * This workload under time-scale compression: frame size mean,
+     * frame size deviation and frame interval multiplied by
+     * @p time_scale, which leaves per-stream bandwidth, offered load,
+     * message spacing and all flit-level contention unchanged while
+     * dividing simulation cost. Aborts via fatal() unless
+     * @p time_scale is in (0, 1]; 1 is the paper's full-size
+     * workload.
+     */
+    TrafficConfig scaled(double time_scale) const;
+
+    /** Measurement start: every stream has injected its warm-up
+     *  frames (stream phases are within one interval). */
+    sim::Tick
+    warmupEnd() const
+    {
+        return static_cast<sim::Tick>(warmupFrames + 1) * frameInterval;
+    }
+
+    /** Injection horizon: every source stops by this time. */
+    sim::Tick
+    horizon() const
+    {
+        return static_cast<sim::Tick>(warmupFrames + measuredFrames + 1)
+            * frameInterval;
+    }
 
     /** Mean stream bandwidth in Mbps (4 Mbps at the defaults). */
     double streamRateMbps() const;

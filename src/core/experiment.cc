@@ -28,21 +28,11 @@ runExperiment(const ExperimentConfig& cfg)
 {
     const auto wall_start = std::chrono::steady_clock::now();
 
-    if (cfg.timeScale <= 0.0 || cfg.timeScale > 1.0)
-        sim::fatal("runExperiment: timeScale %.3f out of (0,1]",
-                   cfg.timeScale);
-
-    // Apply time-scale compression to the workload (see the field's
-    // documentation); load and flit-level behaviour are unchanged.
-    config::TrafficConfig traffic = cfg.traffic;
-    traffic.frameBytesMean *= cfg.timeScale;
-    traffic.frameBytesStddev *= cfg.timeScale;
-    traffic.frameInterval = static_cast<sim::Tick>(
-        static_cast<double>(traffic.frameInterval) * cfg.timeScale);
-
+    const config::TrafficConfig traffic =
+        cfg.traffic.scaled(cfg.timeScale);
     cfg.router.validate();
     traffic.validate();
-    cfg.network.validate(cfg.router.numPorts);
+    cfg.network.validate();
 
     // Shard plan. The flit tracer's ring is single-threaded, so any
     // trace-based observer forces the classic one-shard run.
@@ -102,11 +92,7 @@ runExperiment(const ExperimentConfig& cfg)
             simulator.rng().split()));
     }
 
-    // Injection horizon: all sources stop after this time.
-    const int total_frames = traffic.warmupFrames
-        + traffic.measuredFrames;
-    const sim::Tick horizon =
-        static_cast<sim::Tick>(total_frames + 1) * traffic.frameInterval;
+    const sim::Tick horizon = traffic.horizon();
 
     // Best-effort sources, one per node.
     std::vector<std::unique_ptr<traffic::BestEffortSource>> be_sources;
@@ -129,14 +115,10 @@ runExperiment(const ExperimentConfig& cfg)
     for (auto& source : be_sources)
         source->start();
 
-    // Steady-state measurement starts once every stream has injected
-    // its warmup frames (stream phases are within one interval).
-    // Gating is by record timestamp against this threshold (see
+    // Gating is by record timestamp against the warm-up end (see
     // network/metrics.hh) - no enable event, so it costs sharded
     // runs no synchronization.
-    const sim::Tick warm = static_cast<sim::Tick>(
-                               traffic.warmupFrames + 1)
-        * traffic.frameInterval;
+    const sim::Tick warm = traffic.warmupEnd();
     metrics.enable(warm);
 
     // Observability. Every observer is passive - no scheduled events,
@@ -147,8 +129,8 @@ runExperiment(const ExperimentConfig& cfg)
     std::unique_ptr<obs::FlightRecorder> recorder;
     if (cfg.obs.any()) {
         const std::size_t ring_capacity = cfg.obs.trace
-            ? cfg.obs.traceCapacity
-            : cfg.obs.flightRecorderCapacity;
+            ? obs::kTraceCapacity
+            : obs::kFlightRecorderCapacity;
         observations =
             std::make_shared<obs::RunObservations>(ring_capacity);
         if (cfg.obs.telemetry.enabled) {
@@ -268,7 +250,7 @@ runExperiment(const ExperimentConfig& cfg)
     if (!shard_stats.empty()) {
         if (observations == nullptr) {
             observations = std::make_shared<obs::RunObservations>(
-                cfg.obs.flightRecorderCapacity);
+                obs::kFlightRecorderCapacity);
         }
         observations->hasShards = true;
         observations->shards = std::move(shard_stats);

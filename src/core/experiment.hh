@@ -34,14 +34,12 @@ struct ExperimentConfig
     std::uint64_t seed = 1;
 
     /**
-     * Time-scale compression. The paper simulates full MPEG-2 frames
-     * (16,666 B every 33 ms), gathering millions of messages per
-     * point. Scaling frame size and frame interval by this factor
-     * leaves per-stream bandwidth, offered load, message spacing and
-     * all flit-level contention unchanged while dividing simulation
-     * cost; delivery intervals simply shrink by the same factor and
-     * are reported both raw and re-normalised. 1.0 reproduces the
-     * paper's full-size workload.
+     * Time-scale compression of the workload
+     * (config::TrafficConfig::scaled), in (0, 1]. The paper simulates
+     * full MPEG-2 frames (16,666 B every 33 ms), gathering millions
+     * of messages per point; delivery intervals shrink by this
+     * factor and are reported both raw and re-normalised. 1.0
+     * reproduces the paper's full-size workload.
      */
     double timeScale = 0.1;
 

@@ -27,44 +27,43 @@ Network::Network(std::vector<sim::Simulator*> shard_sims,
                  const config::NetworkConfig& net_cfg,
                  MetricsHub& metrics, sim::Rng& rng)
     : sims_(std::move(shard_sims)), plan_(plan), routerCfg_(router_cfg),
-      netCfg_(net_cfg), metrics_(metrics)
+      metrics_(metrics)
 {
     MW_ASSERT(!sims_.empty());
     MW_ASSERT(static_cast<int>(sims_.size()) == plan_.numShards
               || (plan_.trivial() && sims_.size() == 1));
     routerCfg_.validate();
-    // The topology graph builder sizes the single switch from the
-    // router hardware, so graph and router always agree.
-    netCfg_.singleSwitchPorts = routerCfg_.numPorts;
-    netCfg_.validate(routerCfg_.numPorts);
-    linkDelay_ =
-        static_cast<sim::Tick>(routerCfg_.linkDelayCycles
-                               + routerCfg_.outputCycles)
+    net_cfg.validate();
+    linkDelay_ = static_cast<sim::Tick>(config::kLinkDelayCycles
+                                        + config::kOutputCycles)
         * routerCfg_.cycleTime();
 
-    const Topology topo = Topology::build(netCfg_);
+    const Topology topo = Topology::build(net_cfg, routerCfg_.numPorts);
     if (const std::string error = topo.budgetError(routerCfg_);
         !error.empty())
         sim::fatal("Network: %s", error.c_str());
     RoutingTables tables = buildRouting(
-        topo, netCfg_.effectiveRouting(), netCfg_.fatLinkPolicy);
-    // The routers copy their config at construction, so the VC-class
-    // structure must be in place before wiring.
-    routerCfg_.vcClasses = tables.vcClasses;
-    routerCfg_.validate();
+        topo, net_cfg.effectiveRouting(), net_cfg.fatLinkPolicy);
+    if (tables.vcClasses > routerCfg_.numVcs) {
+        sim::fatal("Network: %s routing on the %s needs %d VC "
+                   "classes, but numVcs is %d",
+                   config::toString(net_cfg.effectiveRouting()),
+                   config::toString(net_cfg.topology),
+                   tables.vcClasses, routerCfg_.numVcs);
+    }
     wireTopology(topo);
 
     // The Random fat-link policy draws per routed header: each
     // switch gets its own split, in switch order, so the draws stay
     // on the switch's shard.
     const bool random_picks =
-        netCfg_.topology == config::TopologyKind::FatMesh
-        && netCfg_.fatLinkPolicy == config::FatLinkPolicy::Random;
+        net_cfg.topology == config::TopologyKind::FatMesh
+        && net_cfg.fatLinkPolicy == config::FatLinkPolicy::Random;
     for (int r = 0; r < topo.numRouters(); ++r) {
         router::WormholeRouter& sw = *routers_[static_cast<std::size_t>(r)];
         sw.setRouteTable(
             std::move(tables.perRouter[static_cast<std::size_t>(r)]),
-            random_picks ? rng.split() : sim::Rng());
+            tables.vcClasses, random_picks ? rng.split() : sim::Rng());
         // Only wired ports have buffers; a table naming any other
         // port is a routing bug, reported here rather than mid-run.
         sw.checkRoutesWired();
@@ -125,8 +124,6 @@ Network::attachEndpoint(router::WormholeRouter& sw, int sw_index,
 void
 Network::wireTopology(const Topology& topo)
 {
-    MW_ASSERT(topo.portsRequired() <= routerCfg_.numPorts);
-
     for (int r = 0; r < topo.numRouters(); ++r) {
         routers_.push_back(std::make_unique<router::WormholeRouter>(
             simOfRouter(r), routerCfg_, "router" + std::to_string(r)));

@@ -166,7 +166,6 @@ class Network
     std::vector<sim::Simulator*> sims_;
     ShardPlan plan_;
     config::RouterConfig routerCfg_;
-    config::NetworkConfig netCfg_;
     MetricsHub& metrics_;
     sim::Tick linkDelay_;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "network/topology.hh"
 #include "sim/logging.hh"
 
 namespace mediaworm::network {
@@ -16,7 +17,8 @@ planShards(const config::NetworkConfig& net, int requested_shards,
     if (net.topology == config::TopologyKind::SingleSwitch)
         return plan;
 
-    const int num_routers = net.numRouters();
+    // The single switch returned above, so no port count is read.
+    const int num_routers = Topology::build(net, 0).numRouters();
     int shards = requested_shards;
     if (shards == 0)
         shards = static_cast<int>(std::max(1u, hardware_threads));

@@ -55,7 +55,8 @@ namespace mediaworm::network {
 /** Route tables for every router of a topology, plus VC structure. */
 struct RoutingTables
 {
-    /** VC classes the tables assume (RouterConfig::vcClasses). */
+    /** VC classes the tables assume; each router takes it with its
+     *  table (WormholeRouter::setRouteTable). */
     int vcClasses = 1;
 
     /** True when any entry uses Select::AdaptiveEscape. */

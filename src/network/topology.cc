@@ -286,10 +286,18 @@ Topology::bufferBytes(const config::RouterConfig& router) const
 std::string
 Topology::budgetError(const config::RouterConfig& router) const
 {
+    char buf[200];
+    if (portsRequired_ > router.numPorts) {
+        std::snprintf(buf, sizeof(buf),
+                      "the %s needs %d-port routers, but the router "
+                      "has %d ports",
+                      config::toString(kind_), portsRequired_,
+                      router.numPorts);
+        return buf;
+    }
     const double bytes = bufferBytes(router);
     if (bytes <= kMaxBufferBytes)
         return {};
-    char buf[200];
     std::snprintf(buf, sizeof(buf),
                   "flit buffers need an estimated %.1f MiB (%d VCs x "
                   "%d-flit buffers on every wired port), over the "
@@ -301,14 +309,11 @@ Topology::budgetError(const config::RouterConfig& router) const
 }
 
 Topology
-Topology::build(const config::NetworkConfig& net)
+Topology::build(const config::NetworkConfig& net, int router_ports)
 {
     switch (net.topology) {
       case config::TopologyKind::SingleSwitch:
-        // The caller (Network) sizes the switch by its router
-        // config; the config layer records the paper's 8-port
-        // default via totalNodes().
-        return singleSwitch(net.singleSwitchPorts);
+        return singleSwitch(router_ports);
       case config::TopologyKind::FatMesh:
         return fatMesh(net.meshWidth, net.meshHeight, net.fatFactor,
                        net.endpointsPerSwitch);

@@ -90,8 +90,10 @@ class Topology
      */
     static Topology clos(int m, int n, int r);
 
-    /** Builds the graph described by a validated NetworkConfig. */
-    static Topology build(const config::NetworkConfig& net);
+    /** Builds the graph described by a validated NetworkConfig;
+     *  the single switch has @p router_ports ports. */
+    static Topology build(const config::NetworkConfig& net,
+                          int router_ports);
 
     config::TopologyKind kind() const { return kind_; }
     int numRouters() const { return numRouters_; }
@@ -139,8 +141,10 @@ class Topology
      */
     double bufferBytes(const config::RouterConfig& router) const;
 
-    /** Empty when bufferBytes() fits kMaxBufferBytes, otherwise a
-     *  diagnostic naming the estimate and the limit. */
+    /** Empty when the graph fits @p router: no router uses more
+     *  than router.numPorts ports and bufferBytes() fits
+     *  kMaxBufferBytes. Otherwise a diagnostic naming the first
+     *  budget exceeded, the need and the limit. */
     std::string budgetError(const config::RouterConfig& router) const;
 
     /** True when every router can reach every other router. */

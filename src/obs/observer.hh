@@ -30,6 +30,12 @@
 
 namespace mediaworm::obs {
 
+/** Flight-recorder ring capacity (events). */
+inline constexpr std::size_t kFlightRecorderCapacity = 512;
+
+/** Full-trace ring capacity (events). */
+inline constexpr std::size_t kTraceCapacity = std::size_t{1} << 20;
+
 /** Which observers a run attaches; everything defaults off. */
 struct ObsConfig
 {
@@ -39,14 +45,8 @@ struct ObsConfig
     /** Arm the crash-time flight recorder for the run. */
     bool flightRecorder = false;
 
-    /** Flight-recorder ring capacity (events). */
-    std::size_t flightRecorderCapacity = 512;
-
     /** Record the full flit trace (for Chrome-trace export). */
     bool trace = false;
-
-    /** Trace ring capacity (events). */
-    std::size_t traceCapacity = 1 << 20;
 
     /** Restrict the trace to one stream; invalid = all streams. */
     sim::StreamId traceStream;

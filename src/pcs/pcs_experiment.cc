@@ -6,7 +6,6 @@
 
 #include "network/metrics.hh"
 #include "pcs/pcs_network.hh"
-#include "sim/logging.hh"
 #include "sim/simulator.hh"
 #include "traffic/frame_source.hh"
 
@@ -15,15 +14,8 @@ namespace mediaworm::pcs {
 PcsExperimentResult
 runPcsExperiment(const PcsExperimentConfig& cfg)
 {
-    if (cfg.timeScale <= 0.0 || cfg.timeScale > 1.0)
-        sim::fatal("runPcsExperiment: timeScale %.3f out of (0,1]",
-                   cfg.timeScale);
-
-    config::TrafficConfig traffic = cfg.traffic;
-    traffic.frameBytesMean *= cfg.timeScale;
-    traffic.frameBytesStddev *= cfg.timeScale;
-    traffic.frameInterval = static_cast<sim::Tick>(
-        static_cast<double>(traffic.frameInterval) * cfg.timeScale);
+    const config::TrafficConfig traffic =
+        cfg.traffic.scaled(cfg.timeScale);
     cfg.pcs.validate();
     traffic.validate();
 
@@ -71,18 +63,10 @@ runPcsExperiment(const PcsExperimentConfig& cfg)
         sources.back()->start();
     }
 
-    const sim::Tick warm = static_cast<sim::Tick>(
-                               traffic.warmupFrames + 1)
-        * traffic.frameInterval;
     sim::CallbackEvent enable_event(
         [&] { metrics.enable(simulator.now()); }, "enableMetrics");
-    simulator.schedule(enable_event, warm);
-
-    const sim::Tick horizon = static_cast<sim::Tick>(
-                                  traffic.warmupFrames
-                                  + traffic.measuredFrames + 1)
-        * traffic.frameInterval;
-    simulator.run(horizon * 8 + 100 * sim::kMillisecond);
+    simulator.schedule(enable_event, traffic.warmupEnd());
+    simulator.run(traffic.horizon() * 8 + 100 * sim::kMillisecond);
 
     result.truncated = !simulator.queue().empty();
     if (result.truncated)

@@ -10,7 +10,7 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
                                const config::RouterConfig& cfg,
                                std::string name)
     : simulator_(simulator), cfg_(cfg), name_(std::move(name)),
-      cycleTime_(cfg.cycleTime())
+      cycleTime_(cfg.cycleTime()), classLanes_(cfg.numVcs)
 {
     cfg_.validate();
 
@@ -107,9 +107,12 @@ WormholeRouter::connectOutputLink(int port, Link& link,
 }
 
 void
-WormholeRouter::setRouteTable(RouteTable table, sim::Rng pick_rng)
+WormholeRouter::setRouteTable(RouteTable table, int vc_classes,
+                              sim::Rng pick_rng)
 {
+    MW_ASSERT(vc_classes >= 1 && vc_classes <= cfg_.numVcs);
     routeTable_ = std::move(table);
+    classLanes_ = cfg_.numVcs / vc_classes;
     pickRng_ = pick_rng;
 }
 
@@ -213,7 +216,7 @@ WormholeRouter::startRouting(int port, int vc)
     ivc.state = InputVcState::Routing;
     simulator_.scheduleAfter(
         ivc.routeEvent,
-        static_cast<sim::Tick>(cfg_.headerPipelineCycles) * cycle());
+        static_cast<sim::Tick>(config::kHeaderPipelineCycles) * cycle());
 }
 
 void
@@ -232,12 +235,11 @@ WormholeRouter::routeComputed(int port, int vc)
 
     // VC-class mapping: class -1 keeps the legacy identity (output
     // VC = the header's lane); class c maps into the c-th band of
-    // lanes = numVcs / vcClasses output VCs.
-    const int lanes = cfg_.numVcs / cfg_.vcClasses;
+    // classLanes_ output VCs.
     const auto map_vc = [&](int i) {
         const int cls = candidates.vcClasses[static_cast<std::size_t>(i)];
         return cls < 0 ? static_cast<int>(header.vcLane)
-                       : cls * lanes + header.vcLane % lanes;
+                       : cls * classLanes_ + header.vcLane % classLanes_;
     };
 
     int choice;
@@ -458,7 +460,7 @@ WormholeRouter::serveInputMux(int port)
     const bool is_tail = op.xbarFlit.isTail();
     simulator_.scheduleAfter(
         op.xbarEvent,
-        static_cast<sim::Tick>(cfg_.crossbarCycles) * cycle());
+        static_cast<sim::Tick>(config::kCrossbarCycles) * cycle());
 
     if (ip.link)
         ip.link->sendCredit(v);
@@ -513,7 +515,7 @@ WormholeRouter::serveInputVc(int port, int vc)
     ivc.serverBusy = true;
     simulator_.scheduleAfter(
         ivc.serveEvent,
-        static_cast<sim::Tick>(cfg_.crossbarCycles) * cycle());
+        static_cast<sim::Tick>(config::kCrossbarCycles) * cycle());
 
     InputPort& ip = inputAt(port);
     if (ip.link)

@@ -52,7 +52,8 @@ namespace mediaworm::router {
  * Each candidate pairs an output port with a VC class. Class -1 is
  * the legacy mapping (output VC = the header's vcLane verbatim);
  * class c >= 0 maps the message into the c-th band of the output VCs
- * (out_vc = c * lanes + vcLane % lanes, lanes = numVcs / vcClasses).
+ * (out_vc = c * lanes + vcLane % lanes, lanes = numVcs / the route
+ * table's class count).
  * VC classes are how the deterministic policies stay deadlock-free
  * on wrapped topologies (torus dateline classes) and how adaptive
  * routing keeps its escape subnetwork separate.
@@ -144,10 +145,14 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
 
     /**
      * Installs the route table, which must cover every destination
-     * node id; headers route with one array load. @p pick_rng draws
-     * the Select::Random picks. Must be set before traffic.
+     * node id; headers route with one array load. @p vc_classes is
+     * the number of VC classes the table's candidates name (in
+     * [1, numVcs]); each class owns numVcs / vc_classes output VCs.
+     * @p pick_rng draws the Select::Random picks. Must be set before
+     * traffic.
      */
-    void setRouteTable(RouteTable table, sim::Rng pick_rng = sim::Rng());
+    void setRouteTable(RouteTable table, int vc_classes = 1,
+                       sim::Rng pick_rng = sim::Rng());
 
     /**
      * Panics, naming this router, the destination and the port, if
@@ -592,6 +597,9 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     sim::Tick cycleTime_;
 
     RouteTable routeTable_;
+    /** Output VCs per VC class: numVcs / the route table's class
+     *  count. */
+    int classLanes_;
     sim::Rng pickRng_; ///< Draws Select::Random candidates.
 
     // Fixed arrays: ports embed events and cannot be moved.

@@ -29,7 +29,6 @@ FrameSource::FrameSource(sim::Simulator& simulator, const Stream& stream,
       rng_(rng), flitBytes_(flit_size_bits / 8),
       messageFlits_(cfg.messageFlits),
       totalFrames_(cfg.warmupFrames + cfg.measuredFrames),
-      anchorTail_(cfg.anchorFrameTail),
       event_(this, "FrameSource")
 {
     MW_ASSERT(flit_size_bits % 8 == 0);
@@ -103,10 +102,14 @@ FrameSource::beginFrame()
         2, 1 + static_cast<int>(std::ceil(
                    last_payload / static_cast<double>(flitBytes_))));
     messageIndex_ = 0;
-    if (anchorTail_ && messagesThisFrame_ > 1) {
+    if (messagesThisFrame_ > 1) {
         // Spread messages so the frame's last message always lands
         // one nominal gap before the next frame start, decoupling
         // the frame-completion instant from the VBR message count.
+        // Otherwise that instant wobbles with the count, a source
+        // quantization artifact time-scale compression would inflate
+        // ~1/timeScale in the normalised sigma_d; anchored, sigma_d
+        // measures network jitter only.
         messageGap_ = (stream_.frameInterval - nominalGap_)
             / static_cast<sim::Tick>(messagesThisFrame_ - 1);
     } else {

@@ -72,7 +72,6 @@ class FrameSource
     int flitBytes_;
     int messageFlits_;
     int totalFrames_;
-    bool anchorTail_;
     sim::Tick nominalGap_ = 0; ///< Frame interval / nominal messages.
 
     // GoP pattern state (MpegGop kind only).

@@ -158,10 +158,10 @@ computeBounds(const config::RouterConfig& router,
     if (streams.empty())
         return out;
 
-    const int num_nodes = net.totalNodes(router.numPorts);
     const calculus::StreamEnvelope envelope =
         calculus::rtStreamEnvelope(router, traffic, oracle);
     const calculus::RouteModel model(router, net);
+    const int num_nodes = model.numNodes();
 
     if (!model.analyzable()) {
         for (const traffic::Stream& s : streams)

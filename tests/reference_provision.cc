@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "calculus/route_model.hh"
+#include "network/topology.hh"
 #include "sim/random.hh"
 #include "sim/time.hh"
 #include "traffic/traffic_mix.hh"
@@ -16,17 +17,15 @@ provisionGrid(const config::RouterConfig& router,
               const config::NetworkConfig& net, std::uint64_t seed,
               double time_scale, const calculus::OracleConfig& oracle)
 {
-    config::TrafficConfig scaled = traffic;
-    scaled.frameBytesMean *= time_scale;
-    scaled.frameBytesStddev *= time_scale;
-    scaled.frameInterval = static_cast<sim::Tick>(
-        static_cast<double>(scaled.frameInterval) * time_scale);
+    const config::TrafficConfig scaled = traffic.scaled(time_scale);
 
     const double capacity = calculus::linkCapacityFlitsPerUs(router);
     const double base_stamp_rate =
         static_cast<double>(sim::kMicrosecond)
         / static_cast<double>(scaled.streamVtick(router.flitSizeBits));
     const int steps = 24;
+    const int num_nodes =
+        network::Topology::build(net, router.numPorts).numNodes();
 
     std::vector<ProvisionRow> grid;
     for (const int num_vcs : {4, 8, 16, 32, 64}) {
@@ -53,8 +52,8 @@ provisionGrid(const config::RouterConfig& router,
             sim::Rng net_rng = root.split();
             (void)net_rng;
             sim::Rng mix_rng = root.split();
-            const traffic::MixPlan plan = traffic::planMix(
-                r, t, net.totalNodes(r.numPorts), mix_rng);
+            const traffic::MixPlan plan =
+                traffic::planMix(r, t, num_nodes, mix_rng);
             calculus::OracleConfig ocfg = oracle;
             ocfg.enabled = true;
             const calculus::BoundsReport report =

@@ -355,7 +355,7 @@ TEST(RouteModel, RouterHopsCountTheWalkedRoute)
         SCOPED_TRACE(net.describe());
         net.validate(router.numPorts);
         const RouteModel model(router, net);
-        const int nodes = net.totalNodes(router.numPorts);
+        const int nodes = model.numNodes();
         for (int src = 0; src < nodes; ++src) {
             for (int dst = 0; dst < nodes; ++dst) {
                 if (src == dst)

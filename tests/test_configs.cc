@@ -9,6 +9,7 @@
 #include "config/network_config.hh"
 #include "config/router_config.hh"
 #include "config/traffic_config.hh"
+#include "network/topology.hh"
 
 namespace {
 
@@ -78,13 +79,6 @@ TEST(RouterConfigDeath, RejectsBadBuffers)
                 "flitBufferDepth");
 }
 
-TEST(RouterConfigDeath, RejectsBadPipeline)
-{
-    RouterConfig cfg;
-    cfg.headerPipelineCycles = 0;
-    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1), "pipeline");
-}
-
 TEST(RouterConfig, EnumNames)
 {
     EXPECT_STREQ(toString(SchedulerKind::Fifo), "fifo");
@@ -152,6 +146,33 @@ TEST(TrafficConfigDeath, RejectsOneFlitMessages)
     EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1), "flits");
 }
 
+TEST(TrafficConfig, ScaledCompressesFrameSizeAndInterval)
+{
+    TrafficConfig cfg;
+    const TrafficConfig scaled = cfg.scaled(0.05);
+    EXPECT_EQ(scaled.frameBytesMean, 16666.0 * 0.05);
+    EXPECT_EQ(scaled.frameBytesStddev, 3333.0 * 0.05);
+    EXPECT_EQ(scaled.frameInterval,
+              static_cast<sim::Tick>(
+                  static_cast<double>(33 * kMillisecond) * 0.05));
+    // Bandwidth, load and message geometry are untouched.
+    EXPECT_DOUBLE_EQ(scaled.streamRateMbps(), cfg.streamRateMbps());
+    EXPECT_EQ(scaled.inputLoad, cfg.inputLoad);
+    EXPECT_EQ(scaled.messageFlits, cfg.messageFlits);
+    const TrafficConfig full = cfg.scaled(1.0);
+    EXPECT_EQ(full.frameBytesMean, cfg.frameBytesMean);
+    EXPECT_EQ(full.frameInterval, cfg.frameInterval);
+}
+
+TEST(TrafficConfigDeath, ScaledRejectsTimeScaleOutsideUnitInterval)
+{
+    TrafficConfig cfg;
+    EXPECT_EXIT(cfg.scaled(0.0), testing::ExitedWithCode(1),
+                "timeScale 0\\.000 out of \\(0,1\\]");
+    EXPECT_EXIT(cfg.scaled(1.5), testing::ExitedWithCode(1),
+                "timeScale 1\\.500 out of \\(0,1\\]");
+}
+
 TEST(TrafficConfig, DescribeMentionsMix)
 {
     TrafficConfig cfg;
@@ -165,8 +186,8 @@ TEST(TrafficConfig, DescribeMentionsMix)
 TEST(NetworkConfig, SingleSwitchNodesEqualPorts)
 {
     NetworkConfig cfg;
-    EXPECT_EQ(cfg.totalNodes(8), 8);
-    cfg.validate(8);
+    cfg.validate();
+    EXPECT_EQ(network::Topology::build(cfg, 8).numNodes(), 8);
 }
 
 TEST(NetworkConfig, FatMeshNodeCount)
@@ -176,18 +197,11 @@ TEST(NetworkConfig, FatMeshNodeCount)
     cfg.meshWidth = 2;
     cfg.meshHeight = 2;
     cfg.endpointsPerSwitch = 4;
-    EXPECT_EQ(cfg.totalNodes(8), 16);
-    cfg.validate(8); // 4 endpoints + 2 neighbours * 2 fat links = 8
-}
-
-TEST(NetworkConfigDeath, RejectsPortOverflow)
-{
-    NetworkConfig cfg;
-    cfg.topology = TopologyKind::FatMesh;
-    cfg.meshWidth = 3; // middle column has 3 neighbours
-    cfg.meshHeight = 2;
-    cfg.endpointsPerSwitch = 4;
-    EXPECT_EXIT(cfg.validate(8), testing::ExitedWithCode(1), "port");
+    cfg.validate();
+    const network::Topology topo = network::Topology::build(cfg, 8);
+    EXPECT_EQ(topo.numNodes(), 16);
+    // 4 endpoints + 2 neighbours * 2 fat links = 8.
+    EXPECT_EQ(topo.portsRequired(), 8);
 }
 
 TEST(NetworkConfigDeath, RejectsFatFactorBeyondRouteCandidates)

@@ -173,7 +173,6 @@ TEST_F(FrameSourceTest, AnchoredTailLandsOneNominalGapBeforeNextFrame)
 {
     config::TrafficConfig cfg;
     cfg.realTimeKind = config::RealTimeKind::Vbr;
-    cfg.anchorFrameTail = true;
     cfg.warmupFrames = 0;
     cfg.measuredFrames = 6;
     run(cfg);

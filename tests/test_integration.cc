@@ -39,10 +39,7 @@ struct Harness
         traffic.warmupFrames = 1;
         traffic.measuredFrames = 2;
         // Compressed workload (like ExperimentConfig.timeScale 0.05).
-        traffic.frameBytesMean *= 0.05;
-        traffic.frameBytesStddev *= 0.05;
-        traffic.frameInterval = static_cast<Tick>(
-            static_cast<double>(traffic.frameInterval) * 0.05);
+        traffic = traffic.scaled(0.05);
 
         netRng = simulator.rng().split();
         net = std::make_unique<network::Network>(
@@ -56,10 +53,7 @@ struct Harness
                 net->ni(stream.src.value()), simulator.rng().split()));
             sources.back()->start();
         }
-        const Tick horizon =
-            static_cast<Tick>(traffic.warmupFrames
-                              + traffic.measuredFrames + 1)
-            * traffic.frameInterval;
+        const Tick horizon = traffic.horizon();
         for (int node = 0;
              plan.beInterval != kTickNever && node < net->numNodes();
              ++node) {

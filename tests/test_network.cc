@@ -186,4 +186,20 @@ TEST_F(NetworkTest, LeastLoadedSpreadsAcrossFatLinks)
         << "all traffic funnelled through one fat link";
 }
 
+using NetworkDeathTest = NetworkTest;
+
+TEST_F(NetworkDeathTest, RejectsFewerVcsThanRoutingClasses)
+{
+    // Dimension-order routing on a torus splits the VCs into two
+    // dateline classes, so one VC cannot carry it.
+    routerCfg.numVcs = 1;
+    netCfg.meshWidth = 4;
+    netCfg.meshHeight = 4;
+    netCfg.endpointsPerSwitch = 1;
+    EXPECT_EXIT(build(config::TopologyKind::Torus),
+                testing::ExitedWithCode(1),
+                "dimension-order routing on the torus needs 2 VC "
+                "classes, but numVcs is 1");
+}
+
 } // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "calculus/oracle.hh"
+#include "network/topology.hh"
 #include "reference_oracle.hh"
 #include "sim/random.hh"
 #include "traffic/traffic_mix.hh"
@@ -40,18 +41,18 @@ makeCase(std::string name, const config::RouterConfig& router,
          config::TrafficConfig traffic, const config::NetworkConfig& net,
          double time_scale, std::uint64_t seed = 1)
 {
-    traffic.frameBytesMean *= time_scale;
-    traffic.frameBytesStddev *= time_scale;
-    traffic.frameInterval = static_cast<sim::Tick>(
-        static_cast<double>(traffic.frameInterval) * time_scale);
+    traffic = traffic.scaled(time_scale);
     sim::Rng root(seed);
     sim::Rng net_rng = root.split();
     (void)net_rng;
     sim::Rng mix_rng = root.split();
     OracleCase c{std::move(name), router, traffic, net, {}};
-    c.streams = traffic::planMix(router, traffic,
-                                 net.totalNodes(router.numPorts), mix_rng)
-                    .streams;
+    c.streams =
+        traffic::planMix(router, traffic,
+                         network::Topology::build(net, router.numPorts)
+                             .numNodes(),
+                         mix_rng)
+            .streams;
     return c;
 }
 

@@ -221,6 +221,29 @@ TEST(Topology, BudgetRejectsTheTorusBadAllocReproducer)
     EXPECT_TRUE(torus.budgetError(router).empty());
 }
 
+TEST(Topology, BudgetRejectsPortOverflow)
+{
+    config::RouterConfig router; // 8 ports
+    // 3x2 fat mesh: the middle column has 3 neighbours, so 4
+    // endpoints + 3 x 2 fat links need 10 ports.
+    std::string error =
+        Topology::fatMesh(3, 2, 2, 4).budgetError(router);
+    EXPECT_NE(error.find("fat-mesh needs 10-port routers"),
+              std::string::npos) << error;
+    EXPECT_NE(error.find("has 8 ports"), std::string::npos) << error;
+    // Clos leaf: n = 6 endpoints + m = 3 uplinks.
+    error = Topology::clos(3, 6, 4).budgetError(router);
+    EXPECT_NE(error.find("clos needs 9-port routers"), std::string::npos)
+        << error;
+    // Clos spine: one port per leaf, r = 12.
+    error = Topology::clos(2, 2, 12).budgetError(router);
+    EXPECT_NE(error.find("clos needs 12-port routers"),
+              std::string::npos) << error;
+    // Exactly full routers fit.
+    EXPECT_TRUE(Topology::clos(4, 4, 8).budgetError(router).empty());
+    EXPECT_TRUE(Topology::fatMesh(2, 2, 2, 4).budgetError(router).empty());
+}
+
 // --- Routing delivery ------------------------------------------------------
 
 /**

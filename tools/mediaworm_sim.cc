@@ -237,8 +237,20 @@ main(int argc, char** argv)
         return 0;
     }
 
-    if (pcs_mode)
+    if (pcs_mode) {
+        // The PCS baseline runs one point on its own single switch.
+        for (const char* name :
+             {"loads", "json-out", "json-timing", "replications",
+              "topology", "routing", "bounds", "provision", "telemetry",
+              "trace-out", "shards", "flight-recorder"}) {
+            if (parser.given(name)) {
+                std::fprintf(stderr, "--%s does not apply to --pcs\n",
+                             name);
+                return 2;
+            }
+        }
         return runPcs(load, frames, scale, seed, csv);
+    }
 
     std::vector<double> loads{load};
     if (!loads_arg.empty()) {
@@ -329,11 +341,9 @@ main(int argc, char** argv)
         base.traffic.reservedRateFactor = alloc.reservedRateFactor;
     }
 
-    // The single switch takes its size from the router, as in Network.
-    config::NetworkConfig sized = base.network;
-    sized.singleSwitchPorts = base.router.numPorts;
     if (const std::string error =
-            network::Topology::build(sized).budgetError(base.router);
+            network::Topology::build(base.network, base.router.numPorts)
+                .budgetError(base.router);
         !error.empty()) {
         std::fprintf(stderr, "--vcs/--buffers: %s\n", error.c_str());
         return 2;
