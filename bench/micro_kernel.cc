@@ -250,7 +250,7 @@ BM_EndToEndExperimentTelemetry(benchmark::State& state)
         cfg.traffic.warmupFrames = 1;
         cfg.traffic.measuredFrames = 2;
         cfg.timeScale = 0.05;
-        cfg.obs.telemetry.enabled = true;
+        cfg.obs.telemetry = true;
         const core::ExperimentResult result =
             core::runExperiment(cfg);
         benchmark::DoNotOptimize(result.eventsFired);

@@ -108,13 +108,16 @@ main()
     for (const auto& link : net.links()) {
         if (link->name().find("sw") != 0)
             continue; // only inter-switch fat channels
+        // Utilization: the share of the run the link spent sending,
+        // one flit per cycle.
+        const std::uint64_t flits = link->flitsSent();
         links.addRow(
             {link->name(),
-             core::Table::num(static_cast<std::int64_t>(
-                 link->flitRate().count())),
-             core::Table::num(link->flitRate().utilization(
-                                  simulator.now(),
-                                  router_cfg.cycleTime()),
+             core::Table::num(static_cast<std::int64_t>(flits)),
+             core::Table::num(static_cast<double>(flits)
+                                  * static_cast<double>(
+                                      router_cfg.cycleTime())
+                                  / static_cast<double>(simulator.now()),
                               3)});
     }
     std::printf("Inter-switch fat-channel usage (least-loaded "

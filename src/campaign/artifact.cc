@@ -182,17 +182,17 @@ toJson(const Campaign& campaign, const ArtifactOptions& options)
         json.key("counts");
         writeCounts(json, point.first());
         const auto& obs0 = point.first().observations;
-        if (obs0 != nullptr && obs0->hasTelemetry) {
+        const obs::TelemetryReport* telemetry0 =
+            obs0 != nullptr && obs0->telemetry ? &*obs0->telemetry
+                                               : nullptr;
+        if (telemetry0 != nullptr) {
             json.key("telemetry");
-            writeTelemetry(json, obs0->telemetry);
+            writeTelemetry(json, *telemetry0);
         }
         const auto& bounds0 = point.first().bounds;
         if (bounds0 != nullptr) {
             json.key("bounds");
-            writeBounds(json, *bounds0,
-                        obs0 != nullptr && obs0->hasTelemetry
-                            ? &obs0->telemetry
-                            : nullptr);
+            writeBounds(json, *bounds0, telemetry0);
         }
         json.endObject();
     }

@@ -1,12 +1,13 @@
 #include "campaign/campaign.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <thread>
 
 #include "campaign/seeds.hh"
-#include "campaign/thread_pool.hh"
 #include "sim/cpus.hh"
 #include "sim/logging.hh"
 
@@ -125,16 +126,15 @@ const std::vector<PointSummary>&
 Campaign::run()
 {
     const auto start = std::chrono::steady_clock::now();
-    const int reps = cfg_.replications;
+    const auto reps = static_cast<std::size_t>(cfg_.replications);
     const int jobs = effectiveJobs();
-    const std::size_t total = points_.size()
-        * static_cast<std::size_t>(reps);
+    const std::size_t total = points_.size() * reps;
 
     results_.clear();
     results_.resize(points_.size());
     for (std::size_t i = 0; i < points_.size(); ++i) {
         results_[i].label = points_[i].label;
-        results_[i].reps.resize(static_cast<std::size_t>(reps));
+        results_[i].reps.resize(reps);
     }
 
     std::mutex progressMutex;
@@ -164,26 +164,22 @@ Campaign::run()
         std::fflush(stderr);
     };
 
-    if (jobs == 1) {
-        // Inline sequential path: identical semantics, no threads.
-        for (std::size_t p = 0; p < points_.size(); ++p) {
-            for (int r = 0; r < reps; ++r) {
-                runOne(p, r);
-                tick();
-            }
+    // The calling thread and jobs - 1 helpers claim flat
+    // (point, replication) indices from one counter until none are
+    // left; every run writes only its own pre-allocated slot.
+    std::atomic<std::size_t> next{0};
+    auto work = [&] {
+        for (std::size_t i = next++; i < total; i = next++) {
+            runOne(i / reps, static_cast<int>(i % reps));
+            tick();
         }
-    } else {
-        ThreadPool pool(jobs);
-        for (std::size_t p = 0; p < points_.size(); ++p) {
-            for (int r = 0; r < reps; ++r) {
-                pool.submit([this, p, r, &tick] {
-                    runOne(p, r);
-                    tick();
-                });
-            }
-        }
-        pool.wait();
-    }
+    };
+    std::vector<std::thread> helpers;
+    for (int t = 1; t < jobs && static_cast<std::size_t>(t) < total; ++t)
+        helpers.emplace_back(work);
+    work();
+    for (std::thread& helper : helpers)
+        helper.join();
 
     aggregatePoints();
 

@@ -4,8 +4,8 @@
  *
  * A Campaign is a list of labelled experiment points, each run
  * `replications` times with deterministically derived seeds (see
- * seeds.hh), fanned out across a worker-thread pool and aggregated
- * into per-metric mean / stddev / 95% confidence intervals.
+ * seeds.hh), fanned out across worker threads and aggregated into
+ * per-metric mean / stddev / 95% confidence intervals.
  *
  * Determinism contract: every (point, replication) run receives a
  * seed that depends only on (point seed, point index, replication
@@ -34,9 +34,10 @@ namespace mediaworm::campaign {
 struct CampaignConfig
 {
     /**
-     * Worker threads; 1 runs inline (the classic sequential path),
-     * 0 means one per usable CPU (sim::usableCpus) divided by the
-     * widest point's shard count (Campaign::effectiveJobs).
+     * Worker threads, the calling thread included (1 runs
+     * everything on the caller); 0 means one per usable CPU
+     * (sim::usableCpus) divided by the widest point's shard count
+     * (Campaign::effectiveJobs).
      */
     int jobs = 1;
 
@@ -115,7 +116,7 @@ class Campaign
     /**
      * Adds a custom point executed through @p runner; @p seedRoot
      * feeds the same derivation as addPoint. Used to drive non-core
-     * experiments (PCS) through the same pool and aggregation.
+     * experiments (PCS) through the same fan-out and aggregation.
      */
     int addJob(std::string label, Runner runner,
                std::uint64_t seedRoot);

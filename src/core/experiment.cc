@@ -128,17 +128,11 @@ runExperiment(const ExperimentConfig& cfg)
     std::vector<std::unique_ptr<obs::StreamTelemetry>> telemetry;
     std::unique_ptr<obs::FlightRecorder> recorder;
     if (cfg.obs.any()) {
-        const std::size_t ring_capacity = cfg.obs.trace
-            ? obs::kTraceCapacity
-            : obs::kFlightRecorderCapacity;
-        observations =
-            std::make_shared<obs::RunObservations>(ring_capacity);
-        if (cfg.obs.telemetry.enabled) {
-            obs::TelemetryConfig tcfg = cfg.obs.telemetry;
-            if (tcfg.window <= 0)
-                tcfg.window = 4 * traffic.frameInterval;
-            if (tcfg.measureFrom == 0)
-                tcfg.measureFrom = warm;
+        observations = std::make_shared<obs::RunObservations>();
+        if (cfg.obs.telemetry) {
+            obs::TelemetryConfig tcfg;
+            tcfg.window = 4 * traffic.frameInterval;
+            tcfg.measureFrom = warm;
             tcfg.flitSizeBits = cfg.router.flitSizeBits;
             // One collector per shard so observation stays lock-free;
             // the reports merge exactly after the run (windows are
@@ -154,13 +148,12 @@ runExperiment(const ExperimentConfig& cfg)
             }
         }
         if (cfg.obs.trace || cfg.obs.flightRecorder) {
-            observations->hasTrace = true;
-            if (cfg.obs.traceStream.valid())
-                observations->trace.filterStream(cfg.obs.traceStream);
-            net.attachTracer(observations->trace);
+            sim::Tracer& tracer = observations->trace.emplace(
+                cfg.obs.trace ? obs::kTraceCapacity
+                              : obs::kFlightRecorderCapacity);
+            net.attachTracer(tracer);
             if (cfg.obs.flightRecorder) {
-                recorder = std::make_unique<obs::FlightRecorder>(
-                    observations->trace);
+                recorder = std::make_unique<obs::FlightRecorder>(tracer);
                 recorder->arm();
             }
         }
@@ -238,21 +231,17 @@ runExperiment(const ExperimentConfig& cfg)
     result.simulatedMs = sim::toMilliseconds(cap);
 
     if (!telemetry.empty()) {
-        observations->hasTelemetry = true;
         std::vector<obs::TelemetryReport> reports;
         reports.reserve(telemetry.size());
         for (auto& collector : telemetry)
             reports.push_back(collector->finish(cap));
         observations->telemetry =
             obs::StreamTelemetry::merge(std::move(reports));
-        observations->telemetry.timeScale = cfg.timeScale;
+        observations->telemetry->timeScale = cfg.timeScale;
     }
     if (!shard_stats.empty()) {
-        if (observations == nullptr) {
-            observations = std::make_shared<obs::RunObservations>(
-                obs::kFlightRecorderCapacity);
-        }
-        observations->hasShards = true;
+        if (observations == nullptr)
+            observations = std::make_shared<obs::RunObservations>();
         observations->shards = std::move(shard_stats);
     }
     result.observations = std::move(observations);

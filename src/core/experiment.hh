@@ -74,8 +74,7 @@ struct ExperimentConfig
     /**
      * Observability: per-stream telemetry, flight recorder, event
      * trace. All off by default; enabling any of them changes no
-     * deterministic output (see obs/observer.hh). A telemetry window
-     * of 0 defaults to 4 scaled frame intervals.
+     * deterministic output (see obs/observer.hh).
      */
     obs::ObsConfig obs;
 

@@ -28,7 +28,6 @@
 #include "campaign/campaign.hh"
 #include "campaign/json.hh"
 #include "campaign/seeds.hh"
-#include "campaign/thread_pool.hh"
 #include "config/network_config.hh"
 #include "config/router_config.hh"
 #include "config/traffic_config.hh"

@@ -214,8 +214,7 @@ Network::registerStats(stats::Registry& registry) const
         const router::Link* raw = link.get();
         registry.add("link." + raw->name() + ".flits",
                      "flits transmitted", [raw] {
-                         return static_cast<double>(
-                             raw->flitRate().count());
+                         return static_cast<double>(raw->flitsSent());
                      });
     }
 }

@@ -17,7 +17,6 @@ NetworkInterface::NetworkInterface(sim::Simulator& simulator,
       muxEvent_(this, "NetworkInterface::mux")
 {
     arb_.init(cfg.injectionScheduler, /*num_ports=*/1, cfg.numVcs);
-    muxEvent_.setBatchSink(this, 0);
     simulator_.addLazyDrain(this);
 }
 
@@ -26,19 +25,6 @@ NetworkInterface::muxFired()
 {
     mux_.fired();
     serveMux();
-}
-
-void
-NetworkInterface::fireBatch(sim::Event& first)
-{
-    // The mux event is this sink's only member type; pull same-tick
-    // members straight from the live queue (see
-    // WormholeRouter::fireBatch for the ordering argument).
-    sim::Event* e = &first;
-    do {
-        muxFired();
-        e = simulator_.nextBatchMember(this);
-    } while (e != nullptr);
 }
 
 std::uint64_t
@@ -86,7 +72,7 @@ NetworkInterface::injectMessage(const traffic::MessageDesc& message)
     }
 
     const sim::Tick now = simulator_.now();
-    if (tracer_ != nullptr && tracer_->accepts(message.stream)) {
+    if (tracer_ != nullptr) {
         tracer_->record({now, sim::TracePoint::HostInject,
                          message.stream, message.seq, -1,
                          node_.value(), -1, message.vcLane});
@@ -149,7 +135,7 @@ void
 NetworkInterface::receiveFlit(const router::Flit& flit, int vc)
 {
     const sim::Tick now = simulator_.now();
-    if (tracer_ != nullptr && tracer_->accepts(flit.stream)) {
+    if (tracer_ != nullptr) {
         tracer_->record({now, sim::TracePoint::Eject, flit.stream,
                          flit.message, flit.index, node_.value(), -1,
                          vc});
@@ -226,7 +212,7 @@ NetworkInterface::serveMux()
     injectionLink_->sendFlit(flit, v);
     ++flitsInjected_;
     --backlogFlits_;
-    if (tracer_ != nullptr && tracer_->accepts(flit.stream)) {
+    if (tracer_ != nullptr) {
         tracer_->record({simulator_.now(),
                          sim::TracePoint::NetworkLaunch, flit.stream,
                          flit.message, flit.index, node_.value(), -1,

@@ -40,16 +40,17 @@ namespace mediaworm::network {
 /**
  * One endpoint's injection/ejection machinery.
  *
- * Like the router, the NI participates in batched dispatch (its mux
- * event carries an opcode and fires through fireBatch) and lazy-tick
- * elision (an injection-mux wakeup with nothing eligible is skipped;
- * sim::LazyDrain settles the accounting). Per-VC credits and Virtual
- * Clock state live in flat arrays (DESIGN.md section 13).
+ * Its one event, the injection-mux wakeup, fires through plain
+ * per-event dispatch: it is never due twice in one tick, so a
+ * sim::BatchSink would only ever see one-member batches. Like the
+ * router, the NI takes part in lazy-tick elision (an injection-mux
+ * wakeup with nothing eligible is skipped; sim::LazyDrain settles the
+ * accounting). Per-VC credits and Virtual Clock state live in flat
+ * arrays (DESIGN.md section 13).
  */
 class NetworkInterface final : public traffic::Injector,
                                public router::FlitReceiver,
                                public router::CreditReceiver,
-                               public sim::BatchSink,
                                public sim::LazyDrain
 {
   public:
@@ -87,10 +88,6 @@ class NetworkInterface final : public traffic::Injector,
 
     // router::CreditReceiver (injection credits)
     void creditReturned(int vc) override;
-
-    // sim::BatchSink: the NI has a single event (the injection mux),
-    // so the batch loop needs no opcode switch.
-    void fireBatch(sim::Event& first) override;
 
     // sim::LazyDrain: end-of-run accounting for elided mux wakeups.
     std::uint64_t flushLazy(sim::Tick until) override;

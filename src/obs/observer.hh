@@ -22,6 +22,7 @@
 #define MEDIAWORM_OBS_OBSERVER_HH
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "obs/telemetry.hh"
@@ -39,8 +40,10 @@ inline constexpr std::size_t kTraceCapacity = std::size_t{1} << 20;
 /** Which observers a run attaches; everything defaults off. */
 struct ObsConfig
 {
-    /** Per-stream sliding-window telemetry. */
-    TelemetryConfig telemetry;
+    /** Per-stream sliding-window telemetry; runExperiment() derives
+     *  the collector's window, steady-state start and flit size
+     *  from the run. */
+    bool telemetry = false;
 
     /** Arm the crash-time flight recorder for the run. */
     bool flightRecorder = false;
@@ -48,38 +51,27 @@ struct ObsConfig
     /** Record the full flit trace (for Chrome-trace export). */
     bool trace = false;
 
-    /** Restrict the trace to one stream; invalid = all streams. */
-    sim::StreamId traceStream;
-
     /** True if any observer is enabled. */
     bool
     any() const
     {
-        return telemetry.enabled || flightRecorder || trace;
+        return telemetry || flightRecorder || trace;
     }
 };
 
 /** What an observed run hands back. */
 struct RunObservations
 {
-    /** @param traceCapacity Ring size for the shared event trace. */
-    explicit RunObservations(std::size_t traceCapacity)
-        : trace(traceCapacity)
-    {
-    }
+    /** Present when telemetry was requested. */
+    std::optional<TelemetryReport> telemetry;
 
-    bool hasTelemetry = false;
-    TelemetryReport telemetry;
+    /** Present when the trace or the flight recorder was requested;
+     *  the ring holds the recent events. */
+    std::optional<sim::Tracer> trace;
 
-    /** True when the trace ring was attached (trace or flight
-     *  recorder requested); the ring holds the recent events. */
-    bool hasTrace = false;
-    sim::Tracer trace;
-
-    /** True when the run executed on >1 shard; shards then holds one
-     *  entry per shard (queue occupancy high-water marks, mailbox
-     *  traffic, and time blocked on the lookahead barriers). */
-    bool hasShards = false;
+    /** One entry per shard when the run executed on >1 shard (queue
+     *  occupancy high-water marks, mailbox traffic, and time blocked
+     *  on the lookahead barriers); empty otherwise. */
     std::vector<sim::ShardRunStats> shards;
 };
 

@@ -36,7 +36,7 @@ StreamTelemetry::stateFor(sim::StreamId stream)
     // incremented by the caller after this returns, and only reset
     // when the window closes), so this pushes exactly once per stream
     // per window.
-    if (state.flitRate.count() == 0 && state.windowFrames == 0)
+    if (state.windowFlits == 0 && state.windowFrames == 0)
         activeInWindow_.push_back(stream);
     return state;
 }
@@ -57,7 +57,7 @@ StreamTelemetry::closeWindow()
     std::sort(activeInWindow_.begin(), activeInWindow_.end());
     for (sim::StreamId id : activeInWindow_) {
         StreamState& state = streams_[id];
-        const std::uint64_t flits = state.flitRate.count();
+        const std::uint64_t flits = state.windowFlits;
         if (flits == 0 && state.windowFrames == 0)
             continue;
         TelemetrySample sample;
@@ -74,7 +74,7 @@ StreamTelemetry::closeWindow()
             * static_cast<double>(cfg_.flitSizeBits)
             / sim::toSeconds(cfg_.window) / 1e6;
         state.samples.push_back(sample);
-        state.flitRate.reset(end);
+        state.windowFlits = 0;
         state.windowIntervals.reset();
         state.windowFrames = 0;
     }
@@ -105,7 +105,7 @@ void
 StreamTelemetry::recordFlit(sim::StreamId stream, sim::Tick now)
 {
     rollWindows(now);
-    stateFor(stream).flitRate.add();
+    ++stateFor(stream).windowFlits;
     ++observations_;
 }
 

@@ -31,24 +31,20 @@
 #include "sim/ids.hh"
 #include "sim/time.hh"
 #include "stats/accumulator.hh"
-#include "stats/rate_monitor.hh"
 
 namespace mediaworm::obs {
 
-/** Collector knobs, carried inside core::ExperimentConfig. */
+/** Collector parameters; runExperiment() derives them from the run. */
 struct TelemetryConfig
 {
-    /** Master switch; disabled collectors are never constructed and
-     *  the MetricsHub hooks stay null-pointer no-ops. */
-    bool enabled = false;
-
-    /** Sample window width; 0 lets runExperiment() default it to
-     *  four (scaled) frame intervals. */
+    /** Sample window width (> 0); four scaled frame intervals in
+     *  runExperiment(). */
     sim::Tick window = 0;
 
     /** Deliveries before this tick are excluded from the per-stream
      *  overall (steady-state) aggregates; the time series keeps
-     *  them, so the warmup transient stays visible. */
+     *  them, so the warmup transient stays visible. runExperiment()
+     *  passes the warmup end. */
     sim::Tick measureFrom = 0;
 
     /** Flit payload size, for bandwidth conversion. */
@@ -117,7 +113,7 @@ struct TelemetryReport
 class StreamTelemetry
 {
   public:
-    /** @param cfg Validated config; cfg.window must be > 0 here. */
+    /** @param cfg Collector parameters; cfg.window must be > 0. */
     explicit StreamTelemetry(const TelemetryConfig& cfg);
 
     /** Observes delivery of a complete frame of @p stream. */
@@ -159,7 +155,7 @@ class StreamTelemetry
     struct StreamState
     {
         // Current-window accumulators.
-        stats::RateMonitor flitRate;
+        std::uint64_t windowFlits = 0;
         stats::Accumulator windowIntervals;
         std::uint64_t windowFrames = 0;
         // Cross-window state.

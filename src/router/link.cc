@@ -57,7 +57,7 @@ void
 Link::sendFlit(const Flit& flit, int vc)
 {
     MW_ASSERT(receiver_ != nullptr);
-    flitRate_.add();
+    ++flitsSent_;
     const sim::Tick deliver_at = senderSim_->now() + delay_;
     if (crossShard_) {
         flitOutbox_.push_back({flit, vc, deliver_at});

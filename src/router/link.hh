@@ -34,7 +34,6 @@
 #include "router/ring.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
-#include "stats/rate_monitor.hh"
 
 namespace mediaworm::router {
 
@@ -131,11 +130,8 @@ class Link
      *  the sender shard's worker. @return Credit entries moved. */
     std::uint64_t flushCreditOutbox();
 
-    /** Flits transmitted since the last stats reset. */
-    stats::RateMonitor& flitRate() { return flitRate_; }
-
-    /** Flits transmitted since the last stats reset (read-only). */
-    const stats::RateMonitor& flitRate() const { return flitRate_; }
+    /** Flits transmitted since construction. */
+    std::uint64_t flitsSent() const { return flitsSent_; }
 
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
@@ -186,7 +182,7 @@ class Link
     sim::MemberFuncEvent<&Link::deliverFlits> flitEvent_;
     sim::MemberFuncEvent<&Link::deliverCredits> creditEvent_;
 
-    stats::RateMonitor flitRate_;
+    std::uint64_t flitsSent_ = 0;
 };
 
 } // namespace mediaworm::router

@@ -169,7 +169,7 @@ WormholeRouter::flitArrived(int port, int vc, const Flit& flit)
     }
     stamped.stamp = vclock.tick(simulator_.now());
     stamped.arrivalSeq = nextInputSeq_++;
-    if (tracer_ != nullptr && tracer_->accepts(stamped.stream)) {
+    if (tracer_ != nullptr) {
         tracer_->record({simulator_.now(),
                          sim::TracePoint::RouterArrive, stamped.stream,
                          stamped.message, stamped.index,
@@ -192,9 +192,7 @@ WormholeRouter::flitArrived(int port, int vc, const Flit& flit)
 void
 WormholeRouter::creditArrived(int port, int vc)
 {
-    // Credits carry no stream identity, so a stream-filtered tracer
-    // drops them (accepts(invalid) is false once a filter is set).
-    if (tracer_ != nullptr && tracer_->accepts(sim::StreamId())) {
+    if (tracer_ != nullptr) {
         tracer_->record({simulator_.now(),
                          sim::TracePoint::CreditReturn, sim::StreamId(),
                          0, 0, traceLocation_, port, vc});
@@ -619,7 +617,7 @@ WormholeRouter::serveOutputMux(int port)
     const bool is_tail = flit.isTail();
     op.link->sendFlit(flit, v);
     ++flitsForwarded_;
-    if (tracer_ != nullptr && tracer_->accepts(flit.stream)) {
+    if (tracer_ != nullptr) {
         tracer_->record({simulator_.now(),
                          sim::TracePoint::RouterDepart, flit.stream,
                          flit.message, flit.index, traceLocation_,

@@ -25,15 +25,21 @@ class Event;
 /**
  * Coalescing target for batched dispatch.
  *
- * A component (router, network interface) registers itself as the
- * batch sink of its hot-path events. When Simulator::run() pops such
- * an event it makes ONE virtual fireBatch() call and the sink then
- * pulls every remaining same-tick event targeting it via
- * Simulator::nextBatchMember(), dispatching each through a direct
- * (non-virtual) opcode switch. Service order stays bit-identical to
- * per-event dispatch because members are popped one at a time from
- * the live queue under the same (when, seq) total order - an event
- * inserted mid-batch lands in its correct position.
+ * A component registers itself as the batch sink of its hot-path
+ * events. When Simulator::run() pops such an event it makes ONE
+ * virtual fireBatch() call and the sink then pulls every remaining
+ * same-tick event targeting it via Simulator::nextBatchMember(),
+ * dispatching each through a direct (non-virtual) opcode switch.
+ * Service order stays bit-identical to per-event dispatch because
+ * members are popped one at a time from the live queue under the
+ * same (when, seq) total order - an event inserted mid-batch lands in
+ * its correct position.
+ *
+ * Only the router is a sink: its many per-port and per-VC events
+ * fall due together. A network interface has one event, the
+ * injection-mux wakeup, which is never due twice in one tick (it
+ * re-arms a cycle ahead and is kicked only from other components'
+ * events), so it would only ever form one-member batches.
  */
 class BatchSink
 {

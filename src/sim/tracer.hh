@@ -3,11 +3,11 @@
  * Flit-level event tracing.
  *
  * A Tracer is an optional ring buffer of timestamped flit lifecycle
- * records that the network components fill when one is attached.
- * Filtered by stream to keep volume manageable, it answers the
- * questions simulator users actually ask: where did this message
- * spend its time, in what order did its flits move, and which hop
- * blocked it.
+ * records that the network components fill when one is attached. It
+ * answers the questions simulator users actually ask: where did this
+ * message spend its time, in what order did its flits move, and
+ * which hop blocked it. The ring bounds the volume: it keeps the
+ * newest records of every stream.
  */
 
 #ifndef MEDIAWORM_SIM_TRACER_HH
@@ -51,25 +51,12 @@ struct TraceRecord
     std::int32_t vc = -1;   ///< VC lane at the point.
 };
 
-/** Bounded ring of TraceRecords with a stream filter. */
+/** Bounded ring of TraceRecords. */
 class Tracer
 {
   public:
     /** @param capacity Records retained (oldest evicted first). */
     explicit Tracer(std::size_t capacity = 65536);
-
-    /**
-     * Restricts recording to one stream. An invalid id (the default)
-     * records every stream.
-     */
-    void filterStream(StreamId stream) { filter_ = stream; }
-
-    /** True if @p stream passes the filter. */
-    bool
-    accepts(StreamId stream) const
-    {
-        return !filter_.valid() || filter_ == stream;
-    }
 
     /** Appends a record (evicting the oldest when full). */
     void record(const TraceRecord& entry);
@@ -99,7 +86,6 @@ class Tracer
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::uint64_t totalRecorded_ = 0;
-    StreamId filter_;
 };
 
 } // namespace mediaworm::sim

@@ -64,10 +64,4 @@ Accumulator::stddev() const
     return std::sqrt(variance());
 }
 
-double
-Accumulator::sampleStddev() const
-{
-    return std::sqrt(sampleVariance());
-}
-
 } // namespace mediaworm::stats

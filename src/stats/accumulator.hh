@@ -47,9 +47,6 @@ class Accumulator
     /** Population standard deviation. */
     double stddev() const;
 
-    /** Sample standard deviation. */
-    double sampleStddev() const;
-
     /** Sum of all samples. */
     double sum() const { return mean_ * static_cast<double>(count_); }
 

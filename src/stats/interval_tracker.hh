@@ -42,9 +42,6 @@ class IntervalTracker
      */
     void enable() { enabled_ = true; }
 
-    /** Stops measurement (deliveries still update baselines). */
-    void disable() { enabled_ = false; }
-
     /** True while measurement is running. */
     bool enabled() const { return enabled_; }
 

@@ -523,7 +523,7 @@ TEST(ArtifactV3, RoundTripsThroughTheParser)
     base.traffic.warmupFrames = 0;
     base.traffic.measuredFrames = 2;
     base.timeScale = 0.02;
-    base.obs.telemetry.enabled = true;
+    base.obs.telemetry = true;
     base.calculus.enabled = true;
     base.traffic.inputLoad = 0.5;
 

@@ -37,7 +37,7 @@ miniature(config::SchedulerKind scheduler, double load)
     cfg.traffic.measuredFrames = 6;
     cfg.timeScale = 0.1;
     cfg.seed = 1;
-    cfg.obs.telemetry.enabled = true;
+    cfg.obs.telemetry = true;
     cfg.calculus.enabled = true;
     return cfg;
 }
@@ -53,13 +53,13 @@ expectSimulationWithinBounds(const core::ExperimentResult& r)
     EXPECT_NE(r.bounds, nullptr);
     EXPECT_NE(r.observations, nullptr);
     if (r.bounds == nullptr || r.observations == nullptr
-        || !r.observations->hasTelemetry)
+        || !r.observations->telemetry)
         return 0;
 
     int checked = 0;
     for (const calculus::StreamBound& b : r.bounds->streams) {
         const obs::StreamSeries* series =
-            r.observations->telemetry.find(b.stream);
+            r.observations->telemetry->find(b.stream);
         if (series == nullptr || series->messages == 0)
             continue;
         if (!b.bounded)
@@ -228,9 +228,9 @@ TEST(CalculusBounds, ProvisionedAllocationMeetsTheSla)
 
     // Zero violations: every observed worst delay is inside the SLA.
     ASSERT_TRUE(r.observations != nullptr
-                && r.observations->hasTelemetry);
+                && r.observations->telemetry.has_value());
     for (const obs::StreamSeries& series :
-         r.observations->telemetry.streams) {
+         r.observations->telemetry->streams) {
         if (series.messages == 0)
             continue;
         EXPECT_LE(series.worstMessageDelayUs, request.slaUs)

@@ -215,7 +215,7 @@ TEST(Determinism, ObserversDoNotPerturbTheHash)
     const ExperimentResult plain = runExperiment(goldenConfig1());
 
     ExperimentConfig observed_cfg = goldenConfig1();
-    observed_cfg.obs.telemetry.enabled = true;
+    observed_cfg.obs.telemetry = true;
     observed_cfg.obs.trace = true;
     observed_cfg.obs.flightRecorder = true;
     const ExperimentResult observed = runExperiment(observed_cfg);
@@ -225,10 +225,10 @@ TEST(Determinism, ObserversDoNotPerturbTheHash)
 
     // And the observations themselves arrived.
     ASSERT_NE(observed.observations, nullptr);
-    EXPECT_TRUE(observed.observations->hasTelemetry);
-    EXPECT_TRUE(observed.observations->hasTrace);
-    EXPECT_GT(observed.observations->trace.size(), 0u);
-    EXPECT_FALSE(observed.observations->telemetry.streams.empty());
+    EXPECT_TRUE(observed.observations->telemetry.has_value());
+    ASSERT_TRUE(observed.observations->trace.has_value());
+    EXPECT_GT(observed.observations->trace->size(), 0u);
+    EXPECT_FALSE(observed.observations->telemetry->streams.empty());
     EXPECT_EQ(plain.observations, nullptr);
 }
 

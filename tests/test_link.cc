@@ -177,7 +177,7 @@ TEST(Link, CountsTransmittedFlits)
     });
     simulator.schedule(send, 0);
     simulator.runToCompletion();
-    EXPECT_EQ(link.flitRate().count(), 3u);
+    EXPECT_EQ(link.flitsSent(), 3u);
 }
 
 TEST(Link, ExposesNameAndDelay)

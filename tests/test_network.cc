@@ -127,7 +127,7 @@ TEST_F(NetworkTest, FatMeshSameSwitchTrafficStaysLocal)
     // No inter-switch link carried any flits.
     for (const auto& link : net->links()) {
         if (link->name().find("sw") == 0) {
-            EXPECT_EQ(link->flitRate().count(), 0u) << link->name();
+            EXPECT_EQ(link->flitsSent(), 0u) << link->name();
         }
     }
 }
@@ -142,7 +142,7 @@ TEST_F(NetworkTest, FatMeshDiagonalTakesTwoHops)
     std::uint64_t inter_switch = 0;
     for (const auto& link : net->links()) {
         if (link->name().find("sw") == 0)
-            inter_switch += link->flitRate().count();
+            inter_switch += link->flitsSent();
     }
     EXPECT_EQ(inter_switch, 10u);
 }
@@ -178,8 +178,8 @@ TEST_F(NetworkTest, LeastLoadedSpreadsAcrossFatLinks)
     std::vector<std::uint64_t> east_counts;
     for (const auto& link : net->links()) {
         if (link->name().find("sw0") == 0
-            && link->flitRate().count() > 0) {
-            east_counts.push_back(link->flitRate().count());
+            && link->flitsSent() > 0) {
+            east_counts.push_back(link->flitsSent());
         }
     }
     EXPECT_GE(east_counts.size(), 2u)

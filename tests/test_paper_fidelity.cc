@@ -55,7 +55,7 @@ runPoint(config::SchedulerKind scheduler, double load)
     cfg.traffic.measuredFrames = 6;
     cfg.timeScale = 0.1;
     cfg.seed = 1;
-    cfg.obs.telemetry.enabled = true;
+    cfg.obs.telemetry = true;
 
     campaign::CampaignConfig ccfg;
     ccfg.jobs = 0; // All hardware threads.
@@ -151,8 +151,8 @@ TEST_F(PaperFidelity, PerStreamTelemetryBacksTheAggregates)
     // what the end-of-run aggregates cannot show (a scheduler could
     // starve one stream while the mean stays flat).
     ASSERT_NE(vc10_->rep0.observations, nullptr);
-    ASSERT_TRUE(vc10_->rep0.observations->hasTelemetry);
-    const obs::TelemetryReport& t = vc10_->rep0.observations->telemetry;
+    ASSERT_TRUE(vc10_->rep0.observations->telemetry.has_value());
+    const obs::TelemetryReport& t = *vc10_->rep0.observations->telemetry;
     ASSERT_GT(t.timeScale, 0.0);
     ASSERT_FALSE(t.streams.empty());
 
@@ -177,8 +177,9 @@ TEST_F(PaperFidelity, PerStreamTelemetryBacksTheAggregates)
     // FIFO at load 1.0: the worst stream is strictly worse than the
     // Virtual Clock worst stream.
     ASSERT_NE(fifo10_->rep0.observations, nullptr);
+    ASSERT_TRUE(fifo10_->rep0.observations->telemetry.has_value());
     const obs::TelemetryReport& f =
-        fifo10_->rep0.observations->telemetry;
+        *fifo10_->rep0.observations->telemetry;
     EXPECT_GT(f.worstStddevMs, t.worstStddevMs);
 }
 

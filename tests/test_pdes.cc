@@ -588,8 +588,10 @@ TEST(PdesDeterminism, ShardedRunReportsExecutorStats)
     cfg.shards = 4;
     const ExperimentResult r = runExperiment(cfg);
     ASSERT_NE(r.observations, nullptr);
-    ASSERT_TRUE(r.observations->hasShards);
     ASSERT_EQ(r.observations->shards.size(), 4u);
+    // Shard stats alone attach no observer.
+    EXPECT_FALSE(r.observations->trace.has_value());
+    EXPECT_FALSE(r.observations->telemetry.has_value());
     std::uint64_t events = 0;
     std::uint64_t mailbox_items = 0;
     for (const sim::ShardRunStats& s : r.observations->shards) {
@@ -605,7 +607,7 @@ TEST(PdesDeterminism, ShardedRunReportsExecutorStats)
 TEST(PdesDeterminism, TelemetryMergesAcrossShardsWithoutPerturbing)
 {
     ExperimentConfig cfg = fig9Miniature();
-    cfg.obs.telemetry.enabled = true;
+    cfg.obs.telemetry = true;
 
     cfg.shards = 1;
     const ExperimentResult single = runExperiment(cfg);
@@ -617,8 +619,10 @@ TEST(PdesDeterminism, TelemetryMergesAcrossShardsWithoutPerturbing)
 
     ASSERT_NE(single.observations, nullptr);
     ASSERT_NE(sharded.observations, nullptr);
-    const obs::TelemetryReport& a = single.observations->telemetry;
-    const obs::TelemetryReport& b = sharded.observations->telemetry;
+    ASSERT_TRUE(single.observations->telemetry.has_value());
+    ASSERT_TRUE(sharded.observations->telemetry.has_value());
+    const obs::TelemetryReport& a = *single.observations->telemetry;
+    const obs::TelemetryReport& b = *sharded.observations->telemetry;
     ASSERT_EQ(a.streams.size(), b.streams.size());
     EXPECT_EQ(a.worstStream, b.worstStream);
     EXPECT_EQ(a.worstStddevMs, b.worstStddevMs);

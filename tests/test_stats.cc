@@ -12,7 +12,6 @@
 #include "stats/accumulator.hh"
 #include "stats/histogram.hh"
 #include "stats/interval_tracker.hh"
-#include "stats/rate_monitor.hh"
 #include "stats/registry.hh"
 
 namespace {
@@ -165,35 +164,6 @@ TEST(Histogram, ToStringMentionsStats)
     hist.add(5.0);
     const std::string text = hist.toString();
     EXPECT_NE(text.find("n=1"), std::string::npos);
-}
-
-// --- RateMonitor ---------------------------------------------------------------
-
-TEST(RateMonitor, RatePerSecond)
-{
-    RateMonitor rate;
-    rate.reset(0);
-    rate.add(1000);
-    EXPECT_DOUBLE_EQ(rate.ratePerSecond(kSecond), 1000.0);
-    EXPECT_DOUBLE_EQ(rate.ratePerSecond(kSecond / 2), 2000.0);
-}
-
-TEST(RateMonitor, UtilizationFromServiceTime)
-{
-    RateMonitor rate;
-    rate.reset(0);
-    // 5000 flits of 80 ns on a 1 ms window = 40% utilization.
-    rate.add(5000);
-    EXPECT_NEAR(rate.utilization(kMillisecond, nanoseconds(80)), 0.4,
-                1e-12);
-}
-
-TEST(RateMonitor, ZeroWindowIsZero)
-{
-    RateMonitor rate;
-    rate.reset(100);
-    rate.add(5);
-    EXPECT_DOUBLE_EQ(rate.ratePerSecond(100), 0.0);
 }
 
 // --- IntervalTracker --------------------------------------------------------------

@@ -28,7 +28,6 @@ TelemetryConfig
 windowConfig(sim::Tick window)
 {
     TelemetryConfig cfg;
-    cfg.enabled = true;
     cfg.window = window;
     cfg.measureFrom = 0;
     cfg.flitSizeBits = 32;
@@ -323,7 +322,7 @@ TEST(ArtifactV2, TelemetrySectionSerialisedWhenEnabled)
     cfg.traffic.measuredFrames = 2;
     cfg.traffic.inputLoad = 0.4;
     cfg.timeScale = 0.02;
-    cfg.obs.telemetry.enabled = true;
+    cfg.obs.telemetry = true;
 
     campaign::CampaignConfig ccfg;
     ccfg.replications = 1;
@@ -349,7 +348,7 @@ TEST(ArtifactV2, TelemetrySectionSerialisedWhenEnabled)
     // v1 compatibility: disabling telemetry removes the member and
     // nothing else changes structurally.
     core::ExperimentConfig off = cfg;
-    off.obs.telemetry.enabled = false;
+    off.obs.telemetry = false;
     campaign::Campaign camp_off(ccfg);
     camp_off.addPoint("p0", off);
     camp_off.run();
@@ -366,7 +365,7 @@ TEST(ArtifactV2, TelemetryIdenticalAcrossJobsCounts)
         cfg.traffic.measuredFrames = 2;
         cfg.traffic.inputLoad = 0.4;
         cfg.timeScale = 0.02;
-        cfg.obs.telemetry.enabled = true;
+        cfg.obs.telemetry = true;
         campaign::CampaignConfig ccfg;
         ccfg.jobs = jobs;
         ccfg.replications = 2;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the flit tracer: ring semantics, filtering, and the
- * record sequence a message leaves across a network.
+ * Tests for the flit tracer: ring semantics and the record sequence
+ * a message leaves across a network.
  */
 
 #include <vector>
@@ -18,11 +18,11 @@ using namespace mediaworm::sim;
 using namespace mediaworm::network;
 
 TraceRecord
-entry(Tick when, StreamId stream = StreamId(1))
+entry(Tick when)
 {
     TraceRecord record;
     record.when = when;
-    record.stream = stream;
+    record.stream = StreamId(1);
     return record;
 }
 
@@ -51,15 +51,6 @@ TEST(Tracer, RingEvictsOldest)
         times.push_back(r.when);
     });
     EXPECT_EQ(times, (std::vector<Tick>{6, 7, 8, 9}));
-}
-
-TEST(Tracer, FilterAcceptsOnlyChosenStream)
-{
-    Tracer tracer(8);
-    EXPECT_TRUE(tracer.accepts(StreamId(1)));
-    tracer.filterStream(StreamId(7));
-    EXPECT_TRUE(tracer.accepts(StreamId(7)));
-    EXPECT_FALSE(tracer.accepts(StreamId(8)));
 }
 
 TEST(Tracer, ClearKeepsTotals)
@@ -128,36 +119,6 @@ TEST(TracerIntegration, MessageLeavesCompleteLifecycle)
             EXPECT_GE(record.when, last);
             last = record.when;
         }
-    });
-}
-
-TEST(TracerIntegration, StreamFilterDropsOtherTraffic)
-{
-    Simulator simulator;
-    config::RouterConfig cfg;
-    config::NetworkConfig net_cfg;
-    MetricsHub metrics;
-    Rng rng(3);
-    Network net(simulator, cfg, net_cfg, metrics, rng);
-
-    Tracer tracer(1024);
-    tracer.filterStream(StreamId(1));
-    net.attachTracer(tracer);
-
-    for (int stream = 0; stream < 4; ++stream) {
-        traffic::MessageDesc desc;
-        desc.stream = StreamId(stream);
-        desc.dest = NodeId(5);
-        desc.vcLane = stream % cfg.numVcs;
-        desc.vtick = microseconds(8);
-        desc.numFlits = 3;
-        net.ni(stream % 4).injectMessage(desc);
-    }
-    simulator.runToCompletion();
-
-    EXPECT_EQ(tracer.totalRecorded(), 13u);
-    tracer.forEach([&](const TraceRecord& record) {
-        EXPECT_EQ(record.stream, StreamId(1));
     });
 }
 

@@ -6,8 +6,8 @@
  * load sweep - with every knob the paper varies exposed as an
  * option. The wormhole path builds one campaign::Campaign point per
  * --loads value (labelled load=%.2f), as the bench binaries do;
- * points x replications run on the campaign's worker pool, sized by
- * --jobs (0 = usable CPUs / --shards). Output is a human-readable
+ * points x replications run on the campaign's worker threads, sized
+ * by --jobs (0 = usable CPUs / --shards). Output is a human-readable
  * report, the standard-column table as CSV, or a JSON campaign
  * artifact.
  *
@@ -238,11 +238,16 @@ main(int argc, char** argv)
     }
 
     if (pcs_mode) {
-        // The PCS baseline runs one point on its own single switch.
+        // The PCS baseline runs one point of its own fixed router on
+        // its own single switch; it reads only --load, --frames,
+        // --scale, --seed and --csv.
         for (const char* name :
              {"loads", "json-out", "json-timing", "replications",
-              "topology", "routing", "bounds", "provision", "telemetry",
-              "trace-out", "shards", "flight-recorder"}) {
+              "topology", "routing", "bounds", "provision", "sla-ms",
+              "telemetry", "trace-out", "shards", "flight-recorder",
+              "vcs", "buffers", "link-mbps", "mix", "message-flits",
+              "scheduler", "crossbar", "rt-kind", "placement", "stats",
+              "jobs"}) {
             if (parser.given(name)) {
                 std::fprintf(stderr, "--%s does not apply to --pcs\n",
                              name);
@@ -309,7 +314,7 @@ main(int argc, char** argv)
     base.timeScale = scale;
     base.seed = static_cast<std::uint64_t>(seed);
     base.shards = shards;
-    base.obs.telemetry.enabled = telemetry;
+    base.obs.telemetry = telemetry;
     base.obs.flightRecorder = flight_recorder;
     base.obs.trace = !trace_out.empty();
     base.calculus.enabled = bounds_flag || provision_mode;
@@ -367,11 +372,11 @@ main(int argc, char** argv)
 
     if (!trace_out.empty()) {
         const auto& obs0 = results[0].first().observations;
-        if (obs0 == nullptr || !obs0->hasTrace
-            || !obs::writeChromeTrace(trace_out, obs0->trace))
+        if (obs0 == nullptr || !obs0->trace
+            || !obs::writeChromeTrace(trace_out, *obs0->trace))
             return 1;
         std::fprintf(stderr, "wrote %s (%zu events)\n",
-                     trace_out.c_str(), obs0->trace.size());
+                     trace_out.c_str(), obs0->trace->size());
     }
 
     const core::Table table = tools::resultsTable(results, replications > 1);
@@ -420,9 +425,8 @@ main(int argc, char** argv)
                     s.mean("be_latency_us"),
                     s.mean("be_network_latency_us"),
                     static_cast<unsigned long long>(r.beMessages));
-        if (r.observations != nullptr
-            && r.observations->hasTelemetry) {
-            const obs::TelemetryReport& t = r.observations->telemetry;
+        if (r.observations != nullptr && r.observations->telemetry) {
+            const obs::TelemetryReport& t = *r.observations->telemetry;
             const double div = t.timeScale > 0.0 ? t.timeScale : 1.0;
             std::printf("Telemetry: %zu streams, worst sigma_d = "
                         "%.3f ms (stream %d), window %.2f ms "
@@ -453,12 +457,12 @@ main(int argc, char** argv)
                             b.streams.size(), b.unboundedStreams);
             }
             if (r.observations != nullptr
-                && r.observations->hasTelemetry) {
+                && r.observations->telemetry) {
                 double min_margin = calculus::kUnbounded;
                 int tightest = -1;
                 for (const calculus::StreamBound& sb : b.streams) {
                     const obs::StreamSeries* series =
-                        r.observations->telemetry.find(sb.stream);
+                        r.observations->telemetry->find(sb.stream);
                     if (series == nullptr || !sb.bounded)
                         continue;
                     const double margin =
