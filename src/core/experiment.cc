@@ -73,7 +73,7 @@ runExperiment(const ExperimentConfig& cfg)
 
     // Analytic delay bounds for the planned mix. Computed before the
     // run from configuration alone: no events, no RNG draws, so the
-    // simulation (and deterministicHash) is bit-identical with the
+    // simulation (and both digests) is bit-identical with the
     // oracle on or off.
     std::shared_ptr<const calculus::BoundsReport> bounds;
     if (cfg.calculus.enabled) {
@@ -123,7 +123,7 @@ runExperiment(const ExperimentConfig& cfg)
 
     // Observability. Every observer is passive - no scheduled events,
     // no RNG draws - so enabling any of them leaves the deterministic
-    // outputs (and deterministicHash) bit-identical.
+    // outputs (and both digests) bit-identical.
     std::shared_ptr<obs::RunObservations> observations;
     std::vector<std::unique_ptr<obs::StreamTelemetry>> telemetry;
     std::unique_ptr<obs::FlightRecorder> recorder;
@@ -289,7 +289,7 @@ fnv1a64(std::uint64_t h, std::uint64_t v)
 } // namespace
 
 std::uint64_t
-ExperimentResult::deterministicHash() const
+ExperimentResult::modelDigest() const
 {
     std::uint64_t h = 14695981039346656037ULL;
     h = fnv1a64(h, std::bit_cast<std::uint64_t>(meanIntervalMs));
@@ -304,11 +304,19 @@ ExperimentResult::deterministicHash() const
     h = fnv1a64(h, framesDelivered);
     h = fnv1a64(h, beMessages);
     h = fnv1a64(h, flitsDelivered);
-    h = fnv1a64(h, eventsFired);
     h = fnv1a64(h, static_cast<std::uint64_t>(rtStreams));
     h = fnv1a64(h, static_cast<std::uint64_t>(streamsPerNode));
     h = fnv1a64(h, std::bit_cast<std::uint64_t>(simulatedMs));
     h = fnv1a64(h, truncated ? 1u : 0u);
+    return h;
+}
+
+std::uint64_t
+ExperimentResult::kernelDigest() const
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    h = fnv1a64(h, eventsFired);
+    h = fnv1a64(h, elidedEvents);
     return h;
 }
 

@@ -54,8 +54,8 @@ struct ExperimentConfig
      * 1 (default) is the classic single-threaded run; 0 picks one
      * shard per usable CPU. Clamped to the router count, and a
      * single switch always runs on one shard. Any value produces
-     * bit-identical results - deterministicHash does not depend on
-     * it (tests/test_pdes.cc enforces this).
+     * bit-identical results - modelDigest and kernelDigest do not
+     * depend on it (tests/test_pdes.cc enforces this).
      */
     int shards = 1;
 
@@ -65,8 +65,8 @@ struct ExperimentConfig
      * coalesces same-tick events per router into one virtual
      * dispatch and skips provably-no-op multiplexer wakeups; off
      * restores the legacy per-event loop. Either setting produces
-     * bit-identical results - deterministicHash does not depend on
-     * it (tests/test_determinism.cc enforces this); the toggle
+     * bit-identical results - modelDigest and eventsFired do not
+     * depend on it (tests/test_determinism.cc enforces this); the toggle
      * exists for differential testing and benchmarking.
      */
     bool batchedDispatch = true;
@@ -81,7 +81,7 @@ struct ExperimentConfig
     /**
      * Network-calculus oracle: when enabled, per-stream worst-case
      * delay bounds are computed for the planned mix (pure analysis -
-     * no events, no RNG draws, deterministicHash unchanged) and
+     * no events, no RNG draws, both digests unchanged) and
      * attached to ExperimentResult::bounds.
      */
     calculus::OracleConfig calculus;
@@ -116,17 +116,17 @@ struct ExperimentResult
     std::uint64_t flitsDelivered = 0;   ///< All flits at sinks.
     std::uint64_t eventsFired = 0;      ///< Kernel events executed.
     /** Of eventsFired, no-op wakeups elided by sim::LazyTick: credited
-     *  (never popped or fired) so hashes match the per-event path
-     *  while the queue skips the traffic. Host-independent, but a
-     *  dispatch-mode knob, so - like timing - excluded from the
-     *  deterministic hash. */
+     *  (never popped or fired) so eventsFired matches the per-event
+     *  path while the queue skips the traffic. Host-independent, but
+     *  0 in the per-event dispatch mode, so it enters only
+     *  kernelDigest(). */
     std::uint64_t elidedEvents = 0;
     /** Simulated ticks the kernel clock jumped over without touching
      *  the calendar ring (idle gaps between events, plus the tail up
      *  to the cap), summed over shards. Purely a reporting counter:
      *  it depends on the shard count (each shard skips its own local
-     *  gaps), so - unlike eventsFired - it is excluded from the
-     *  deterministic hash. */
+     *  gaps), so - unlike eventsFired - it is excluded from both
+     *  digests. */
     std::uint64_t idleTicksSkipped = 0;
 
     int rtStreams = 0;       ///< Real-time streams offered.
@@ -143,15 +143,15 @@ struct ExperimentResult
     /**
      * Observations gathered when ExperimentConfig::obs enabled any
      * observer; null otherwise. Shared so campaign result copies stay
-     * cheap. Excluded from deterministicHash() - observation must
-     * never change what the digest fingerprints.
+     * cheap. Excluded from both digests - observation must never
+     * change what they fingerprint.
      */
     std::shared_ptr<obs::RunObservations> observations;
 
     /**
      * Analytic per-stream delay bounds, present when
      * ExperimentConfig::calculus was enabled; null otherwise. Like
-     * observations, excluded from deterministicHash() - the oracle
+     * observations, excluded from both digests - the oracle
      * reports on the run, it never participates in it.
      */
     std::shared_ptr<const calculus::BoundsReport> bounds;
@@ -160,15 +160,29 @@ struct ExperimentResult
     std::string describe() const;
 
     /**
-     * FNV-1a 64 digest over the deterministic fields (the doubles'
-     * bit patterns, not rounded values), in declaration order.
+     * FNV-1a 64 digest over the model outputs: every deterministic
+     * field except the kernel's event counts (the doubles' bit
+     * patterns, not rounded values), in declaration order.
      * Machine-dependent fields (wallSeconds, eventsPerSec) are
-     * excluded, so for a fixed config and seed the digest is a
-     * stable fingerprint of the whole simulation: any behavioural
-     * change anywhere in the kernel, router, or traffic path moves
-     * it. Used by the determinism regression tests.
+     * excluded too. For a fixed config and seed it fingerprints what
+     * the simulated network did: any behavioural change in the
+     * router, flow control, scheduling or traffic path moves it,
+     * while kernel work that changes only how many events a run
+     * costs does not. It is identical across shard counts and
+     * dispatch modes. Used by the determinism regression tests.
      */
-    std::uint64_t deterministicHash() const;
+    std::uint64_t modelDigest() const;
+
+    /**
+     * FNV-1a 64 digest over the kernel's work counts, eventsFired
+     * and elidedEvents. Both are host-independent and identical
+     * across shard counts, so this pins how many events a fixed
+     * run costs; it moves whenever the kernel schedules work
+     * differently (lazy link credits, elided wakeups) even though
+     * modelDigest() does not. elidedEvents is 0 in the per-event
+     * dispatch mode, so compare this digest within one mode only.
+     */
+    std::uint64_t kernelDigest() const;
 };
 
 /** Runs one experiment point to completion. */

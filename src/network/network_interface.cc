@@ -30,13 +30,29 @@ NetworkInterface::muxFired()
 std::uint64_t
 NetworkInterface::flushLazy(sim::Tick until)
 {
+    if (injectionLink_ != nullptr)
+        collectCredits(until);
     return mux_.flush(until);
 }
 
 bool
 NetworkInterface::lazyPending() const
 {
-    return mux_.pending();
+    return mux_.pending()
+        || (injectionLink_ != nullptr && injectionLink_->creditsPending());
+}
+
+void
+NetworkInterface::collectCredits(sim::Tick until)
+{
+    // Each collected credit is for a lane that was not starved when
+    // it fell due, so creditReturned()'s kick would have been a
+    // no-op then.
+    injectionLink_->collectCredits(
+        until, [this](int vc, int count, sim::Tick) {
+            credits_[static_cast<std::size_t>(vc)] += count;
+            refreshEligibility(vc);
+        });
 }
 
 void
@@ -63,6 +79,7 @@ NetworkInterface::injectMessage(const traffic::MessageDesc& message)
     MW_ASSERT(message.numFlits >= 2);
     MW_ASSERT(message.vcLane >= 0 && message.vcLane < cfg_.numVcs);
     MW_ASSERT(message.dest.valid() && message.dest != node_);
+    MW_ASSERT(injectionLink_ != nullptr);
     if (cfg_.switching == config::SwitchingKind::VirtualCutThrough
         && routerBufferDepth_ > 0
         && message.numFlits > routerBufferDepth_) {
@@ -95,6 +112,7 @@ NetworkInterface::injectMessage(const traffic::MessageDesc& message)
     nextArrivalSeq_ += static_cast<std::uint64_t>(message.numFlits);
     backlogFlits_ += static_cast<std::uint64_t>(message.numFlits);
 
+    collectCredits(now);
     InjectionVc& vc = vcs_[static_cast<std::size_t>(message.vcLane)];
     vc.messages.push_back(pending);
     if (vc.messages.size() == 1)
@@ -180,10 +198,20 @@ NetworkInterface::refreshEligibility(int vc_index)
         if (vc.next.isHeader() && credits < vc.next.messageFlits)
             ready = false;
     }
-    if (ready)
+    const std::uint64_t bit = std::uint64_t{1}
+        << static_cast<unsigned>(vc_index);
+    if (ready) {
         arb_.setEligible(0, vc_index, vc.next);
-    else
+        starvedMask_ &= ~bit;
+    } else {
         arb_.clearEligible(0, vc_index);
+        if (vc.messages.empty()) {
+            starvedMask_ &= ~bit;
+        } else if ((starvedMask_ & bit) == 0) {
+            starvedMask_ |= bit;
+            injectionLink_->awaitCredit();
+        }
+    }
 }
 
 void
@@ -199,6 +227,7 @@ NetworkInterface::serveMux()
     MW_DEBUG_ASSERT(!mux_.busy());
     MW_DEBUG_ASSERT(injectionLink_ != nullptr);
 
+    collectCredits(simulator_.now());
     if (!arb_.anyEligible(0))
         return;
 

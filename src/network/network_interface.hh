@@ -88,6 +88,7 @@ class NetworkInterface final : public traffic::Injector,
 
     // router::CreditReceiver (injection credits)
     void creditReturned(int vc) override;
+    std::uint64_t starvedVcs() const override { return starvedMask_; }
 
     // sim::LazyDrain: end-of-run accounting for elided mux wakeups.
     std::uint64_t flushLazy(sim::Tick until) override;
@@ -98,6 +99,14 @@ class NetworkInterface final : public traffic::Injector,
 
     /** Attaches a flit tracer; nullptr detaches. */
     void setTracer(sim::Tracer* tracer) { tracer_ = tracer; }
+
+    /** Credits VC @p vc holds for the router's input buffer
+     *  (applied credits only; see Link::creditsInFlight). */
+    int
+    credits(int vc) const
+    {
+        return credits_[static_cast<std::size_t>(vc)];
+    }
 
     /** Flits injected onto the link since construction. */
     std::uint64_t flitsInjected() const { return flitsInjected_; }
@@ -134,6 +143,13 @@ class NetworkInterface final : public traffic::Injector,
     /** Loads the front message's header flit into @p vc.next. */
     void loadHeader(int vc_index);
 
+    /**
+     * Applies the injection link's credits due at or before
+     * @p until (router/link.hh), without creditReturned()'s kick;
+     * call with now() before reading credits_.
+     */
+    void collectCredits(sim::Tick until);
+
     void kickMux();
     void serveMux();
     /** Mux service slot elapsed: serve the next flit. */
@@ -143,7 +159,9 @@ class NetworkInterface final : public traffic::Injector,
      * Re-derives VC @p vc 's eligibility bit: a queued head flit, a
      * credit, and (for virtual cut-through headers) enough credits to
      * launch the whole message. Called on enqueue, credit return and
-     * after every send - the only events that move the predicate.
+     * after every send - the only events that move the predicate. A
+     * queued VC that is not eligible is starved: it waits on a
+     * credit, and asks the link for the credit event.
      */
     void refreshEligibility(int vc);
 
@@ -159,6 +177,9 @@ class NetworkInterface final : public traffic::Injector,
     std::vector<InjectionVc> vcs_;
     // Data-oriented per-VC hot state, indexed by VC lane.
     std::vector<int> credits_;
+    /** Bit v = lane v has a queued flit it may not send for want of
+     *  credits (see refreshEligibility()). */
+    std::uint64_t starvedMask_ = 0;
     /** Per-lane stamping cursor: beginMessage() as a message's header
      *  is built, tick(injectTime) for each of its flits. */
     std::vector<router::VirtualClockState> vclock_;

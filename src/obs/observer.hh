@@ -10,8 +10,9 @@
  * a disabled observer leaves the simulation's hot paths at their
  * null-pointer-check no-ops, and none of the observers schedules
  * events or draws random numbers, so enabling them changes no
- * deterministic output (deterministicHash is bit-identical either
- * way - tests/test_determinism.cc enforces this).
+ * deterministic output (modelDigest and kernelDigest are
+ * bit-identical either way - tests/test_determinism.cc enforces
+ * this).
  *
  * RunObservations is what a run hands back: the telemetry report and
  * the trace ring, carried by shared_ptr in ExperimentResult so the

@@ -98,7 +98,6 @@ StreamTelemetry::recordFrameDelivery(sim::StreamId stream,
             state.overallIntervals.add(interval);
     }
     state.lastDelivery = now;
-    ++observations_;
 }
 
 void
@@ -106,7 +105,6 @@ StreamTelemetry::recordFlit(sim::StreamId stream, sim::Tick now)
 {
     rollWindows(now);
     ++stateFor(stream).windowFlits;
-    ++observations_;
 }
 
 void
@@ -119,7 +117,6 @@ StreamTelemetry::recordMessageDelay(sim::StreamId stream,
     ++state.totalMessages;
     state.worstMessageDelayUs =
         std::max(state.worstMessageDelayUs, delay_us);
-    ++observations_;
 }
 
 TelemetryReport

@@ -13,7 +13,7 @@
  * driven entirely by delivery observations, never by scheduled
  * events - so an attached collector observes the simulation without
  * perturbing it (same event count, same RNG draws, same
- * deterministicHash).
+ * digests).
  *
  * A parallel cumulative accumulator per stream (restricted to
  * deliveries at or after `measureFrom`, the steady-state boundary)
@@ -135,9 +135,6 @@ class StreamTelemetry
      *  @param end The simulation end time (>= every observation). */
     TelemetryReport finish(sim::Tick end);
 
-    /** Observations accepted so far (frames + flits). */
-    std::uint64_t observations() const { return observations_; }
-
     /**
      * Merges per-shard reports (one collector per shard, identical
      * configs) into the report a single whole-network collector would
@@ -179,7 +176,6 @@ class StreamTelemetry
     /** Streams with activity in the open window (avoids a full map
      *  scan per roll). */
     std::vector<sim::StreamId> activeInWindow_;
-    std::uint64_t observations_ = 0;
 };
 
 } // namespace mediaworm::obs

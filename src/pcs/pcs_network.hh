@@ -146,6 +146,13 @@ class PcsNetwork final : public traffic::Injector
         {
             owner_->creditArrived(node_, vc);
         }
+        // The PCS source mux never collects credits itself, so it
+        // takes each one from the link's event as it falls due.
+        std::uint64_t
+        starvedVcs() const override
+        {
+            return kAllVcs;
+        }
 
       private:
         PcsNetwork* owner_ = nullptr;

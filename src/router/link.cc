@@ -89,6 +89,8 @@ Link::sendCredit(int vc)
     // Coalesce with the newest entry when it matches; same-tick
     // credits for one VC collapse into a count, and delivery order
     // across VCs is untouched because only adjacent entries merge.
+    // A merged credit changes no wakeup: its entry already has one
+    // if its VC is starved.
     if (!creditPipe_.empty()) {
         InFlightCredit& newest = creditPipe_.back();
         if (newest.deliverAt == deliver_at && newest.vc == vc) {
@@ -97,8 +99,14 @@ Link::sendCredit(int vc)
         }
     }
     creditPipe_.push_back({vc, 1, deliver_at});
-    if (!creditEvent_.scheduled())
-        senderSim_->schedule(creditEvent_, creditPipe_.front().deliverAt);
+    // Any earlier credit for a starved VC already holds the event,
+    // and delivery times are monotone, so only an idle event needs
+    // this credit's VC checked.
+    if (!creditEvent_.scheduled()
+        && ((creditReceiver_->starvedVcs() >> static_cast<unsigned>(vc))
+            & 1)) {
+        senderSim_->schedule(creditEvent_, deliver_at);
+    }
 }
 
 std::uint64_t
@@ -127,9 +135,37 @@ Link::flushCreditOutbox()
     for (const InFlightCredit& entry : creditOutbox_)
         creditPipe_.push_back(entry);
     creditOutbox_.clear();
-    if (!creditEvent_.scheduled())
-        senderSim_->schedule(creditEvent_, creditPipe_.front().deliverAt);
+    // The decision sendCredit() makes on one shard, taken late: the
+    // flush comes before any moved credit falls due, and a starved VC
+    // stays starved until a credit for it arrives.
+    armCreditEvent();
     return moved;
+}
+
+int
+Link::flitsInFlight(int vc) const
+{
+    int count = 0;
+    for (std::size_t i = 0; i < flitPipe_.size(); ++i)
+        count += flitPipe_[i].vc == vc ? 1 : 0;
+    for (const InFlightFlit& entry : flitOutbox_)
+        count += entry.vc == vc ? 1 : 0;
+    return count;
+}
+
+int
+Link::creditsInFlight(int vc) const
+{
+    int count = 0;
+    for (std::size_t i = 0; i < creditPipe_.size(); ++i) {
+        if (creditPipe_[i].vc == vc)
+            count += creditPipe_[i].count;
+    }
+    for (const InFlightCredit& entry : creditOutbox_) {
+        if (entry.vc == vc)
+            count += entry.count;
+    }
+    return count;
 }
 
 void
@@ -152,7 +188,12 @@ Link::deliverFlits()
 void
 Link::deliverCredits()
 {
+    // Scheduled for a credit to a starved VC. Every credit due now
+    // gets the sender's full per-credit reaction, in pipe order, just
+    // as a delivery event per tick would apply it; the sender's own
+    // collects and wakeups stand aside until the walk ends.
     const sim::Tick now = senderSim_->now();
+    delivering_ = true;
     while (!creditPipe_.empty()
            && creditPipe_.front().deliverAt <= now) {
         InFlightCredit entry = creditPipe_.front();
@@ -160,8 +201,42 @@ Link::deliverCredits()
         for (int i = 0; i < entry.count; ++i)
             creditReceiver_->creditReturned(entry.vc);
     }
-    if (!creditPipe_.empty())
-        senderSim_->schedule(creditEvent_, creditPipe_.front().deliverAt);
+    delivering_ = false;
+    armCreditEvent();
+}
+
+void
+Link::armCreditEvent()
+{
+    const std::uint64_t starved = creditReceiver_->starvedVcs();
+    if (starved == 0)
+        return;
+    for (std::size_t i = 0; i < creditPipe_.size(); ++i) {
+        const InFlightCredit& entry = creditPipe_[i];
+        if (creditEvent_.scheduled()
+            && entry.deliverAt >= creditEvent_.when())
+            return;
+        if ((starved >> static_cast<unsigned>(entry.vc)) & 1) {
+            if (creditEvent_.scheduled())
+                senderSim_->reschedule(creditEvent_, entry.deliverAt);
+            else
+                senderSim_->schedule(creditEvent_, entry.deliverAt);
+            return;
+        }
+    }
+}
+
+bool
+Link::creditEventCovers(std::uint64_t vcs) const
+{
+    for (std::size_t i = 0; i < creditPipe_.size(); ++i) {
+        const InFlightCredit& entry = creditPipe_[i];
+        if ((vcs >> static_cast<unsigned>(entry.vc)) & 1) {
+            return creditEvent_.scheduled()
+                && creditEvent_.when() <= entry.deliverAt;
+        }
+    }
+    return true;
 }
 
 } // namespace mediaworm::router

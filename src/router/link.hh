@@ -9,16 +9,32 @@
  * delay, implementing credit-based flow control between the sender's
  * output unit and the receiver's input buffers.
  *
+ * Flits are pushed: each delivery tick fires the link's flit event,
+ * which hands the due flits to the receiver. Credits are pulled
+ * (netsim's Channel::get_credit): sendCredit() only appends to the
+ * credit pipe, and the sender applies every credit whose deliverAt
+ * has passed (collectCredits) before it reads a credit counter. The
+ * credit event is scheduled only for a credit to a starved VC
+ * (CreditReceiver::starvedVcs) - one that holds a flit, or a
+ * cut-through header, that the credit would let move - at that
+ * credit's deliverAt. When it fires it applies every due credit in
+ * pipe order with the sender's per-credit reaction (creditReturned),
+ * exactly as an event per delivery tick would. A credit to a VC that
+ * is not starved changes no arbitration decision, so waiting for the
+ * pull moves no model output; it saves the event.
+ *
  * A link is also the only place simulation state crosses routers,
  * which makes it the shard boundary for conservative-parallel runs
  * (sim/pdes.hh). Each direction is a channel with its own consumer
  * shard: the flit channel is consumed where the receiver lives, the
  * credit channel where the sender lives. When the two sides are
  * bound to different shard Simulators (bindShards), a send appends
- * to a plain outbox instead of scheduling on the foreign queue; the
+ * to a plain outbox instead of touching the consumer's state; the
  * consumer shard drains the outbox at the next epoch boundary via
- * flushFlitOutbox()/flushCreditOutbox(). Channel delivery events
- * carry canonical tie-break keys (ChannelIds), so their order among
+ * flushFlitOutbox()/flushCreditOutbox(), which is before any of it
+ * falls due, so the decision to schedule a credit event sees the
+ * same credits on every shard count. Channel delivery events carry
+ * canonical tie-break keys (ChannelIds), so their order among
  * same-tick events is identical whether the link is intra-shard,
  * cross-shard, or running single-threaded.
  */
@@ -26,6 +42,7 @@
 #ifndef MEDIAWORM_ROUTER_LINK_HH
 #define MEDIAWORM_ROUTER_LINK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,8 +70,26 @@ class CreditReceiver
   public:
     virtual ~CreditReceiver() = default;
 
-    /** One buffer slot of virtual channel @p vc was freed downstream. */
+    /** Every VC: the starvedVcs() of a receiver that never
+     *  collects credits itself. */
+    static constexpr std::uint64_t kAllVcs = ~std::uint64_t{0};
+
+    /**
+     * One buffer slot of virtual channel @p vc was freed downstream.
+     * Called from the link's credit event, at the credit's
+     * deliverAt, once per credit and in pipe order.
+     */
     virtual void creditReturned(int vc) = 0;
+
+    /**
+     * The VCs that wait on a credit, bit v for VC v. The link fires
+     * its credit event only at the deliverAt of a credit to one of
+     * them; other credits stay in the pipe until the sender collects
+     * them (Link::collectCredits). A receiver that never collects
+     * returns kAllVcs, and so takes every credit from the event as
+     * it falls due.
+     */
+    virtual std::uint64_t starvedVcs() const = 0;
 };
 
 /**
@@ -119,6 +154,49 @@ class Link
     void sendCredit(int vc);
 
     /**
+     * Sender side: applies every credit whose deliverAt is at or
+     * before @p until, in pipe order, as @p apply(vc, count,
+     * deliverAt), without the per-credit creditReturned() reaction.
+     * The sender calls it with now() before it reads a credit
+     * counter, and with the run horizon when a run() settles.
+     * Credits due at or after the pending credit event's tick are
+     * that event's to apply, one reaction at a time, at its place in
+     * the tick, and so are all of them while it delivers. (With
+     * canonical ChannelIds the event fires ahead of every sender-side
+     * event of its tick, so the cut matters only for links keyed by
+     * the schedule counter.)
+     */
+    template <class Apply>
+    void
+    collectCredits(sim::Tick until, Apply&& apply)
+    {
+        if (delivering_)
+            return;
+        if (creditEvent_.scheduled())
+            until = std::min(until, creditEvent_.when() - 1);
+        while (!creditPipe_.empty()
+               && creditPipe_.front().deliverAt <= until) {
+            const InFlightCredit entry = creditPipe_.front();
+            creditPipe_.pop_front();
+            apply(entry.vc, entry.count, entry.deliverAt);
+        }
+    }
+
+    /**
+     * Sender side: a VC just started waiting for a credit (its bit
+     * rose in starvedVcs()). Schedules the credit event, or moves it
+     * earlier, to the first credit in the pipe for a starved VC; if
+     * none is there yet, its send or outbox flush schedules it. Call
+     * after collecting, so that credit is not yet due.
+     */
+    void
+    awaitCredit()
+    {
+        if (!delivering_)
+            armCreditEvent();
+    }
+
+    /**
      * Moves cross-shard flits from the outbox into the delivery
      * pipe, scheduling on the receiver shard. Called only from the
      * receiver shard's worker, between PDES epoch barriers.
@@ -132,6 +210,25 @@ class Link
 
     /** Flits transmitted since construction. */
     std::uint64_t flitsSent() const { return flitsSent_; }
+
+    /** True if a credit is on the wire (pipe or outbox): after a
+     *  run() settles, one that falls due beyond its horizon. */
+    bool
+    creditsPending() const
+    {
+        return !creditPipe_.empty() || !creditOutbox_.empty();
+    }
+
+    /** True unless a credit for one of @p vcs is in the pipe while
+     *  the credit event is unscheduled or set after it. */
+    bool creditEventCovers(std::uint64_t vcs) const;
+
+    /** Flits of VC @p vc on the wire: in the pipe or the outbox. */
+    int flitsInFlight(int vc) const;
+
+    /** Credits of VC @p vc not yet applied by the sender: in the
+     *  pipe or the outbox. */
+    int creditsInFlight(int vc) const;
 
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
@@ -157,6 +254,9 @@ class Link
 
     void deliverFlits();
     void deliverCredits();
+    /** Schedules the credit event, or moves it earlier, to the first
+     *  pipe credit for a VC the sender starves on. */
+    void armCreditEvent();
 
     /** Sender-side clock and credit-delivery queue. */
     sim::Simulator* senderSim_;
@@ -183,6 +283,8 @@ class Link
     sim::MemberFuncEvent<&Link::deliverCredits> creditEvent_;
 
     std::uint64_t flitsSent_ = 0;
+    /** True while deliverCredits() walks the pipe. */
+    bool delivering_ = false;
 };
 
 } // namespace mediaworm::router

@@ -65,6 +65,14 @@ class Ring
         return slots_[(head_ + size_ - 1) & (slots_.size() - 1)];
     }
 
+    /** The @p i 'th oldest element (0 = front); @p i < size(). */
+    const T&
+    operator[](std::size_t i) const
+    {
+        MW_ASSERT(i < size_);
+        return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+
     /** Appends @p value, growing the backing store if full. */
     void
     push_back(const T& value)

@@ -28,6 +28,8 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
     const std::size_t total = static_cast<std::size_t>(n)
         * static_cast<std::size_t>(m);
     outCredits_.assign(total, 0);
+    starvedMask_.assign(static_cast<std::size_t>(n), 0);
+    gateMask_.assign(static_cast<std::size_t>(n), 0);
     outReserved_.assign(total, 0);
     outOccupancy_.assign(total, 0);
     outVclock_.assign(total, VirtualClockState{});
@@ -190,6 +192,29 @@ WormholeRouter::flitArrived(int port, int vc, const Flit& flit)
 }
 
 void
+WormholeRouter::collectCredits(int port, sim::Tick until)
+{
+    // Every credit collected here is for a VC that was not starved
+    // when it fell due (a credit for a starved VC has the link's
+    // credit event scheduled at its tick), so creditArrived()'s
+    // eligibility refresh, cut-through grant and mux kick would have
+    // changed nothing then; only the counter and the trace record
+    // remain.
+    outputAt(port).link->collectCredits(
+        until, [this, port](int vc, int count, sim::Tick due) {
+            if (tracer_ != nullptr) {
+                for (int i = 0; i < count; ++i) {
+                    tracer_->record({due, sim::TracePoint::CreditReturn,
+                                     sim::StreamId(), 0, 0,
+                                     traceLocation_, port, vc});
+                }
+            }
+            outCredits_[vcIndex(port, vc)] += count;
+            refreshOutputEligibility(port, vc);
+        });
+}
+
+void
 WormholeRouter::creditArrived(int port, int vc)
 {
     if (tracer_ != nullptr) {
@@ -335,7 +360,8 @@ WormholeRouter::tryGrantNextWaiter(int out_port, int out_vc)
     if (cfg_.switching == config::SwitchingKind::VirtualCutThrough) {
         // Cut-through gate: the next hop must be able to buffer the
         // whole message, so a blocked message parks here instead of
-        // stretching across the link. Re-checked on credit returns.
+        // stretching across the link. Re-checked on credit returns,
+        // which the gate bit asks the link to deliver.
         MW_ASSERT(!ivc.buffer.empty()
                   && ivc.buffer.front().isHeader());
         const int message_flits = ivc.buffer.front().messageFlits;
@@ -344,8 +370,17 @@ WormholeRouter::tryGrantNextWaiter(int out_port, int out_vc)
                        "flits) to fit the %d-flit VC buffers",
                        message_flits, cfg_.flitBufferDepth);
         }
-        if (outCredits_[vcIndex(out_port, out_vc)] < message_flits)
+        collectCredits(out_port);
+        std::uint64_t& gate =
+            gateMask_[static_cast<std::size_t>(out_port)];
+        if (outCredits_[vcIndex(out_port, out_vc)] < message_flits) {
+            if ((gate & vbit) == 0) {
+                gate |= vbit;
+                outputAt(out_port).link->awaitCredit();
+            }
             return false;
+        }
+        gate &= ~vbit;
     }
     ovc.allocHead = ivc.allocNext;
     if (ovc.allocHead == kNoVc)
@@ -569,6 +604,7 @@ WormholeRouter::depositIntoOutputVc(int out_port, int out_vc,
     const std::size_t idx = vcIndex(out_port, out_vc);
     MW_DEBUG_ASSERT(outReserved_[idx] > 0);
     --outReserved_[idx];
+    collectCredits(out_port);
 
     // Point-C stamping: relevant when the configured discipline runs
     // at the VC output multiplexer (full crossbars). Stamped in
@@ -603,7 +639,9 @@ WormholeRouter::serveOutputMux(int port)
 
     // Point-C eligibility (buffered flit + credit) is maintained
     // incrementally at deposit/credit/send time, so an idle kick is
-    // one mask test instead of a VC scan.
+    // one mask test instead of a VC scan. Credits that fell due
+    // since the last read land first (they change no eligibility).
+    collectCredits(port);
     if (!outputArb_.anyEligible(port))
         return;
 
@@ -732,10 +770,16 @@ WormholeRouter::fireBatch(sim::Event& first)
 std::uint64_t
 WormholeRouter::flushLazy(sim::Tick until)
 {
+    // Every event up to the horizon has fired, so the credits due by
+    // then are applied too: what stays in a pipe falls due beyond
+    // it, and the trace holds a record for every credit that fell
+    // due inside the run.
     std::uint64_t credited = 0;
     for (int p = 0; p < cfg_.numPorts; ++p) {
         credited += inputAt(p).mux.flush(until);
         credited += outputAt(p).mux.flush(until);
+        if (outputAt(p).link != nullptr)
+            collectCredits(p, until);
     }
     return credited;
 }
@@ -744,7 +788,9 @@ bool
 WormholeRouter::lazyPending() const
 {
     for (int p = 0; p < cfg_.numPorts; ++p) {
-        if (inputAt(p).mux.pending() || outputAt(p).mux.pending())
+        const OutputPort& op = outputAt(p);
+        if (inputAt(p).mux.pending() || op.mux.pending()
+            || (op.link != nullptr && op.link->creditsPending()))
             return true;
     }
     return false;
@@ -842,6 +888,14 @@ WormholeRouter::checkInvariants() const
         // The incremental refreshes must keep the arbiter mask equal
         // to the one-pass SoA derivation.
         const std::uint64_t out_mask = computeOutputMask(p);
+        {
+            // A credit in the pipe for a starved VC has the credit
+            // event scheduled at or before its tick, or the VC would
+            // wait for it forever.
+            const int v = -1;
+            if (op.link != nullptr)
+                MW_CHECK(op.link->creditEventCovers(starvedVcs(p)));
+        }
         for (int v = 0; v < cfg_.numVcs; ++v) {
             const OutputVc& ovc = vcAt(op, v);
             const std::size_t i = vcIndex(p, v);
@@ -853,6 +907,13 @@ WormholeRouter::checkInvariants() const
             // SoA occupancy mirrors the buffer it shadows.
             MW_CHECK(outOccupancy_[i]
                       == static_cast<int>(ovc.buffer.size()));
+            // The starved bit mirrors (flit buffered, no credit
+            // applied); credits still in the pipe do not count until
+            // the credit event or a collect applies them.
+            MW_CHECK(((starvedMask_[static_cast<std::size_t>(p)]
+                       >> static_cast<unsigned>(v))
+                      & 1)
+                     == (outOccupancy_[i] > 0 && outCredits_[i] == 0));
             const bool allocated =
                 (allocatedMask_[static_cast<std::size_t>(p)]
                  >> static_cast<unsigned>(v))

@@ -182,6 +182,21 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     /** Messages that had to wait for output-VC allocation. */
     std::uint64_t allocationWaits() const { return allocationWaits_; }
 
+    /** Credits output VC (@p port, @p vc) holds for the buffer
+     *  downstream (applied credits only; see Link::creditsInFlight). */
+    int
+    outputCredits(int port, int vc) const
+    {
+        return outCredits_[vcIndex(port, vc)];
+    }
+
+    /** Flits buffered in input VC (@p port, @p vc). */
+    int
+    inputOccupancy(int port, int vc) const
+    {
+        return static_cast<int>(vcAt(inputAt(port), vc).buffer.size());
+    }
+
     /** Runtime sanity check: verifies queue/credit invariants. */
     void checkInvariants() const;
 
@@ -453,11 +468,35 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
         {
             router_->creditArrived(port_, vc);
         }
+        std::uint64_t
+        starvedVcs() const override
+        {
+            return router_->starvedVcs(port_);
+        }
 
       private:
         WormholeRouter* router_ = nullptr;
         int port_ = 0;
     };
+
+    // --- lazy link credits (router/link.hh) ------------------------------
+
+    /** Applies output port @p port 's credits due at or before
+     *  @p until, without creditArrived()'s kick. */
+    void collectCredits(int port, sim::Tick until);
+
+    /** Applies the credits due now; call before reading outCredits_. */
+    void collectCredits(int port) { collectCredits(port, simulator_.now()); }
+
+    /** Output VCs of @p port that wait on a credit: a buffered
+     *  flit with none, or a cut-through header the credit gate holds
+     *  back (Link::awaitCredit). */
+    std::uint64_t
+    starvedVcs(int port) const
+    {
+        const auto p = static_cast<std::size_t>(port);
+        return starvedMask_[p] | gateMask_[p];
+    }
 
     void registerSpaceWaiter(OutputVc& ovc, InputVcKey key);
     void wakeSpaceWaiter(OutputVc& ovc);
@@ -478,15 +517,31 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
             inputArb_.clearEligible(port, vc);
     }
 
-    /** Output bit v = (buffer non-empty && credits > 0). */
+    /** Output bit v = (buffer non-empty && credits > 0); starved
+     *  bit v = (buffer non-empty && no credit), whose rise asks the
+     *  link for the credit event. */
     void
     refreshOutputEligibility(int port, int vc)
     {
-        const OutputVc& ovc = vcAt(outputAt(port), vc);
-        if (!ovc.buffer.empty() && outCredits_[vcIndex(port, vc)] > 0)
-            outputArb_.setEligible(port, vc, ovc.buffer.front());
-        else
+        OutputPort& op = outputAt(port);
+        const OutputVc& ovc = vcAt(op, vc);
+        const std::uint64_t bit = std::uint64_t{1}
+            << static_cast<unsigned>(vc);
+        std::uint64_t& starved =
+            starvedMask_[static_cast<std::size_t>(port)];
+        if (ovc.buffer.empty()) {
             outputArb_.clearEligible(port, vc);
+            starved &= ~bit;
+        } else if (outCredits_[vcIndex(port, vc)] > 0) {
+            outputArb_.setEligible(port, vc, ovc.buffer.front());
+            starved &= ~bit;
+        } else {
+            outputArb_.clearEligible(port, vc);
+            if ((starved & bit) == 0) {
+                starved |= bit;
+                op.link->awaitCredit();
+            }
+        }
     }
 
     /**
@@ -613,8 +668,16 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     // loops and the fat-channel load signal read every round; the
     // cold per-VC state (buffers, waiter links) stays in the structs.
 
-    /** Downstream buffer slots available per output VC. */
+    /** Downstream buffer slots available per output VC: the credits
+     *  applied so far (more may wait in the link's credit pipe). */
     std::vector<int> outCredits_;
+    /** Per-port bitmask: bit v = output VC v holds a flit but no
+     *  credit (maintained by refreshOutputEligibility()). */
+    std::vector<std::uint64_t> starvedMask_;
+    /** Per-port bitmask: bit v = output VC v is free but its oldest
+     *  waiter's header is held back by the cut-through credit gate
+     *  (maintained by tryGrantNextWaiter()). */
+    std::vector<std::uint64_t> gateMask_;
     /** Output-buffer slots claimed by flits in the crossbar. */
     std::vector<int> outReserved_;
     /** Mirror of each output VC buffer's size (checked in

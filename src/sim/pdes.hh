@@ -29,8 +29,8 @@
  * keys (Event::setCanonicalSeq), so each shard's (when, seq) order
  * over its own events is identical to the single-threaded kernel's
  * order restricted to that shard - sharded runs reproduce the
- * single-threaded deterministicHash bit for bit (see DESIGN.md
- * section 12 for the induction argument).
+ * single-threaded modelDigest and event counts bit for bit (see
+ * DESIGN.md section 12 for the induction argument).
  */
 
 #ifndef MEDIAWORM_SIM_PDES_HH

@@ -29,7 +29,8 @@ namespace mediaworm::sim {
  * whose time has passed (they would have fired as no-ops within the
  * run) and, at experiment teardown, whether any are still outstanding
  * (they would have been left in the queue, marking the run
- * truncated).
+ * truncated). Lazy link credits settle the same way: a drain applies
+ * those due within the run and reports the rest as outstanding.
  */
 class LazyDrain
 {
@@ -37,12 +38,14 @@ class LazyDrain
     virtual ~LazyDrain() = default;
 
     /**
-     * Credits every elided wakeup with readyAt <= @p until as fired;
-     * returns how many were credited.
+     * Credits every elided wakeup with readyAt <= @p until as fired,
+     * and applies the link credits due by then (router/link.hh);
+     * returns how many wakeups were credited.
      */
     virtual std::uint64_t flushLazy(Tick until) = 0;
 
-    /** True if any elided wakeup is still outstanding. */
+    /** True if any elided wakeup or unapplied link credit is still
+     *  outstanding. */
     virtual bool lazyPending() const = 0;
 };
 
@@ -196,18 +199,19 @@ class Simulator
     /**
      * Credits every elided wakeup with readyAt <= @p until, without
      * advancing the clock, by asking every registered drain (one scan
-     * over this kernel's routers and NIs). run() calls this on its
-     * way out; the PDES executor also calls it directly after its
-     * epoch loop, where the final window may stop short of the cap
-     * while elided no-op wakeups - which the per-event path would
-     * have kept running epochs to fire - still sit between the two.
+     * over this kernel's routers and NIs); the drains also apply the
+     * link credits due by then. run() calls this on its way out; the
+     * PDES executor also calls it directly after its epoch loop,
+     * where the final window may stop short of the cap while elided
+     * no-op wakeups - which the per-event path would have kept
+     * running epochs to fire - still sit between the two. Either way
+     * every event up to @p until has fired. In the per-event mode
+     * nothing is elided, but credits still settle.
      * @return Number of wakeups credited.
      */
     std::uint64_t
     settleLazy(Tick until)
     {
-        if (!batched_)
-            return 0;
         std::uint64_t credited = 0;
         for (LazyDrain* drain : lazyDrains_)
             credited += drain->flushLazy(until);
@@ -215,7 +219,10 @@ class Simulator
         return credited;
     }
 
-    /** True if any registered drain still holds an elided wakeup. */
+    /** True if any registered drain still holds an elided wakeup or
+     *  an unapplied link credit: after run(until) settles, one due
+     *  beyond until, which a queued event would have marked as
+     *  pending work. */
     bool lazyTickPending() const;
 
   private:

@@ -51,14 +51,6 @@ Accumulator::variance() const
 }
 
 double
-Accumulator::sampleVariance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double
 Accumulator::stddev() const
 {
     return std::sqrt(variance());

@@ -41,9 +41,6 @@ class Accumulator
     /** Population variance (divide by n); 0 for n < 1. */
     double variance() const;
 
-    /** Unbiased sample variance (divide by n-1); 0 for n < 2. */
-    double sampleVariance() const;
-
     /** Population standard deviation. */
     double stddev() const;
 

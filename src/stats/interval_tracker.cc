@@ -17,12 +17,6 @@ IntervalTracker::recordDelivery(sim::StreamId stream, sim::Tick now)
 }
 
 void
-IntervalTracker::resetMeasurement()
-{
-    intervals_.reset();
-}
-
-void
 IntervalTracker::mergeFrom(const IntervalTracker& other)
 {
     intervals_.merge(other.intervals_);

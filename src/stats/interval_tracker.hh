@@ -45,9 +45,6 @@ class IntervalTracker
     /** True while measurement is running. */
     bool enabled() const { return enabled_; }
 
-    /** Clears measured intervals, keeping per-stream baselines. */
-    void resetMeasurement();
-
     /**
      * Folds @p other 's aggregate statistics into this tracker:
      * measured intervals (parallel Welford merge) and the delivered

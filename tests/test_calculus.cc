@@ -505,7 +505,8 @@ TEST(Oracle, DeterministicHashUnchangedByTheOracle)
 
     const core::ExperimentResult off = core::runExperiment(cfg);
     const core::ExperimentResult on = core::runExperiment(with);
-    EXPECT_EQ(off.deterministicHash(), on.deterministicHash());
+    EXPECT_EQ(off.modelDigest(), on.modelDigest());
+    EXPECT_EQ(off.kernelDigest(), on.kernelDigest());
     EXPECT_EQ(off.bounds, nullptr);
     ASSERT_NE(on.bounds, nullptr);
     EXPECT_EQ(on.bounds->streams.size(),

@@ -9,19 +9,20 @@
  *     accidental dependence on global state, addresses, or wall
  *     time.
  *
- *  2. Golden digests: the deterministicHash() of fixed
- *     configurations (G1-G8) is checked against values captured from the
- *     seed implementation (binary-heap event queue, std::deque data
- *     path). Any behavioural change to the kernel, router, flow
- *     control, scheduling, or traffic generation moves these
- *     digests. Performance work (the two-tier event queue, typed
- *     events, ring buffers, credit coalescing, route tables) must
- *     NOT move them - that is the point of the test.
+ *  2. Golden digests: for fixed configurations (G1-G10) the model
+ *     digest and the kernel digest are checked against captured
+ *     values. Any behavioural change to the router, flow control,
+ *     scheduling, or traffic generation moves the model digest.
+ *     Performance work (the two-tier event queue, typed events, ring
+ *     buffers, credit coalescing, route tables, lazy credits) must
+ *     NOT move it - that is the point of the test. The kernel digest
+ *     pins the event counts; scheduling work may move it on purpose.
  *
  * If a deliberate behavioural change (a bug fix, a model change)
- * moves a digest, re-capture it: build Release, run this test, and
- * paste the printed "digest=0x..." values below. Never update
- * a golden for a change that is supposed to be purely mechanical.
+ * moves a model digest, or a scheduling change moves a kernel digest,
+ * re-capture it: build Release, run this test, and paste the printed
+ * "model=0x... kernel=0x..." values below. Never update a model
+ * golden for a change that is supposed to be purely mechanical.
  */
 
 #include <gtest/gtest.h>
@@ -117,37 +118,94 @@ goldenConfig6()
     return cfg;
 }
 
-/**
- * Golden digests. Re-captured for the conservative-PDES change:
- * link delivery events now carry canonical tie-break keys, the
- * metrics-enable event was replaced by threshold gating (one fewer
- * event), and aggregates merge per-node lanes - all deliberate
- * behavioural changes, each moving the digests exactly once. The
- * sharded executor must reproduce these same digests at any shard
- * count (tests/test_pdes.cc).
- */
-constexpr std::uint64_t kGolden1 = 0xcc6ebde3298d4797ULL;
-constexpr std::uint64_t kGolden2 = 0x7c2a72eb44faf63bULL;
-constexpr std::uint64_t kGolden3 = 0x001106412b7e36c6ULL;
+/** G9: as G1's single switch, with virtual cut-through switching
+ *  configured as tests/test_vct.cc does (default router, load 0.7,
+ *  80% RT, 1+3 frames): the NI's whole-message credit gate. */
+ExperimentConfig
+goldenConfig9()
+{
+    ExperimentConfig cfg;
+    cfg.router.switching = config::SwitchingKind::VirtualCutThrough;
+    cfg.traffic.inputLoad = 0.7;
+    cfg.traffic.realTimeFraction = 0.8;
+    cfg.traffic.warmupFrames = 1;
+    cfg.traffic.measuredFrames = 3;
+    cfg.timeScale = 0.05;
+    return cfg;
+}
+
+/** G10: G1 with a full crossbar: per-VC crossbar servers and the
+ *  configured discipline at the VC output multiplexer. */
+ExperimentConfig
+goldenConfig10()
+{
+    ExperimentConfig cfg = goldenConfig1();
+    cfg.router.crossbar = config::CrossbarKind::Full;
+    return cfg;
+}
 
 /**
- * G4-G6 pin the topology-graph shapes (mesh / torus / Clos over the
- * routing-policy layer), captured when the layer was introduced.
- * The PDES shard-invariance tests (test_pdes.cc) must reproduce
- * these same digests at any shard count.
+ * Golden digests, one (model, kernel) pair per configuration.
+ *
+ * Model digests (ExperimentResult::modelDigest) fingerprint what the
+ * network did. G1-G8 continue the digests captured since the
+ * conservative-PDES change (canonical link keys, threshold metrics
+ * gating, per-node lanes); they were re-captured once when
+ * eventsFired left the digest, on the unchanged model, and G9/G10
+ * were captured at the same point. Sharded runs must reproduce them
+ * at any shard count (tests/test_pdes.cc).
+ *
+ * Kernel digests (ExperimentResult::kernelDigest) pin eventsFired
+ * and elidedEvents. They were re-captured once, after link credits
+ * became lazy (a returned credit costs an event only while an output
+ * VC is starved for it): that change removes most credit-delivery
+ * events by design while every model digest stays put. A change that
+ * moves only kernel digests is a scheduling change; one that moves a
+ * model digest is a behavioural change.
  */
-constexpr std::uint64_t kGolden4 = 0x245d70a718778ae6ULL;
-constexpr std::uint64_t kGolden5 = 0x5259e430404b1f03ULL;
-constexpr std::uint64_t kGolden6 = 0x6b7fa99fc7d0012fULL;
+struct Golden
+{
+    const char* name;
+    std::uint64_t model;
+    std::uint64_t kernel;
+};
 
-/**
- * G7/G8: G3's fat mesh under the static and random fat-link
- * policies, captured before those policies moved from route
- * closures onto route tables. The random policy draws from one
- * split RNG per switch, so G8 also pins the draw stream.
- */
-constexpr std::uint64_t kGolden7 = 0xc77a5bda020a8cecULL;
-constexpr std::uint64_t kGolden8 = 0x30819f21c6051be9ULL;
+constexpr Golden kGolden1{"G1", 0x7415a97f5b199bcaULL,
+                            0xa6f89913e0f22df9ULL};
+constexpr Golden kGolden2{"G2", 0x95bc0f03397f8d52ULL,
+                            0x12fe9bdaff091e55ULL};
+constexpr Golden kGolden3{"G3", 0xfa7d7c6d24458415ULL,
+                            0x0150dd56049cc31cULL};
+constexpr Golden kGolden4{"G4", 0x8a41ac9ad0efa734ULL,
+                            0x05688a2856b488beULL};
+constexpr Golden kGolden5{"G5", 0xa340aad5a9f9265cULL,
+                            0xf64e342fa2abbe1eULL};
+constexpr Golden kGolden6{"G6", 0xf9a7d480055b6304ULL,
+                            0xc781be38e593d399ULL};
+constexpr Golden kGolden7{"G7", 0xce13b31ed1539d6bULL,
+                            0xd99f3d2820e9427dULL};
+constexpr Golden kGolden8{"G8", 0x593dc4650528ccfeULL,
+                            0xb4799b672c4968f6ULL};
+constexpr Golden kGolden9{"G9", 0x194b7bb2b838c7c9ULL,
+                            0xc45fa982c3442873ULL};
+constexpr Golden kGolden10{"G10", 0x3515ae1031eaa0bdULL,
+                             0x33128df1c02a3508ULL};
+
+/** Checks @p r against @p golden, printing both digests so a
+ *  deliberate change can re-capture them. */
+void
+expectGolden(const ExperimentResult& r, const Golden& golden)
+{
+    std::printf("%s model=0x%016llx kernel=0x%016llx "
+                "(events %llu, elided %llu)\n",
+                golden.name,
+                static_cast<unsigned long long>(r.modelDigest()),
+                static_cast<unsigned long long>(r.kernelDigest()),
+                static_cast<unsigned long long>(r.eventsFired),
+                static_cast<unsigned long long>(r.elidedEvents));
+    EXPECT_EQ(r.modelDigest(), golden.model) << golden.name;
+    EXPECT_EQ(r.kernelDigest(), golden.kernel) << golden.name;
+}
 
 void
 expectIdentical(const ExperimentResult& a, const ExperimentResult& b)
@@ -169,7 +227,7 @@ expectIdentical(const ExperimentResult& a, const ExperimentResult& b)
     EXPECT_EQ(a.streamsPerNode, b.streamsPerNode);
     EXPECT_EQ(a.simulatedMs, b.simulatedMs);
     EXPECT_EQ(a.truncated, b.truncated);
-    EXPECT_EQ(a.deterministicHash(), b.deterministicHash());
+    EXPECT_EQ(a.modelDigest(), b.modelDigest());
 }
 
 TEST(Determinism, RunTwiceIsBitIdentical)
@@ -177,6 +235,7 @@ TEST(Determinism, RunTwiceIsBitIdentical)
     const ExperimentResult a = runExperiment(goldenConfig1());
     const ExperimentResult b = runExperiment(goldenConfig1());
     expectIdentical(a, b);
+    EXPECT_EQ(a.kernelDigest(), b.kernelDigest());
 }
 
 TEST(Determinism, FatMeshRunTwiceIsBitIdentical)
@@ -184,31 +243,45 @@ TEST(Determinism, FatMeshRunTwiceIsBitIdentical)
     const ExperimentResult a = runExperiment(goldenConfig3());
     const ExperimentResult b = runExperiment(goldenConfig3());
     expectIdentical(a, b);
+    EXPECT_EQ(a.kernelDigest(), b.kernelDigest());
 }
 
 TEST(Determinism, HashCoversResultFields)
 {
     ExperimentResult a;
     ExperimentResult b;
-    EXPECT_EQ(a.deterministicHash(), b.deterministicHash());
+    EXPECT_EQ(a.modelDigest(), b.modelDigest());
+    EXPECT_EQ(a.kernelDigest(), b.kernelDigest());
+    // Event counts move the kernel digest only.
     b.eventsFired = 1;
-    EXPECT_NE(a.deterministicHash(), b.deterministicHash());
+    EXPECT_EQ(a.modelDigest(), b.modelDigest());
+    EXPECT_NE(a.kernelDigest(), b.kernelDigest());
+    b = a;
+    b.elidedEvents = 1;
+    EXPECT_EQ(a.modelDigest(), b.modelDigest());
+    EXPECT_NE(a.kernelDigest(), b.kernelDigest());
+    // Model outputs move the model digest only.
     b = a;
     b.meanIntervalMs = 33.0;
-    EXPECT_NE(a.deterministicHash(), b.deterministicHash());
-    // Machine-dependent fields must not contribute.
+    EXPECT_NE(a.modelDigest(), b.modelDigest());
+    EXPECT_EQ(a.kernelDigest(), b.kernelDigest());
+    b = a;
+    b.truncated = true;
+    EXPECT_NE(a.modelDigest(), b.modelDigest());
+    // Machine-dependent fields must not contribute to either.
     b = a;
     b.wallSeconds = 123.0;
     b.eventsPerSec = 4.5e6;
-    EXPECT_EQ(a.deterministicHash(), b.deterministicHash());
+    b.idleTicksSkipped = 99;
+    EXPECT_EQ(a.modelDigest(), b.modelDigest());
+    EXPECT_EQ(a.kernelDigest(), b.kernelDigest());
 }
 
 /**
  * Observation must not perturb: a run with every observer enabled
- * (telemetry, trace, flight recorder) produces the same
- * deterministicHash as the plain run - no extra events, no extra RNG
- * draws, identical measured outputs. Checked against the golden too,
- * so the observed run matches the seed implementation bit for bit.
+ * (telemetry, trace, flight recorder) produces the same digests as
+ * the plain run - no extra events, no extra RNG draws, identical
+ * measured outputs. Checked against the golden too.
  */
 TEST(Determinism, ObserversDoNotPerturbTheHash)
 {
@@ -221,7 +294,7 @@ TEST(Determinism, ObserversDoNotPerturbTheHash)
     const ExperimentResult observed = runExperiment(observed_cfg);
 
     expectIdentical(plain, observed);
-    EXPECT_EQ(observed.deterministicHash(), kGolden1);
+    expectGolden(observed, kGolden1);
 
     // And the observations themselves arrived.
     ASSERT_NE(observed.observations, nullptr);
@@ -235,70 +308,72 @@ TEST(Determinism, ObserversDoNotPerturbTheHash)
 TEST(Determinism, MatchesGoldenSingleSwitchVirtualClock)
 {
     const ExperimentResult r = runExperiment(goldenConfig1());
-    RecordProperty("digest", r.deterministicHash());
-    std::printf("G1 digest=0x%016llx\n",
-                static_cast<unsigned long long>(r.deterministicHash()));
-    EXPECT_EQ(r.deterministicHash(), kGolden1);
+    RecordProperty("digest", r.modelDigest());
+    expectGolden(r, kGolden1);
 }
 
 TEST(Determinism, MatchesGoldenSingleSwitchFifo)
 {
-    const ExperimentResult r = runExperiment(goldenConfig2());
-    std::printf("G2 digest=0x%016llx\n",
-                static_cast<unsigned long long>(r.deterministicHash()));
-    EXPECT_EQ(r.deterministicHash(), kGolden2);
+    expectGolden(runExperiment(goldenConfig2()), kGolden2);
+}
+
+/** The fat mesh under each fat-link policy: G3 is the paper's
+ *  least-loaded pick; G7/G8 pin the static and random policies. */
+ExperimentConfig
+fatMeshConfig(config::FatLinkPolicy policy)
+{
+    ExperimentConfig cfg = goldenConfig3();
+    cfg.network.fatLinkPolicy = policy;
+    return cfg;
 }
 
 TEST(Determinism, MatchesGoldenFatMesh)
 {
-    // G3 is the paper's least-loaded fat-link pick; G7/G8 pin the
-    // static and random policies on the same shape.
-    const struct
-    {
-        config::FatLinkPolicy policy;
-        const char* name;
-        std::uint64_t golden;
-    } cases[] = {
-        {config::FatLinkPolicy::LeastLoaded, "G3", kGolden3},
-        {config::FatLinkPolicy::Static, "G7", kGolden7},
-        {config::FatLinkPolicy::Random, "G8", kGolden8},
-    };
-    for (const auto& c : cases) {
-        ExperimentConfig cfg = goldenConfig3();
-        cfg.network.fatLinkPolicy = c.policy;
-        const ExperimentResult r = runExperiment(cfg);
-        std::printf("%s digest=0x%016llx\n", c.name,
-                    static_cast<unsigned long long>(
-                        r.deterministicHash()));
-        EXPECT_EQ(r.deterministicHash(), c.golden) << c.name;
-    }
+    expectGolden(
+        runExperiment(fatMeshConfig(config::FatLinkPolicy::LeastLoaded)),
+        kGolden3);
+    expectGolden(
+        runExperiment(fatMeshConfig(config::FatLinkPolicy::Static)),
+        kGolden7);
+    expectGolden(
+        runExperiment(fatMeshConfig(config::FatLinkPolicy::Random)),
+        kGolden8);
 }
 
 TEST(Determinism, MatchesGoldenMesh)
 {
     const ExperimentResult r = runExperiment(goldenConfig4());
-    std::printf("G4 digest=0x%016llx\n",
-                static_cast<unsigned long long>(r.deterministicHash()));
-    EXPECT_EQ(r.deterministicHash(), kGolden4);
+    expectGolden(r, kGolden4);
     expectIdentical(r, runExperiment(goldenConfig4()));
 }
 
 TEST(Determinism, MatchesGoldenTorus)
 {
     const ExperimentResult r = runExperiment(goldenConfig5());
-    std::printf("G5 digest=0x%016llx\n",
-                static_cast<unsigned long long>(r.deterministicHash()));
-    EXPECT_EQ(r.deterministicHash(), kGolden5);
+    expectGolden(r, kGolden5);
     expectIdentical(r, runExperiment(goldenConfig5()));
 }
 
 TEST(Determinism, MatchesGoldenClos)
 {
     const ExperimentResult r = runExperiment(goldenConfig6());
-    std::printf("G6 digest=0x%016llx\n",
-                static_cast<unsigned long long>(r.deterministicHash()));
-    EXPECT_EQ(r.deterministicHash(), kGolden6);
+    expectGolden(r, kGolden6);
     expectIdentical(r, runExperiment(goldenConfig6()));
+}
+
+/** Virtual cut-through: a header that the credit gate holds back
+ *  waits on credits without any flit buffered. */
+TEST(Determinism, MatchesGoldenVirtualCutThrough)
+{
+    const ExperimentResult r = runExperiment(goldenConfig9());
+    EXPECT_FALSE(r.truncated);
+    expectGolden(r, kGolden9);
+}
+
+/** Full crossbar: per-VC crossbar servers feed the output VCs. */
+TEST(Determinism, MatchesGoldenFullCrossbar)
+{
+    expectGolden(runExperiment(goldenConfig10()), kGolden10);
 }
 
 /**
@@ -316,7 +391,8 @@ TEST(Determinism, BatchedDispatchMatchesPerEventSingleSwitch)
     const ExperimentResult legacy = runExperiment(legacy_cfg);
     const ExperimentResult batched = runExperiment(goldenConfig1());
     expectIdentical(legacy, batched);
-    EXPECT_EQ(legacy.deterministicHash(), kGolden1);
+    EXPECT_EQ(legacy.modelDigest(), kGolden1.model);
+    EXPECT_EQ(legacy.elidedEvents, 0u);
 }
 
 TEST(Determinism, BatchedDispatchMatchesPerEventFatMesh)
@@ -326,33 +402,53 @@ TEST(Determinism, BatchedDispatchMatchesPerEventFatMesh)
     const ExperimentResult legacy = runExperiment(legacy_cfg);
     const ExperimentResult batched = runExperiment(goldenConfig3());
     expectIdentical(legacy, batched);
-    EXPECT_EQ(legacy.deterministicHash(), kGolden3);
+    EXPECT_EQ(legacy.modelDigest(), kGolden3.model);
+    EXPECT_EQ(legacy.elidedEvents, 0u);
 }
 
-/** The goldens hold however the fat mesh is sharded: the PDES epoch
- *  loop calls the same settle and arbitration paths per shard
- *  (shards alone are covered exhaustively in test_pdes.cc). */
+/** Both digests hold however a multi-router golden is sharded: the
+ *  PDES epoch loop calls the same settle, credit and arbitration
+ *  paths per shard (shards alone are covered exhaustively in
+ *  test_pdes.cc). The single-switch goldens always run on one
+ *  shard. */
 TEST(Determinism, FatMeshGoldenAcrossShards)
 {
-    for (const int shards : {2, 4}) {
-        ExperimentConfig cfg = goldenConfig3();
-        cfg.shards = shards;
-        const ExperimentResult r = runExperiment(cfg);
-        EXPECT_EQ(r.deterministicHash(), kGolden3)
-            << "shards=" << shards;
+    const struct
+    {
+        ExperimentConfig cfg;
+        Golden golden;
+    } cases[] = {
+        {fatMeshConfig(config::FatLinkPolicy::LeastLoaded), kGolden3},
+        {goldenConfig4(), kGolden4},
+        {goldenConfig5(), kGolden5},
+        {goldenConfig6(), kGolden6},
+        {fatMeshConfig(config::FatLinkPolicy::Static), kGolden7},
+        {fatMeshConfig(config::FatLinkPolicy::Random), kGolden8},
+    };
+    for (const auto& c : cases) {
+        for (const int shards : {2, 4, 8}) {
+            ExperimentConfig cfg = c.cfg;
+            cfg.shards = shards;
+            const ExperimentResult r = runExperiment(cfg);
+            EXPECT_EQ(r.modelDigest(), c.golden.model)
+                << c.golden.name << " shards=" << shards;
+            EXPECT_EQ(r.kernelDigest(), c.golden.kernel)
+                << c.golden.name << " shards=" << shards;
+        }
     }
 }
 
 /** idleTicksSkipped reports, never perturbs: it is excluded from the
- *  hash but must be nonzero whenever the run has idle stretches. */
+ *  digests but must be nonzero whenever the run has idle stretches. */
 TEST(Determinism, IdleTicksSkippedIsReportingOnly)
 {
     const ExperimentResult r = runExperiment(goldenConfig1());
-    EXPECT_EQ(r.deterministicHash(), kGolden1);
+    EXPECT_EQ(r.modelDigest(), kGolden1.model);
     EXPECT_GT(r.idleTicksSkipped, 0u);
     ExperimentResult moved = r;
     moved.idleTicksSkipped += 12345;
-    EXPECT_EQ(moved.deterministicHash(), kGolden1);
+    EXPECT_EQ(moved.modelDigest(), kGolden1.model);
+    EXPECT_EQ(moved.kernelDigest(), kGolden1.kernel);
 }
 
 } // namespace

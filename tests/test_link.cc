@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "router/link.hh"
+#include "sim/simulator.hh"
 
 namespace {
 
@@ -53,6 +54,8 @@ class CapturingCredits final : public CreditReceiver
     {
         credits.push_back({simulator_.now(), vc});
     }
+    // Takes every credit as it falls due.
+    std::uint64_t starvedVcs() const override { return kAllVcs; }
 
     struct Credit
     {
@@ -178,6 +181,168 @@ TEST(Link, CountsTransmittedFlits)
     simulator.schedule(send, 0);
     simulator.runToCompletion();
     EXPECT_EQ(link.flitsSent(), 3u);
+}
+
+/**
+ * A sender that treats credits the way a router output port does:
+ * it says when it is starved, collects due credits itself, and
+ * settles them when a run() ends (sim::LazyDrain).
+ */
+class PullingSender final : public CreditReceiver, public LazyDrain
+{
+  public:
+    PullingSender(Simulator& simulator, Link& link)
+        : simulator_(simulator), link_(link)
+    {
+        link.connectCreditReceiver(this);
+        simulator.addLazyDrain(this);
+    }
+
+    void
+    creditReturned(int vc) override
+    {
+        delivered.push_back({simulator_.now(), vc});
+    }
+
+    std::uint64_t
+    starvedVcs() const override
+    {
+        return starved ? kAllVcs : 0;
+    }
+
+    /** Applies the credits due by @p until, noting their stamps. */
+    void
+    collect(Tick until)
+    {
+        link_.collectCredits(until, [this](int vc, int count, Tick due) {
+            for (int i = 0; i < count; ++i)
+                collected.push_back({due, vc});
+        });
+    }
+
+    std::uint64_t
+    flushLazy(Tick until) override
+    {
+        collect(until);
+        return 0;
+    }
+
+    bool lazyPending() const override { return link_.creditsPending(); }
+
+    struct Credit
+    {
+        Tick when;
+        int vc;
+        bool operator==(const Credit&) const = default;
+    };
+    bool starved = false;
+    std::vector<Credit> delivered; ///< From the credit event.
+    std::vector<Credit> collected; ///< Pulled, stamped deliverAt.
+
+  private:
+    Simulator& simulator_;
+    Link& link_;
+};
+
+using PulledCredits = std::vector<PullingSender::Credit>;
+
+TEST(Link, IdleSenderCollectsCreditsWithoutAnEvent)
+{
+    Simulator simulator;
+    Link link(simulator, nanoseconds(80), "test");
+    PullingSender sender(simulator, link);
+
+    CallbackEvent send([&] {
+        link.sendCredit(2);
+        link.sendCredit(2);
+        link.sendCredit(5);
+    });
+    simulator.schedule(send, nanoseconds(20));
+    simulator.run(nanoseconds(60));
+    // Not due yet: a collect takes nothing.
+    sender.collect(simulator.now());
+    EXPECT_TRUE(sender.collected.empty());
+    EXPECT_EQ(link.creditsInFlight(2), 2);
+
+    simulator.run(nanoseconds(500));
+    // Only the send fired; the run's settle applied the credits,
+    // each stamped with its deliverAt.
+    EXPECT_EQ(simulator.eventsFired(), 1u);
+    EXPECT_TRUE(sender.delivered.empty());
+    EXPECT_EQ(sender.collected,
+              (PulledCredits{{nanoseconds(100), 2},
+                             {nanoseconds(100), 2},
+                             {nanoseconds(100), 5}}));
+    EXPECT_FALSE(link.creditsPending());
+}
+
+TEST(Link, StarvedSenderTakesCreditsFromTheEvent)
+{
+    Simulator simulator;
+    Link link(simulator, nanoseconds(80), "test");
+    PullingSender sender(simulator, link);
+    sender.starved = true;
+
+    CallbackEvent send([&] {
+        link.sendCredit(2);
+        link.sendCredit(5);
+    });
+    simulator.schedule(send, nanoseconds(20));
+    simulator.runToCompletion();
+    EXPECT_EQ(simulator.eventsFired(), 2u);
+    EXPECT_EQ(sender.delivered,
+              (PulledCredits{{nanoseconds(100), 2},
+                             {nanoseconds(100), 5}}));
+    EXPECT_TRUE(sender.collected.empty());
+}
+
+TEST(Link, SenderThatStarvesLaterGetsTheEventAtTheDueTick)
+{
+    Simulator simulator;
+    Link link(simulator, nanoseconds(80), "test");
+    PullingSender sender(simulator, link);
+
+    CallbackEvent send([&] { link.sendCredit(3); });
+    CallbackEvent starve([&] {
+        sender.collect(simulator.now());
+        sender.starved = true;
+        link.awaitCredit();
+        // The pending event owns the due credits now.
+        sender.collect(nanoseconds(100));
+        EXPECT_TRUE(sender.collected.empty());
+    });
+    simulator.schedule(send, nanoseconds(20));
+    simulator.schedule(starve, nanoseconds(60));
+    simulator.runToCompletion();
+    EXPECT_EQ(sender.delivered,
+              (PulledCredits{{nanoseconds(100), 3}}));
+    EXPECT_TRUE(sender.collected.empty());
+}
+
+/**
+ * A credit still on the wire at the run horizon is pending work, as
+ * its delivery event used to be: the caller reports the run
+ * truncated. Settling the next window applies it.
+ */
+TEST(Link, CreditDueBeyondTheCapIsPending)
+{
+    Simulator simulator;
+    Link link(simulator, nanoseconds(80), "test");
+    PullingSender sender(simulator, link);
+
+    CallbackEvent send([&] { link.sendCredit(1); });
+    simulator.schedule(send, nanoseconds(20));
+    simulator.run(nanoseconds(99));
+    EXPECT_TRUE(simulator.queue().empty());
+    const bool truncated =
+        !simulator.queue().empty() || simulator.lazyTickPending();
+    EXPECT_TRUE(truncated);
+    EXPECT_TRUE(sender.collected.empty());
+
+    simulator.run(nanoseconds(100));
+    EXPECT_FALSE(simulator.lazyTickPending());
+    EXPECT_EQ(sender.collected,
+              (PulledCredits{{nanoseconds(100), 1}}));
 }
 
 TEST(Link, ExposesNameAndDelay)

@@ -16,7 +16,8 @@
  *  3. The headline determinism contract: for the golden miniature
  *     configurations (the single-switch Fig-3 setup and the 2x2
  *     fat-mesh Fig-9 setup, plus a 4x2 mesh that admits 8 shards),
- *     deterministicHash() is identical across --shards in {1,2,4,8}.
+ *     modelDigest() and kernelDigest() are identical across --shards
+ *     in {1,2,4,8}.
  *     This is what lets sharded runs substitute for the
  *     single-threaded oracle everywhere.
  */
@@ -235,6 +236,8 @@ class CountingCredits final : public router::CreditReceiver
     {
         credits.push_back({simulator_.now(), vc});
     }
+    // Takes every credit as it falls due.
+    std::uint64_t starvedVcs() const override { return kAllVcs; }
 
     struct Credit
     {
@@ -501,8 +504,9 @@ expectShardInvariant(const ExperimentConfig& base)
     for (int shards : {2, 4, 8}) {
         cfg.shards = shards;
         const ExperimentResult sharded = runExperiment(cfg);
-        EXPECT_EQ(sharded.deterministicHash(),
-                  oracle.deterministicHash())
+        EXPECT_EQ(sharded.modelDigest(), oracle.modelDigest())
+            << "shards=" << shards;
+        EXPECT_EQ(sharded.kernelDigest(), oracle.kernelDigest())
             << "shards=" << shards;
         EXPECT_EQ(sharded.eventsFired, oracle.eventsFired)
             << "shards=" << shards;
@@ -540,7 +544,7 @@ TEST(PdesDeterminism, WideMeshHashIsShardInvariantThrough8Shards)
 
 /**
  * The topology-graph shapes must satisfy the same contract as the
- * legacy ones: one deterministicHash per configuration, bit-identical
+ * legacy ones: one digest pair per configuration, bit-identical
  * across --shards in {1,2,4,8}. The single-shard digests are pinned
  * as goldens G4-G6 in test_determinism.cc, so these tests tie the
  * sharded executor to the same values.
@@ -579,7 +583,8 @@ TEST(PdesDeterminism, AutoShardCountIsAlsoInvariant)
     const ExperimentResult oracle = runExperiment(cfg);
     cfg.shards = 0; // one shard per usable CPU, clamped
     const ExperimentResult autos = runExperiment(cfg);
-    EXPECT_EQ(autos.deterministicHash(), oracle.deterministicHash());
+    EXPECT_EQ(autos.modelDigest(), oracle.modelDigest());
+    EXPECT_EQ(autos.kernelDigest(), oracle.kernelDigest());
 }
 
 TEST(PdesDeterminism, ShardedRunReportsExecutorStats)
@@ -615,7 +620,8 @@ TEST(PdesDeterminism, TelemetryMergesAcrossShardsWithoutPerturbing)
     const ExperimentResult sharded = runExperiment(cfg);
 
     // Telemetry on, sharded: the deterministic outputs still match.
-    EXPECT_EQ(sharded.deterministicHash(), single.deterministicHash());
+    EXPECT_EQ(sharded.modelDigest(), single.modelDigest());
+    EXPECT_EQ(sharded.kernelDigest(), single.kernelDigest());
 
     ASSERT_NE(single.observations, nullptr);
     ASSERT_NE(sharded.observations, nullptr);

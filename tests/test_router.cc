@@ -57,6 +57,7 @@ class CreditSink final : public CreditReceiver
 {
   public:
     void creditReturned(int vc) override { ++credits[vc]; }
+    std::uint64_t starvedVcs() const override { return kAllVcs; }
     std::map<int, int> credits;
 };
 

@@ -4,6 +4,7 @@
  * a message leaves across a network.
  */
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -120,6 +121,64 @@ TEST(TracerIntegration, MessageLeavesCompleteLifecycle)
             last = record.when;
         }
     });
+}
+
+/**
+ * Every credit that crosses a router -> router link leaves exactly
+ * one CreditReturn record at the sending router's output port,
+ * stamped with the tick the credit fell due there - whether the
+ * router took it from the link's credit event (an output VC starved
+ * for it) or collected it later. Two 8-flit messages squeeze through
+ * 2-flit buffers from switch 0 to switch 1 of a 2x1 mesh, so both
+ * paths occur. The stamps were captured when every credit still had
+ * its own delivery event.
+ */
+TEST(TracerIntegration, OneCreditReturnPerCreditAtItsDueTick)
+{
+    Simulator simulator;
+    config::RouterConfig cfg;
+    cfg.flitBufferDepth = 2;
+    config::NetworkConfig net_cfg;
+    net_cfg.topology = config::TopologyKind::Mesh;
+    net_cfg.meshWidth = 2;
+    net_cfg.meshHeight = 1;
+    net_cfg.endpointsPerSwitch = 1;
+    MetricsHub metrics;
+    Rng rng(3);
+    Network net(simulator, cfg, net_cfg, metrics, rng);
+
+    Tracer tracer(1024);
+    net.attachTracer(tracer);
+
+    for (int lane = 0; lane < 2; ++lane) {
+        traffic::MessageDesc desc;
+        desc.stream = StreamId(lane);
+        desc.dest = NodeId(1);
+        desc.cls = router::TrafficClass::Vbr;
+        desc.vcLane = lane;
+        desc.vtick = microseconds(8);
+        desc.numFlits = 8;
+        desc.endOfFrame = true;
+        net.ni(0).injectMessage(desc);
+    }
+    simulator.runToCompletion();
+
+    // (tick, vc) of each record: one credit per link cycle (80 ns),
+    // the lanes alternating in pairs as the 2-flit buffers allow.
+    std::vector<std::pair<Tick, int>> credits;
+    tracer.forEach([&](const TraceRecord& record) {
+        if (record.point != TracePoint::CreditReturn)
+            return;
+        EXPECT_EQ(record.location, 0);
+        credits.emplace_back(record.when, record.vc);
+    });
+    std::vector<std::pair<Tick, int>> expected;
+    for (int i = 0; i < 16; ++i)
+        expected.emplace_back(nanoseconds(1040 + 80 * i), (i / 2) % 2);
+    // One per flit that crossed the link: every credit came back.
+    EXPECT_EQ(credits, expected);
+    EXPECT_EQ(metrics.flitsDelivered(), 16u);
+    EXPECT_FALSE(simulator.lazyTickPending());
 }
 
 } // namespace

@@ -120,6 +120,8 @@ for path in (raw_path, arbiter_path):
             entry["items_per_second"] = b["items_per_second"]
         if "events/s" in b:
             entry["events_per_second"] = b["events/s"]
+        if "flits/s" in b:
+            entry["flits_per_second"] = b["flits/s"]
         # Shard-scaling rows (BM_EndToEndFatMeshShards/N[/real_time]):
         # surface the shard count so readers need not parse names.
         parts = b["name"].split("/")
