@@ -81,11 +81,8 @@ main()
     }
 
     // --- run ---------------------------------------------------------------
-    sim::CallbackEvent enable(
-        [&] { metrics.enable(simulator.now()); }, "enable");
-    simulator.schedule(enable,
-                       static_cast<Tick>(traffic_cfg.warmupFrames + 1)
-                           * traffic_cfg.frameInterval);
+    // Measure from the end of warm-up: a time threshold, no event.
+    metrics.enable(traffic_cfg.warmupEnd());
     simulator.runToCompletion();
 
     // --- report -------------------------------------------------------------

@@ -302,8 +302,7 @@ finishReport(BoundsReport& report)
 
 StreamEnvelope
 rtStreamEnvelope(const config::RouterConfig& router,
-                 const config::TrafficConfig& traffic,
-                 const OracleConfig& oracle)
+                 const config::TrafficConfig& traffic)
 {
     // Header flits carry no payload (frame_source.cc).
     const double flit_bytes = router.flitSizeBits / 8.0;
@@ -319,13 +318,13 @@ rtStreamEnvelope(const config::RouterConfig& router,
       case config::RealTimeKind::Cbr:
         break;
       case config::RealTimeKind::Vbr:
-        worst_bytes += oracle.burstSigmas * traffic.frameBytesStddev;
+        worst_bytes += kBurstSigmas * traffic.frameBytesStddev;
         margin = traffic.frameBytesStddev / traffic.frameBytesMean;
         break;
       case config::RealTimeKind::MpegGop:
         worst_bytes =
             (traffic.frameBytesMean
-             + oracle.burstSigmas * traffic.frameBytesStddev)
+             + kBurstSigmas * traffic.frameBytesStddev)
             * kGopPeakMultiplier;
         margin = traffic.frameBytesStddev / traffic.frameBytesMean;
         break;
@@ -370,7 +369,7 @@ computeBounds(const config::RouterConfig& router,
         return report;
 
     const StreamEnvelope envelope =
-        rtStreamEnvelope(router, traffic, oracle);
+        rtStreamEnvelope(router, traffic);
     const RouteModel model(router, net);
     const int num_nodes = model.numNodes();
     report.streams.reserve(streams.size());

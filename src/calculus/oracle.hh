@@ -46,7 +46,7 @@
  * Where the bound is conservative (and why that is safe) is
  * documented in DESIGN.md section 11. The one non-conservatism to be
  * aware of: VBR/GoP frame sizes are unbounded Normal draws, so the
- * envelope truncates at burstSigmas standard deviations - it is a
+ * envelope truncates at kBurstSigmas standard deviations - it is a
  * statistical contract, not an absolute one. A stream violating its
  * contract (a > 4 sigma frame) may exceed the bound; everything else
  * in the analysis is worst-case.
@@ -70,18 +70,11 @@
 
 namespace mediaworm::calculus {
 
-/** Envelope-construction and analysis knobs. */
+/** Analysis knobs. */
 struct OracleConfig
 {
     /** Master switch: when false, runExperiment() skips the oracle. */
     bool enabled = false;
-
-    /**
-     * Where the VBR/GoP frame-size envelope truncates the Normal
-     * distribution, in standard deviations. The per-frame burst is
-     * sized for mean + burstSigmas x stddev bytes.
-     */
-    double burstSigmas = 4.0;
 
     /**
      * Cap on the Jacobi passes of the TFA fixed-point iteration; 0
@@ -90,6 +83,13 @@ struct OracleConfig
      */
     int tfaPasses = 0;
 };
+
+/**
+ * Where the VBR/GoP frame-size envelope truncates the Normal
+ * distribution, in standard deviations: the per-frame burst is sized
+ * for mean + kBurstSigmas x stddev bytes.
+ */
+inline constexpr double kBurstSigmas = 4.0;
 
 /** The default TFA pass cap (OracleConfig::tfaPasses = 0). */
 inline constexpr int kDefaultTfaPasses = 256;
@@ -104,15 +104,15 @@ struct StreamEnvelope
 
 /**
  * Builds the contract envelope of one real-time stream of
- * @p traffic: sigma covers the largest contract frame (all its
- * messages back to back, header overhead included), rho the mean
+ * @p traffic: sigma covers the largest contract frame (mean +
+ * kBurstSigmas x stddev bytes, all its messages back to back, header
+ * overhead included), rho the mean
  * rate plus a margin: 0 for CBR, stddev/mean for VBR and GoP (the
  * GoP pattern itself needs no extra margin once the burst covers an
  * I frame).
  */
 StreamEnvelope rtStreamEnvelope(const config::RouterConfig& router,
-                                const config::TrafficConfig& traffic,
-                                const OracleConfig& oracle);
+                                const config::TrafficConfig& traffic);
 
 /** Analytic verdict for one admitted real-time stream. */
 struct StreamBound
@@ -155,7 +155,7 @@ struct BoundsReport
  *                timeScale compression runExperiment() applies.
  * @param net     Topology.
  * @param streams The planned real-time streams (MixPlan::streams).
- * @param oracle  Envelope and analysis knobs.
+ * @param oracle  Analysis knobs (the TFA pass cap).
  */
 BoundsReport computeBounds(const config::RouterConfig& router,
                            const config::TrafficConfig& traffic,

@@ -57,7 +57,7 @@ struct ProvisionRequest
      *  same time base as the workload handed in - i.e. scaled). */
     double slaUs = 0.0;
 
-    /** Envelope knobs forwarded to the oracle. */
+    /** Analysis knobs forwarded to the oracle. */
     OracleConfig oracle;
 };
 

@@ -102,7 +102,7 @@ RouteModel::routeOf(int src, int dst) const
 
     Route route;
     // Injection multiplexer: the source end of the injection link.
-    route.push_back({-(src + 1), cap, router_.injectionScheduler,
+    route.push_back({-(src + 1), cap, config::SchedulerKind::Fifo,
                      config::kLinkDelayCycles * cycleUs(router_),
                      src});
 
@@ -138,20 +138,6 @@ RouteModel::routeOf(int src, int dst) const
         dest_r, topo_.endpoints()[static_cast<std::size_t>(dst)].port,
         cap));
     return route;
-}
-
-Route
-routeOf(const config::RouterConfig& router,
-        const config::NetworkConfig& net, int src, int dst)
-{
-    return RouteModel(router, net).routeOf(src, dst);
-}
-
-int
-routerHops(const config::NetworkConfig& net, int src, int dst)
-{
-    return RouteModel(config::RouterConfig{}, net)
-        .routerHops(src, dst);
 }
 
 } // namespace mediaworm::calculus

@@ -6,7 +6,7 @@
  * The simulator has two scheduling-point families on a stream's path:
  *
  *  - the NI injection multiplexer (the source end of the injection
- *    link, discipline RouterConfig::injectionScheduler), and
+ *    link, always FIFO), and
  *  - one output-port multiplexer per traversed router (discipline
  *    RouterConfig::scheduler) - the ejection link's server is the
  *    destination router's output port, and the NI sink drains at link
@@ -128,22 +128,8 @@ class RouteModel
     network::RoutingTables tables_;
 };
 
-/**
- * Builds the route of a (src, dst) stream through the configured
- * topology. Convenience wrapper over a throwaway RouteModel; batch
- * callers (the oracle) construct the model once instead.
- */
-Route routeOf(const config::RouterConfig& router,
-              const config::NetworkConfig& net, int src, int dst);
-
 /** Link capacity in flits/us for @p router. */
 double linkCapacityFlitsPerUs(const config::RouterConfig& router);
-
-/**
- * Router hops on the (src, dst) path. Convenience wrapper, as
- * routeOf(). Used for the multi-hop backpressure slack term.
- */
-int routerHops(const config::NetworkConfig& net, int src, int dst);
 
 } // namespace mediaworm::calculus
 

@@ -62,8 +62,8 @@
  * optional per-point "bounds" member (per-stream worst-case delay
  * bounds from the calculus oracle, with observed-vs-bound margins
  * when telemetry is also present). Readers that ignore unknown
- * members parse all three generations unchanged; parseJson()
- * (json.hh) round-trips any of them.
+ * members parse all three generations unchanged; the tests' JSON
+ * reader round-trips any of them.
  */
 
 #ifndef MEDIAWORM_CAMPAIGN_ARTIFACT_HH

@@ -1,28 +1,20 @@
 /**
  * @file
- * Minimal streaming JSON writer and recursive-descent reader for
- * campaign artifacts.
+ * Minimal streaming JSON writer for campaign artifacts.
  *
  * Writer output is deterministic by construction: keys are emitted in
  * the order the caller writes them, doubles use a fixed "%.10g"
  * format, and indentation is fixed at two spaces - so two campaigns
  * that compute identical values serialise to byte-identical files
  * regardless of thread count. Non-finite doubles serialise as null
- * (JSON has no NaN/Inf).
- *
- * The reader (parseJson) exists for schema validation and round-trip
- * tests: it handles exactly RFC 8259 JSON as the writer emits it
- * (objects, arrays, strings with the writer's escape set, doubles,
- * booleans, null) and reports failure by position instead of
- * aborting, so tests can assert on malformed input.
+ * (JSON has no NaN/Inf). The tests read artifacts back with the
+ * reader in tests/reference_json.hh.
  */
 
 #ifndef MEDIAWORM_CAMPAIGN_JSON_HH
 #define MEDIAWORM_CAMPAIGN_JSON_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,46 +71,6 @@ class JsonWriter
     bool firstInScope_ = true;
     bool afterKey_ = false;
 };
-
-/**
- * One parsed JSON value. Object member order is not preserved (keys
- * are sorted by std::map); artifact consumers address members by
- * name, never by position.
- */
-struct JsonValue
-{
-    enum class Kind : char { Null, Bool, Number, String, Array, Object };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::map<std::string, JsonValue> object;
-
-    bool isNull() const { return kind == Kind::Null; }
-    bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-
-    /** Member @p name of an object; nullptr when absent or not an
-     *  object. */
-    const JsonValue* find(std::string_view name) const;
-};
-
-/** Outcome of parseJson(): a value, or an error with a position. */
-struct JsonParseResult
-{
-    bool ok = false;
-    JsonValue value;
-    std::string error;     ///< Empty on success.
-    std::size_t position = 0; ///< Byte offset of the error.
-};
-
-/**
- * Parses @p text as one JSON document (trailing whitespace allowed,
- * trailing garbage rejected). Depth is limited to 64 nested scopes.
- */
-JsonParseResult parseJson(std::string_view text);
 
 } // namespace mediaworm::campaign
 

@@ -178,7 +178,6 @@ bool
 OptionParser::parse(int argc, const char* const* argv,
                     std::string* error)
 {
-    positional_.clear();
     given_.clear();
     helpRequested_ = false;
     for (int i = 1; i < argc; ++i) {
@@ -188,8 +187,8 @@ OptionParser::parse(int argc, const char* const* argv,
             return true;
         }
         if (arg.rfind("--", 0) != 0) {
-            positional_.push_back(std::move(arg));
-            continue;
+            *error = "unexpected argument '" + arg + "'";
+            return false;
         }
         std::string name = arg.substr(2);
         std::string value;

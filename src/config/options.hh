@@ -49,8 +49,8 @@ class OptionParser
                    std::vector<std::string> choices, int* target);
 
     /**
-     * Parses argv. Unknown options, missing values and range
-     * violations fail with a message in @p error.
+     * Parses argv. Unknown options, non-option arguments, missing
+     * values and range violations fail with a message in @p error.
      *
      * @return True on success. "--help" sets helpRequested() and
      *         returns true without consuming further arguments.
@@ -65,12 +65,6 @@ class OptionParser
 
     /** Aligned usage text. */
     std::string help() const;
-
-    /** Positional (non-option) arguments seen during parse(). */
-    const std::vector<std::string>& positional() const
-    {
-        return positional_;
-    }
 
   private:
     struct Option
@@ -88,7 +82,6 @@ class OptionParser
     std::string program_;
     std::string description_;
     std::vector<Option> options_;
-    std::vector<std::string> positional_;
     std::vector<std::string> given_;
     bool helpRequested_ = false;
 };

@@ -100,16 +100,6 @@ struct RouterConfig
     SchedulerKind scheduler = SchedulerKind::VirtualClock;
 
     /**
-     * Discipline of the NI's injection multiplexer (the source end
-     * of the input link). The paper applies Virtual Clock inside the
-     * router; sources drain their per-VC queues in arrival order, so
-     * best-effort messages are not starved at injection. FIFO here
-     * reproduces that; setting VirtualClock gives real-time traffic
-     * end-to-end priority from the host outward (ablation knob).
-     */
-    SchedulerKind injectionScheduler = SchedulerKind::Fifo;
-
-    /**
      * Router cycle time: the serialization time of one flit on the
      * physical channel (80 ns at 400 Mbps with 32-bit flits).
      */

@@ -200,6 +200,27 @@ runExperiment(const ExperimentConfig& cfg)
         // Unhook pending events so components tear down cleanly.
         for (sim::Simulator* shard : sims)
             shard->queue().clear();
+    } else {
+        // Routing is deadlock-free and sinks drain, so a run whose
+        // events ran out has delivered every flit it injected.
+        std::uint64_t injected = 0;
+        int stuck = -1;
+        for (int node = 0; node < net.numNodes(); ++node) {
+            injected += net.ni(node).flitsInjected();
+            if (stuck < 0 && net.ni(node).backlogFlits() > 0)
+                stuck = node;
+        }
+        if (stuck >= 0 || injected != metrics.flitsDelivered()) {
+            sim::panic("runExperiment: drained with %llu flits injected "
+                       "but %llu delivered, %llu flits of host backlog "
+                       "(first at node %d)",
+                       static_cast<unsigned long long>(injected),
+                       static_cast<unsigned long long>(
+                           metrics.flitsDelivered()),
+                       static_cast<unsigned long long>(
+                           net.totalBacklogFlits()),
+                       stuck);
+        }
     }
 
     const auto& frames = metrics.frames();

@@ -134,9 +134,6 @@ class MetricsHub
         return *lanes_[index];
     }
 
-    /** Number of lanes created so far. */
-    int numLanes() const { return static_cast<int>(lanes_.size()); }
-
     // Merged read-side accessors. Each call re-merges the lanes in
     // ascending node order - cheap at end-of-run reporting scale,
     // deterministic regardless of how the run was sharded. The

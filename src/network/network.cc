@@ -5,13 +5,6 @@
 
 namespace mediaworm::network {
 
-namespace {
-
-/** Credit depth that never throttles an ejection sink. */
-constexpr int kSinkCredits = 1 << 20;
-
-} // namespace
-
 Network::Network(sim::Simulator& simulator,
                  const config::RouterConfig& router_cfg,
                  const config::NetworkConfig& net_cfg,
@@ -199,23 +192,18 @@ Network::registerStats(stats::Registry& registry) const
         sw->registerStats(registry);
     for (std::size_t i = 0; i < nis_.size(); ++i) {
         const NetworkInterface* ni = nis_[i].get();
-        registry.add("ni" + std::to_string(i) + ".flits_injected",
-                     "flits this endpoint put on its link", [ni] {
-                         return static_cast<double>(
-                             ni->flitsInjected());
-                     });
-        registry.add("ni" + std::to_string(i) + ".backlog_flits",
-                     "flits queued at the host", [ni] {
-                         return static_cast<double>(
-                             ni->backlogFlits());
-                     });
+        registry.add("ni" + std::to_string(i) + ".flits_injected", [ni] {
+            return static_cast<double>(ni->flitsInjected());
+        });
+        registry.add("ni" + std::to_string(i) + ".backlog_flits", [ni] {
+            return static_cast<double>(ni->backlogFlits());
+        });
     }
     for (const auto& link : links_) {
         const router::Link* raw = link.get();
-        registry.add("link." + raw->name() + ".flits",
-                     "flits transmitted", [raw] {
-                         return static_cast<double>(raw->flitsSent());
-                     });
+        registry.add("link." + raw->name() + ".flits", [raw] {
+            return static_cast<double>(raw->flitsSent());
+        });
     }
 }
 

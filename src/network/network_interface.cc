@@ -13,10 +13,9 @@ NetworkInterface::NetworkInterface(sim::Simulator& simulator,
       cycleTime_(cfg.cycleTime()),
       vcs_(static_cast<std::size_t>(cfg.numVcs)),
       credits_(static_cast<std::size_t>(cfg.numVcs), 0),
-      vclock_(static_cast<std::size_t>(cfg.numVcs)),
       muxEvent_(this, "NetworkInterface::mux")
 {
-    arb_.init(cfg.injectionScheduler, /*num_ports=*/1, cfg.numVcs);
+    arb_.init(config::SchedulerKind::Fifo, /*num_ports=*/1, cfg.numVcs);
     simulator_.addLazyDrain(this);
 }
 
@@ -70,6 +69,7 @@ NetworkInterface::connectInjectionLink(router::Link& link,
 void
 NetworkInterface::connectEjectionLink(router::Link& link)
 {
+    ejectionLink_ = &link;
     link.connectReceiver(this);
 }
 
@@ -126,20 +126,10 @@ NetworkInterface::loadHeader(int vc_index)
 {
     InjectionVc& vc = vcs_[static_cast<std::size_t>(vc_index)];
     const PendingMessage& m = vc.messages.front();
-    // The injection multiplexer is a scheduling point like the
-    // router's stage 5: every flit is stamped with the Virtual Clock
-    // of its VC lane, the header installing the message's Vtick.
-    // Stamps depend only on the message (its Vtick and inject time),
-    // so building them late changes no value.
-    router::VirtualClockState& vclock =
-        vclock_[static_cast<std::size_t>(vc_index)];
-    vclock.beginMessage(m.vtick);
-
     router::Flit& flit = vc.next;
     flit = router::Flit{};
     flit.vtick = m.vtick;
     flit.injectTime = m.injectTime;
-    flit.stamp = vclock.tick(m.injectTime);
     flit.arrivalSeq = m.firstSeq;
     flit.stream = m.stream;
     flit.dest = m.dest;
@@ -158,6 +148,8 @@ NetworkInterface::receiveFlit(const router::Flit& flit, int vc)
                          flit.message, flit.index, node_.value(), -1,
                          vc});
     }
+    // The sink drains on arrival: the flit's slot is free at once.
+    ejectionLink_->sendCredit(vc);
     lane_->recordFlit(flit.stream, now);
     if (!flit.isTail())
         return;
@@ -258,8 +250,6 @@ NetworkInterface::serveMux()
             ? router::FlitType::Tail
             : router::FlitType::Body;
         flit.endOfFrame = m.endOfFrame && flit.isTail();
-        flit.stamp =
-            vclock_[static_cast<std::size_t>(v)].tick(m.injectTime);
         ++flit.arrivalSeq;
     }
     --credits_[static_cast<std::size_t>(v)];

@@ -3,17 +3,17 @@
  * Endpoint network interface.
  *
  * Injection side: per-VC message queues (host memory, unbounded), a
- * VC multiplexer onto the injection link scheduled by the configured
- * discipline - the same Virtual Clock machinery as the router's
- * output stage, since the injection link is itself a contended
- * physical channel - and credit flow control against the router's
- * input buffers. The queues hold one record per message; each VC
- * builds only its next flit, so host memory grows with queued
- * messages, not queued flits.
+ * FIFO multiplexer onto the injection link - the paper applies
+ * Virtual Clock inside the router, and hosts drain their queues in
+ * arrival order, so best-effort messages are not starved at
+ * injection - and credit flow control against the router's input
+ * buffers. The queues hold one record per message; each VC builds
+ * only its next flit, so host memory grows with queued messages, not
+ * queued flits.
  *
- * Ejection side: a sink that consumes flits at link rate, reassembles
- * frame completions from tail flits and reports them to the
- * MetricsHub.
+ * Ejection side: a sink that consumes flits at link rate, returns
+ * one credit per flit on the ejection link, reassembles frame
+ * completions from tail flits and reports them to the MetricsHub.
  */
 
 #ifndef MEDIAWORM_NETWORK_NETWORK_INTERFACE_HH
@@ -29,7 +29,6 @@
 #include "router/flit.hh"
 #include "router/link.hh"
 #include "router/ring.hh"
-#include "router/virtual_clock.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
 #include "sim/tracer.hh"
@@ -45,8 +44,8 @@ namespace mediaworm::network {
  * sim::BatchSink would only ever see one-member batches. Like the
  * router, the NI takes part in lazy-tick elision (an injection-mux
  * wakeup with nothing eligible is skipped; sim::LazyDrain settles the
- * accounting). Per-VC credits and Virtual Clock state live in flat
- * arrays (DESIGN.md section 13).
+ * accounting). Per-VC credits live in a flat array (DESIGN.md
+ * section 13).
  */
 class NetworkInterface final : public traffic::Injector,
                                public router::FlitReceiver,
@@ -58,7 +57,7 @@ class NetworkInterface final : public traffic::Injector,
      * @param simulator Owning kernel.
      * @param node This endpoint's id.
      * @param cfg Router configuration (VC count, cycle time, flit
-     *            size, scheduling discipline for the injection mux).
+     *            size, switching discipline).
      * @param metrics Shared measurement hub.
      * @param name Diagnostic name.
      */
@@ -74,7 +73,8 @@ class NetworkInterface final : public traffic::Injector,
     void connectInjectionLink(router::Link& link,
                               int router_buffer_depth);
 
-    /** Attaches the ejection link; the NI registers as receiver. */
+    /** Attaches the ejection link; the NI registers as receiver
+     *  and returns a credit on it for every flit it sinks. */
     void connectEjectionLink(router::Link& link);
 
     /** This endpoint's id. */
@@ -128,15 +128,13 @@ class NetworkInterface final : public traffic::Injector,
         bool endOfFrame = false;
     };
 
-    /** Per-VC cold state; the hot scalars (credits, Virtual Clock)
-     *  live in the flat arrays below. */
+    /** Per-VC cold state; the hot credit counters live in the flat
+     *  array below. */
     struct InjectionVc
     {
         router::Ring<PendingMessage> messages; ///< Unbounded host queue.
         /** The front message's next flit, valid while messages is
-         *  non-empty: stamped through this lane's Virtual Clock
-         *  cursor (vclock_) exactly as if the whole message had been
-         *  flitized at injection. */
+         *  non-empty. */
         router::Flit next;
     };
 
@@ -180,10 +178,7 @@ class NetworkInterface final : public traffic::Injector,
     /** Bit v = lane v has a queued flit it may not send for want of
      *  credits (see refreshEligibility()). */
     std::uint64_t starvedMask_ = 0;
-    /** Per-lane stamping cursor: beginMessage() as a message's header
-     *  is built, tick(injectTime) for each of its flits. */
-    std::vector<router::VirtualClockState> vclock_;
-    /** The injection mux: one port, one slot per VC lane. */
+    /** The injection mux: one FIFO port, one slot per VC lane. */
     router::MultiPortArbiter arb_;
     sim::MemberFuncEvent<&NetworkInterface::muxFired> muxEvent_;
     sim::LazyTick mux_; ///< Service-slot state; elides idle ticks.
@@ -191,6 +186,7 @@ class NetworkInterface final : public traffic::Injector,
     std::uint64_t backlogFlits_ = 0; ///< Queued flits not yet sent.
 
     router::Link* injectionLink_ = nullptr;
+    router::Link* ejectionLink_ = nullptr;
     int routerBufferDepth_ = 0;
     sim::Tracer* tracer_ = nullptr;
 

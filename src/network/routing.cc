@@ -1,7 +1,6 @@
 #include "network/routing.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "sim/logging.hh"
 
@@ -305,85 +304,6 @@ buildRouting(const Topology& topo, config::RoutingKind kind,
         }
     }
     return out;
-}
-
-std::vector<std::pair<int, int>>
-channelDependencyEdges(const Topology& topo,
-                       const RoutingTables& tables, bool escape_only)
-{
-    const int K = tables.vcClasses;
-    const auto cls_of = [](const RouteCandidates& rc, int i) {
-        const int c = rc.vcClasses[static_cast<std::size_t>(i)];
-        return c < 0 ? 0 : c;
-    };
-    const auto first_cand = [escape_only](const RouteCandidates& rc) {
-        return escape_only
-                && rc.select == RouteCandidates::Select::AdaptiveEscape
-            ? rc.count - 1
-            : 0;
-    };
-
-    std::set<std::pair<int, int>> edges;
-    for (int d = 0; d < topo.numNodes(); ++d) {
-        const int tr = topo.routerOfNode(d);
-        for (int u = 0; u < topo.numRouters(); ++u) {
-            if (u == tr)
-                continue;
-            const RouteCandidates& rc =
-                tables.perRouter[static_cast<std::size_t>(u)]
-                                [static_cast<std::size_t>(d)];
-            for (int i = first_cand(rc); i < rc.count; ++i) {
-                const int c = topo.outChannelAt(
-                    u, rc.ports[static_cast<std::size_t>(i)]);
-                MW_ASSERT(c >= 0);
-                const int v =
-                    topo.channels()[static_cast<std::size_t>(c)]
-                        .dstRouter;
-                if (v == tr)
-                    continue; // Next hop is the ejection port.
-                const RouteCandidates& rc2 =
-                    tables.perRouter[static_cast<std::size_t>(v)]
-                                    [static_cast<std::size_t>(d)];
-                for (int j = first_cand(rc2); j < rc2.count; ++j) {
-                    const int c2 = topo.outChannelAt(
-                        v, rc2.ports[static_cast<std::size_t>(j)]);
-                    MW_ASSERT(c2 >= 0);
-                    edges.insert({c * K + cls_of(rc, i),
-                                  c2 * K + cls_of(rc2, j)});
-                }
-            }
-        }
-    }
-    return {edges.begin(), edges.end()};
-}
-
-bool
-acyclic(int num_nodes, const std::vector<std::pair<int, int>>& edges)
-{
-    // Kahn's algorithm over the (sparse) edge list.
-    std::vector<int> indegree(static_cast<std::size_t>(num_nodes), 0);
-    for (const auto& [from, to] : edges) {
-        MW_ASSERT(from >= 0 && from < num_nodes);
-        MW_ASSERT(to >= 0 && to < num_nodes);
-        ++indegree[static_cast<std::size_t>(to)];
-    }
-    std::vector<int> ready;
-    for (int n = 0; n < num_nodes; ++n) {
-        if (indegree[static_cast<std::size_t>(n)] == 0)
-            ready.push_back(n);
-    }
-    int removed = 0;
-    while (!ready.empty()) {
-        const int n = ready.back();
-        ready.pop_back();
-        ++removed;
-        for (const auto& [from, to] : edges) {
-            if (from == n
-                && --indegree[static_cast<std::size_t>(to)] == 0)
-                ready.push_back(to);
-        }
-    }
-    return removed == num_nodes;
 }
 
 } // namespace mediaworm::network

@@ -28,22 +28,24 @@
  *    by increasing depth.
  *  - Adaptive: minimal adaptive candidates in a dedicated top VC
  *    class, taken only when their mapped output VC is free at
- *    route time, with the DimensionOrder route as the always-present
- *    escape candidate in the lower class(es). Allocation waits only
- *    ever happen on the escape subnetwork, whose CDG is acyclic -
- *    Duato's condition for deadlock-free wormhole adaptive routing.
+ *    route time (unallocated and drained downstream; see
+ *    WormholeRouter::routeComputed), with the DimensionOrder route as
+ *    the always-present escape candidate in the lower class(es).
+ *    Allocation waits only ever happen on the escape subnetwork,
+ *    whose CDG is acyclic - Duato's condition for deadlock-free
+ *    wormhole adaptive routing.
  *    (On the Clos, where every spine choice is already cycle-free,
  *    adaptive keeps one VC class and just prefers free spines.)
  *
- * The CDG helpers build the dependency graph from the *actual*
- * tables, so the acyclicity tests validate what the router executes,
- * not what the builder intended.
+ * The deadlock tests build the channel-dependency graph (CDG) from
+ * the *actual* tables (tests/reference_topology.hh), so the
+ * acyclicity proof validates what the router executes, not what the
+ * builder intended.
  */
 
 #ifndef MEDIAWORM_NETWORK_ROUTING_HH
 #define MEDIAWORM_NETWORK_ROUTING_HH
 
-#include <utility>
 #include <vector>
 
 #include "config/network_config.hh"
@@ -84,22 +86,6 @@ RoutingTables buildRouting(
  * model.
  */
 std::vector<int> bfsTreeParents(const Topology& topo);
-
-/**
- * Channel-dependency graph of @p tables over @p topo: node id =
- * channel * vcClasses + vcClass, one edge per (hold, request) pair a
- * message can create. With @p escape_only, AdaptiveEscape entries
- * contribute only their escape (last) candidate - the subnetwork
- * whose acyclicity Duato's condition requires; entries with other
- * Select modes always contribute all candidates.
- */
-std::vector<std::pair<int, int>>
-channelDependencyEdges(const Topology& topo,
-                       const RoutingTables& tables, bool escape_only);
-
-/** True when the directed graph on @p num_nodes nodes is acyclic. */
-bool acyclic(int num_nodes,
-             const std::vector<std::pair<int, int>>& edges);
 
 } // namespace mediaworm::network
 

@@ -59,64 +59,6 @@ Topology::outChannelsOf(int router) const
 }
 
 int
-Topology::degreeOf(int router) const
-{
-    std::vector<int> neighbours;
-    for (const TopoChannel& ch : channels_) {
-        if (ch.srcRouter == router)
-            neighbours.push_back(ch.dstRouter);
-    }
-    std::sort(neighbours.begin(), neighbours.end());
-    neighbours.erase(
-        std::unique(neighbours.begin(), neighbours.end()),
-        neighbours.end());
-    return static_cast<int>(neighbours.size());
-}
-
-bool
-Topology::connected() const
-{
-    if (numRouters_ <= 1)
-        return true;
-    std::vector<bool> seen(static_cast<std::size_t>(numRouters_),
-                           false);
-    std::vector<int> stack{0};
-    seen[0] = true;
-    int reached = 1;
-    while (!stack.empty()) {
-        const int r = stack.back();
-        stack.pop_back();
-        for (const TopoChannel& ch : channels_) {
-            if (ch.srcRouter == r
-                && !seen[static_cast<std::size_t>(ch.dstRouter)]) {
-                seen[static_cast<std::size_t>(ch.dstRouter)] = true;
-                ++reached;
-                stack.push_back(ch.dstRouter);
-            }
-        }
-    }
-    return reached == numRouters_;
-}
-
-bool
-Topology::symmetric() const
-{
-    for (const TopoChannel& ch : channels_) {
-        int mirrors = 0;
-        for (const TopoChannel& other : channels_) {
-            if (other.srcRouter == ch.dstRouter
-                && other.srcPort == ch.dstPort
-                && other.dstRouter == ch.srcRouter
-                && other.dstPort == ch.srcPort)
-                ++mirrors;
-        }
-        if (mirrors != 1)
-            return false;
-    }
-    return true;
-}
-
-int
 Topology::dirPort(int s, int dir) const
 {
     if (dirPort_.empty())

@@ -8,7 +8,8 @@
  * channels. network::Network walks these tables to instantiate
  * routers, links and NIs; network::buildRouting derives route tables
  * from the same graph; tests check graph-level properties
- * (connectivity, degree, symmetry) without building a simulation.
+ * (connectivity, degree, symmetry; tests/reference_topology.hh)
+ * without building a simulation.
  *
  * Builders cover the paper's two shapes (single switch, fat mesh)
  * plus k-ary 2-meshes, 2-D tori and 3-stage folded Clos networks,
@@ -129,9 +130,6 @@ class Topology
     /** All channel indices leaving @p router, in creation order. */
     std::vector<int> outChannelsOf(int router) const;
 
-    /** Number of distinct neighbour routers of @p router. */
-    int degreeOf(int router) const;
-
     /**
      * Estimated flit-buffer memory of the network, in bytes: wired
      * router ports x VCs x buffer depth x 64-byte flit x 2 (input
@@ -146,16 +144,6 @@ class Topology
      *  kMaxBufferBytes. Otherwise a diagnostic naming the first
      *  budget exceeded, the need and the limit. */
     std::string budgetError(const config::RouterConfig& router) const;
-
-    /** True when every router can reach every other router. */
-    bool connected() const;
-
-    /**
-     * True when the channel table is symmetric: for every directed
-     * channel a->b there is exactly one b->a channel joining the
-     * same two (router, port) pairs in reverse.
-     */
-    bool symmetric() const;
 
     // Shape metadata the routing policies consume. Valid per kind.
     int meshWidth = 0;   ///< Mesh/torus/fat-mesh grid width.

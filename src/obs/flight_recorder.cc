@@ -1,26 +1,19 @@
 #include "obs/flight_recorder.hh"
 
 #include <cstdio>
-#include <memory>
 
 #include "sim/logging.hh"
 
 namespace mediaworm::obs {
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : own_(std::make_unique<sim::Tracer>(capacity)),
-      ring_(own_.get())
-{
-}
-
-FlightRecorder::FlightRecorder(sim::Tracer& ring)
-    : ring_(&ring)
-{
-}
-
 FlightRecorder::~FlightRecorder()
 {
-    disarm();
+    if (!armed_)
+        return;
+    void* context = nullptr;
+    if (sim::crashHook(&context) == &FlightRecorder::crashDump
+        && context == this)
+        sim::setCrashHook(nullptr, nullptr);
 }
 
 void
@@ -30,31 +23,19 @@ FlightRecorder::arm()
     armed_ = true;
 }
 
-void
-FlightRecorder::disarm()
-{
-    if (!armed_)
-        return;
-    void* context = nullptr;
-    if (sim::crashHook(&context) == &FlightRecorder::crashDump
-        && context == this)
-        sim::setCrashHook(nullptr, nullptr);
-    armed_ = false;
-}
-
 std::string
 FlightRecorder::dump() const
 {
     const std::size_t shown =
-        ring_->size() < kDumpTail ? ring_->size() : kDumpTail;
+        ring_.size() < kDumpTail ? ring_.size() : kDumpTail;
     char header[128];
     std::snprintf(header, sizeof(header),
                   "flight recorder: last %zu of %llu events "
                   "(oldest first)\n",
                   shown,
                   static_cast<unsigned long long>(
-                      ring_->totalRecorded()));
-    return header + ring_->toString(kDumpTail);
+                      ring_.totalRecorded()));
+    return header + ring_.toString(kDumpTail);
 }
 
 void

@@ -2,11 +2,11 @@
  * @file
  * Crash-time flight recorder.
  *
- * A fixed-size ring buffer of the most recent simulation events
+ * Dumps a sim::Tracer ring of the most recent simulation events
  * (flit lifecycle points and credit returns, each with time, router /
- * port / VC and flit identity) that is always cheap enough to leave
- * armed on debugging runs: recording is the same ring-buffer append
- * the Tracer performs, and a disarmed recorder costs the usual null
+ * port / VC and flit identity) when the run dies. It is cheap enough
+ * to leave armed on debugging runs: recording is the Tracer's
+ * ring-buffer append, and an untraced run costs the usual null
  * tracer-pointer check on the hot paths.
  *
  * arm() installs a sim::setCrashHook() handler, so the moment
@@ -22,29 +22,26 @@
 #define MEDIAWORM_OBS_FLIGHT_RECORDER_HH
 
 #include <cstddef>
-#include <memory>
 #include <string>
 
 #include "sim/tracer.hh"
 
 namespace mediaworm::obs {
 
-/** Ring buffer of recent sim events with a crash-dump hook. */
+/** Crash-dump hook over a ring of recent sim events. */
 class FlightRecorder
 {
   public:
     /** A crash dump renders at most this many trailing events. */
     static constexpr std::size_t kDumpTail = 256;
 
-    /** @param capacity Events retained (oldest evicted first). */
-    explicit FlightRecorder(std::size_t capacity = 512);
-
     /**
-     * Records into @p ring instead of an owned buffer, so one trace
-     * ring can feed both the Chrome-trace export and the crash dump.
-     * @p ring must outlive the recorder.
+     * Dumps @p ring, the trace ring the observed components record
+     * into (Network::attachTracer), so one ring can feed both the
+     * Chrome-trace export and the crash dump. @p ring must outlive
+     * the recorder.
      */
-    explicit FlightRecorder(sim::Tracer& ring);
+    explicit FlightRecorder(const sim::Tracer& ring) : ring_(ring) {}
 
     /** Disarms (uninstalls the crash hook) if still armed. */
     ~FlightRecorder();
@@ -53,33 +50,11 @@ class FlightRecorder
     FlightRecorder& operator=(const FlightRecorder&) = delete;
 
     /**
-     * The event sink. Attach it to the components to observe
-     * (Network::attachTracer wires every router and NI).
-     */
-    sim::Tracer& tracer() { return *ring_; }
-    const sim::Tracer& tracer() const { return *ring_; }
-
-    /**
      * Installs this recorder as the process crash hook: fatal() and
      * panic() dump the trail before terminating. Only one recorder
      * can be armed at a time; arming replaces the previous hook.
      */
     void arm();
-
-    /** Uninstalls the crash hook if this recorder holds it. */
-    void disarm();
-
-    /** True while this recorder is the installed crash hook. */
-    bool armed() const { return armed_; }
-
-    /** Events currently retained. */
-    std::size_t size() const { return ring_->size(); }
-
-    /** Events ever recorded, including evicted ones. */
-    std::uint64_t totalRecorded() const
-    {
-        return ring_->totalRecorded();
-    }
 
     /**
      * The human-readable trail: a header plus one line per event,
@@ -92,8 +67,7 @@ class FlightRecorder
   private:
     static void crashDump(void* context);
 
-    std::unique_ptr<sim::Tracer> own_;
-    sim::Tracer* ring_;
+    const sim::Tracer& ring_;
     bool armed_ = false;
 };
 

@@ -1,7 +1,5 @@
 #include "pcs/connection_table.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace mediaworm::pcs {
@@ -74,26 +72,6 @@ ConnectionTable::establish(sim::NodeId src, sim::Tick vtick,
         return connection;
     }
     return std::nullopt;
-}
-
-void
-ConnectionTable::release(const Connection& connection)
-{
-    const int m = cfg_.numVcs;
-    const auto src_slot = static_cast<std::size_t>(
-        connection.src.value() * m + connection.srcVc);
-    const auto dst_slot = static_cast<std::size_t>(
-        connection.dst.value() * m + connection.dstVc);
-    MW_ASSERT(srcBusy_[src_slot] && dstBusy_[dst_slot]);
-    srcBusy_[src_slot] = false;
-    dstBusy_[dst_slot] = false;
-    const auto it = std::find_if(
-        connections_.begin(), connections_.end(),
-        [&](const Connection& c) {
-            return c.stream == connection.stream;
-        });
-    MW_ASSERT(it != connections_.end());
-    connections_.erase(it);
 }
 
 const Connection*

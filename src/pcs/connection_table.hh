@@ -62,9 +62,6 @@ class ConnectionTable
     std::optional<Connection> establish(sim::NodeId src,
                                         sim::Tick vtick, sim::Rng& rng);
 
-    /** Releases @p connection's VC reservations. */
-    void release(const Connection& connection);
-
     /** Looks up a connection by stream id; nullptr if unknown. */
     const Connection* find(sim::StreamId stream) const;
 

@@ -63,9 +63,9 @@ runPcsExperiment(const PcsExperimentConfig& cfg)
         sources.back()->start();
     }
 
-    sim::CallbackEvent enable_event(
-        [&] { metrics.enable(simulator.now()); }, "enableMetrics");
-    simulator.schedule(enable_event, traffic.warmupEnd());
+    // Measure from the end of warm-up: a time threshold, no event
+    // (network/metrics.hh).
+    metrics.enable(traffic.warmupEnd());
     simulator.run(traffic.horizon() * 8 + 100 * sim::kMillisecond);
 
     result.truncated = !simulator.queue().empty();

@@ -99,6 +99,7 @@ WormholeRouter::connectOutputLink(int port, Link& link,
     OutputPort& op = outputAt(port);
     MW_ASSERT(op.link == nullptr);
     op.link = &link;
+    op.downstreamDepth = downstream_buffer_depth;
     link.connectCreditReceiver(
         &creditReceivers_[static_cast<std::size_t>(port)]);
     for (int v = 0; v < cfg_.numVcs; ++v) {
@@ -272,15 +273,24 @@ WormholeRouter::routeComputed(int port, int vc)
         // candidate whose mapped output VC is free right now, so a
         // message never waits for the allocation of an adaptive VC;
         // otherwise fall back to the escape candidate (last), whose
-        // dependency graph is acyclic by construction.
+        // dependency graph is acyclic by construction. Free means
+        // unallocated *and* drained downstream (every credit back):
+        // a message queued in an adaptive VC behind another would
+        // wait on whatever escape channel that one waits on, an
+        // escape dependency outside dimension order that closes
+        // cycles on the torus.
         choice = candidates.count - 1;
         int best_load = -1;
         for (int i = 0; i < candidates.count - 1; ++i) {
             const int p = candidates.ports[static_cast<std::size_t>(i)];
+            const int v = map_vc(i);
             const std::uint64_t vbit = std::uint64_t{1}
-                << static_cast<unsigned>(map_vc(i));
+                << static_cast<unsigned>(v);
             if ((allocatedMask_[static_cast<std::size_t>(p)] & vbit)
                 != 0)
+                continue;
+            collectCredits(p);
+            if (outCredits_[vcIndex(p, v)] < outputAt(p).downstreamDepth)
                 continue;
             const int load = outputLoad(p);
             if (best_load < 0 || load < best_load) {
@@ -801,24 +811,20 @@ WormholeRouter::lazyPending() const
 void
 WormholeRouter::registerStats(stats::Registry& registry) const
 {
+    // Flits that left the router; messages whose header computed a
+    // route; messages that blocked on output-VC allocation.
     registry.add(name_ + ".flits_forwarded",
-                 "flits that left the router",
                  [this] { return static_cast<double>(flitsForwarded_); });
     registry.add(name_ + ".headers_routed",
-                 "messages whose header computed a route",
                  [this] { return static_cast<double>(headersRouted_); });
-    registry.add(name_ + ".allocation_waits",
-                 "messages that blocked on output-VC allocation",
-                 [this] {
-                     return static_cast<double>(allocationWaits_);
-                 });
+    registry.add(name_ + ".allocation_waits", [this] {
+        return static_cast<double>(allocationWaits_);
+    });
+    // Buffered flits at each output port.
     for (int p = 0; p < cfg_.numPorts; ++p) {
-        registry.add(name_ + ".port" + std::to_string(p)
-                         + ".output_load",
-                     "buffered flits at this output port",
-                     [this, p] {
-                         return static_cast<double>(outputLoad(p));
-                     });
+        registry.add(
+            name_ + ".port" + std::to_string(p) + ".output_load",
+            [this, p] { return static_cast<double>(outputLoad(p)); });
     }
 }
 
@@ -904,6 +910,12 @@ WormholeRouter::checkInvariants() const
                           + static_cast<std::size_t>(outReserved_[i])
                       <= ovc.buffer.capacity());
             MW_CHECK(outCredits_[i] >= 0);
+            // Credits, applied or on the wire, and flits on the wire
+            // never exceed the downstream slots they stand for.
+            if (op.link != nullptr)
+                MW_CHECK(outCredits_[i] + op.link->creditsInFlight(v)
+                             + op.link->flitsInFlight(v)
+                         <= op.downstreamDepth);
             // SoA occupancy mirrors the buffer it shadows.
             MW_CHECK(outOccupancy_[i]
                       == static_cast<int>(ovc.buffer.size()));

@@ -69,7 +69,8 @@ struct RouteCandidates
         Random,
         /**
          * Candidates 0..count-2 are adaptive choices taken only when
-         * their mapped output VC is free right now; the last
+         * their mapped output VC is free right now (unallocated, and
+         * every downstream credit back); the last
          * candidate is the escape route (always grantable order
          * exists because the escape dependency graph is acyclic).
          * Allocation waits therefore only ever happen on escape VCs.
@@ -415,6 +416,8 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     {
         std::vector<OutputVc> vcs;
         Link* link = nullptr;
+        /** Per-VC buffer depth behind the link (checkInvariants). */
+        int downstreamDepth = 0;
         // Point B: the crossbar output port (capacity-one server).
         // Its busy bit lives in the router-level xbarBusyMask_ (and
         // the blocked-mux set in xbarWaiters_), so the input-mux gate

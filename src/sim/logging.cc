@@ -8,10 +8,6 @@ namespace mediaworm::sim {
 
 namespace {
 
-// Atomic so concurrent experiment workers (campaign engine) can read
-// the threshold while another thread adjusts it, race-free.
-std::atomic<LogLevel> g_level{LogLevel::Info};
-
 // Crash hook; the pair is read on the (single) failing thread just
 // before termination.
 std::atomic<CrashHook> g_crashHook{nullptr};
@@ -33,18 +29,6 @@ vprint(const char* tag, const char* fmt, std::va_list args)
 }
 
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
 
 void
 fatal(const char* fmt, ...)
@@ -86,33 +70,9 @@ crashHook(void** context)
 void
 warn(const char* fmt, ...)
 {
-    if (g_level < LogLevel::Warn)
-        return;
     std::va_list args;
     va_start(args, fmt);
     vprint("warn: ", fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char* fmt, ...)
-{
-    if (g_level < LogLevel::Info)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vprint("info: ", fmt, args);
-    va_end(args);
-}
-
-void
-debug(const char* fmt, ...)
-{
-    if (g_level < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    vprint("debug: ", fmt, args);
     va_end(args);
 }
 

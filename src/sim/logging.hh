@@ -7,7 +7,6 @@
  * panic()  - an internal invariant was violated (a simulator bug).
  *            Aborts so a core/backtrace is available.
  * warn()   - something looks wrong but the simulation can continue.
- * inform() - plain status output.
  */
 
 #ifndef MEDIAWORM_SIM_LOGGING_HH
@@ -17,20 +16,6 @@
 #include <string>
 
 namespace mediaworm::sim {
-
-/** Verbosity levels for runtime log filtering. */
-enum class LogLevel {
-    Silent = 0, ///< Only fatal/panic output.
-    Warn = 1,   ///< Warnings and errors.
-    Info = 2,   ///< Warnings, errors and status messages.
-    Debug = 3,  ///< Everything, including debug traces.
-};
-
-/** Sets the global log threshold. Defaults to Info. */
-void setLogLevel(LogLevel level);
-
-/** Returns the current global log threshold. */
-LogLevel logLevel();
 
 /** Terminates with exit(1); for user errors. Printf-style format. */
 [[noreturn]] void fatal(const char* fmt, ...)
@@ -58,14 +43,8 @@ void setCrashHook(CrashHook hook, void* context);
 /** Current hook, or nullptr; @p context receives its context. */
 CrashHook crashHook(void** context);
 
-/** Non-fatal complaint. Printf-style format. */
+/** Non-fatal complaint to stderr. Printf-style format. */
 void warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Status message. Printf-style format. */
-void inform(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Debug trace, suppressed unless the level is Debug. */
-void debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Hard invariant check that survives NDEBUG builds.

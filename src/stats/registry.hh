@@ -3,8 +3,8 @@
  * Named statistics registry for end-of-run reporting.
  *
  * Components register scalar-producing callbacks under hierarchical
- * names ("router0.port3.xbar_grants"); the registry renders them as
- * text or CSV after a run.
+ * names ("router0.port3.output_load"); a reporter walks entries()
+ * after a run and evaluates each value.
  */
 
 #ifndef MEDIAWORM_STATS_REGISTRY_HH
@@ -19,35 +19,25 @@ namespace mediaworm::stats {
 /** A named scalar statistic with a lazy value producer. */
 struct StatEntry
 {
-    std::string name;        ///< Hierarchical dotted name.
-    std::string description; ///< Human-readable meaning.
-    std::function<double()> value; ///< Evaluated at dump time.
+    std::string name;              ///< Hierarchical dotted name.
+    std::function<double()> value; ///< Evaluated when read.
 };
 
-/** Collects StatEntry items and renders them. */
+/** Collects StatEntry items in registration order. */
 class Registry
 {
   public:
     Registry() = default;
 
     /** Registers a scalar statistic. */
-    void add(std::string name, std::string description,
-             std::function<double()> value);
-
-    /** Number of registered statistics. */
-    std::size_t size() const { return entries_.size(); }
+    void
+    add(std::string name, std::function<double()> value)
+    {
+        entries_.push_back({std::move(name), std::move(value)});
+    }
 
     /** All entries in registration order. */
     const std::vector<StatEntry>& entries() const { return entries_; }
-
-    /** Looks up the current value by exact name; NaN if absent. */
-    double lookup(const std::string& name) const;
-
-    /** Renders "name value  # description" lines. */
-    std::string dumpText() const;
-
-    /** Renders "name,value" lines with a header row. */
-    std::string dumpCsv() const;
 
   private:
     std::vector<StatEntry> entries_;

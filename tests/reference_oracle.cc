@@ -159,7 +159,7 @@ computeBounds(const config::RouterConfig& router,
         return out;
 
     const calculus::StreamEnvelope envelope =
-        calculus::rtStreamEnvelope(router, traffic, oracle);
+        calculus::rtStreamEnvelope(router, traffic);
     const calculus::RouteModel model(router, net);
     const int num_nodes = model.numNodes();
 

@@ -23,8 +23,8 @@
 #include "calculus/oracle.hh"
 #include "calculus/route_model.hh"
 #include "campaign/artifact.hh"
-#include "campaign/json.hh"
 #include "core/experiment.hh"
+#include "reference_json.hh"
 #include "sim/random.hh"
 #include "traffic/traffic_mix.hh"
 
@@ -32,6 +32,21 @@ namespace {
 
 using namespace mediaworm;
 using namespace mediaworm::calculus;
+
+/** The (src, dst) route through a one-off model. */
+Route
+routeOf(const config::RouterConfig& router,
+        const config::NetworkConfig& net, int src, int dst)
+{
+    return RouteModel(router, net).routeOf(src, dst);
+}
+
+/** Router hops on the (src, dst) path, through a one-off model. */
+int
+routerHops(const config::NetworkConfig& net, int src, int dst)
+{
+    return RouteModel(config::RouterConfig{}, net).routerHops(src, dst);
+}
 
 // --------------------------------------------------------------
 // Curve arithmetic, hand-computed.
@@ -123,7 +138,7 @@ TEST(Envelope, CbrRateIsTheMeanRate)
     config::TrafficConfig traffic;
     traffic.realTimeKind = config::RealTimeKind::Cbr;
     const StreamEnvelope env =
-        rtStreamEnvelope(router, traffic, OracleConfig{});
+        rtStreamEnvelope(router, traffic);
     // CBR frames are exactly the mean size: auto margin is zero.
     EXPECT_DOUBLE_EQ(env.curve.rhoFlitsPerUs,
                      env.meanRateFlitsPerUs);
@@ -137,10 +152,10 @@ TEST(Envelope, VbrCarriesMarginAndLargerBurst)
     config::TrafficConfig traffic;
     traffic.realTimeKind = config::RealTimeKind::Cbr;
     const StreamEnvelope cbr =
-        rtStreamEnvelope(router, traffic, OracleConfig{});
+        rtStreamEnvelope(router, traffic);
     traffic.realTimeKind = config::RealTimeKind::Vbr;
     const StreamEnvelope vbr =
-        rtStreamEnvelope(router, traffic, OracleConfig{});
+        rtStreamEnvelope(router, traffic);
 
     EXPECT_GT(vbr.curve.rhoFlitsPerUs, cbr.curve.rhoFlitsPerUs);
     EXPECT_GT(vbr.curve.sigmaFlits, cbr.curve.sigmaFlits);
@@ -151,14 +166,16 @@ TEST(Envelope, SigmaGrowsWithBurstSigmas)
     config::RouterConfig router;
     config::TrafficConfig traffic;
     traffic.realTimeKind = config::RealTimeKind::Vbr;
-    OracleConfig narrow;
-    narrow.burstSigmas = 2.0;
-    OracleConfig wide;
-    wide.burstSigmas = 6.0;
-    EXPECT_LT(rtStreamEnvelope(router, traffic, narrow)
-                  .curve.sigmaFlits,
-              rtStreamEnvelope(router, traffic, wide)
-                  .curve.sigmaFlits);
+    // The burst covers the largest contract frame, mean + kBurstSigmas
+    // standard deviations: 16666 + 4 x 3333 = 29998 bytes, which is
+    // 395 messages of 19 four-byte payload flits.
+    EXPECT_DOUBLE_EQ(kBurstSigmas, 4.0);
+    EXPECT_DOUBLE_EQ(rtStreamEnvelope(router, traffic).curve.sigmaFlits,
+                     395.0 * traffic.messageFlits);
+    config::TrafficConfig wide = traffic;
+    wide.frameBytesStddev = 2.0 * traffic.frameBytesStddev;
+    EXPECT_LT(rtStreamEnvelope(router, traffic).curve.sigmaFlits,
+              rtStreamEnvelope(router, wide).curve.sigmaFlits);
 }
 
 // --------------------------------------------------------------
@@ -172,7 +189,7 @@ TEST(RouteModel, SingleSwitchRouteHasTwoPoints)
     const Route route = routeOf(router, net, 0, 5);
     ASSERT_EQ(route.size(), 2u);
     EXPECT_EQ(route[0].key, -1); // injection point of node 0
-    EXPECT_EQ(route[0].discipline, router.injectionScheduler);
+    EXPECT_EQ(route[0].discipline, config::SchedulerKind::Fifo);
     EXPECT_EQ(route[1].discipline, router.scheduler);
     const double cap = linkCapacityFlitsPerUs(router);
     EXPECT_DOUBLE_EQ(route[0].capacityFlitsPerUs, cap);
@@ -474,16 +491,13 @@ TEST(Oracle, WiderBurstContractLoosensBounds)
     const traffic::MixPlan plan =
         planLike(router, traffic, router.numPorts, 1);
 
-    OracleConfig narrow;
-    narrow.burstSigmas = 2.0;
-    OracleConfig wide;
-    wide.burstSigmas = 6.0;
+    // A larger frame-size deviation widens the 4-sigma burst.
+    config::TrafficConfig spread = traffic;
+    spread.frameBytesStddev = 2.0 * traffic.frameBytesStddev;
     const BoundsReport tight = computeBounds(
-        router, traffic, config::NetworkConfig{}, plan.streams,
-        narrow);
+        router, traffic, config::NetworkConfig{}, plan.streams);
     const BoundsReport loose = computeBounds(
-        router, traffic, config::NetworkConfig{}, plan.streams,
-        wide);
+        router, spread, config::NetworkConfig{}, plan.streams);
     ASSERT_EQ(tight.streams.size(), loose.streams.size());
     for (std::size_t i = 0; i < tight.streams.size(); ++i) {
         if (!tight.streams[i].bounded)
@@ -536,26 +550,26 @@ TEST(ArtifactV3, RoundTripsThroughTheParser)
     options.name = "round-trip";
     options.includeTiming = false;
     const std::string text = campaign::toJson(camp, options);
-    const campaign::JsonParseResult parsed =
-        campaign::parseJson(text);
+    const reference::JsonParseResult parsed =
+        reference::parseJson(text);
     ASSERT_TRUE(parsed.ok) << parsed.error << " at byte "
                            << parsed.position;
 
-    const campaign::JsonValue& doc = parsed.value;
+    const reference::JsonValue& doc = parsed.value;
     ASSERT_TRUE(doc.isObject());
     ASSERT_NE(doc.find("schema"), nullptr);
     EXPECT_EQ(doc.find("schema")->string,
               campaign::kArtifactSchema);
 
-    const campaign::JsonValue* points = doc.find("points");
+    const reference::JsonValue* points = doc.find("points");
     ASSERT_NE(points, nullptr);
     ASSERT_TRUE(points->isArray());
     ASSERT_EQ(points->array.size(), 1u);
 
-    const campaign::JsonValue& point = points->array[0];
-    const campaign::JsonValue* bounds = point.find("bounds");
+    const reference::JsonValue& point = points->array[0];
+    const reference::JsonValue* bounds = point.find("bounds");
     ASSERT_NE(bounds, nullptr) << "v3 point lacks a bounds member";
-    const campaign::JsonValue* per_stream =
+    const reference::JsonValue* per_stream =
         bounds->find("per_stream");
     ASSERT_NE(per_stream, nullptr);
     ASSERT_TRUE(per_stream->isArray());
@@ -564,9 +578,9 @@ TEST(ArtifactV3, RoundTripsThroughTheParser)
 
     // With telemetry present every row carries the observed worst
     // delay, and the observed value respects the bound.
-    for (const campaign::JsonValue& row : per_stream->array) {
-        const campaign::JsonValue* bound = row.find("bound_us");
-        const campaign::JsonValue* seen =
+    for (const reference::JsonValue& row : per_stream->array) {
+        const reference::JsonValue* bound = row.find("bound_us");
+        const reference::JsonValue* seen =
             row.find("observed_worst_us");
         ASSERT_NE(bound, nullptr);
         ASSERT_NE(seen, nullptr);
@@ -597,11 +611,11 @@ TEST(ArtifactV2, LegacyDocumentStillParses)
     }
   ]
 })";
-    const campaign::JsonParseResult parsed = campaign::parseJson(v2);
+    const reference::JsonParseResult parsed = reference::parseJson(v2);
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    const campaign::JsonValue& doc = parsed.value;
+    const reference::JsonValue& doc = parsed.value;
     EXPECT_EQ(doc.find("schema")->string, "mediaworm-campaign-v2");
-    const campaign::JsonValue& point =
+    const reference::JsonValue& point =
         doc.find("points")->array[0];
     EXPECT_EQ(point.find("bounds"), nullptr);
     EXPECT_DOUBLE_EQ(
@@ -614,23 +628,23 @@ TEST(ArtifactV2, LegacyDocumentStillParses)
 
 TEST(JsonParser, ReportsMalformedDocuments)
 {
-    EXPECT_FALSE(campaign::parseJson("").ok);
-    EXPECT_FALSE(campaign::parseJson("{").ok);
-    EXPECT_FALSE(campaign::parseJson(R"({"a":})").ok);
-    EXPECT_FALSE(campaign::parseJson(R"({"a":1} trailing)").ok);
-    EXPECT_FALSE(campaign::parseJson(R"(["unterminated)").ok);
-    EXPECT_FALSE(campaign::parseJson(R"(["bad \x escape"])").ok);
-    EXPECT_FALSE(campaign::parseJson("1.2.3").ok);
-    EXPECT_FALSE(campaign::parseJson("[1,]").ok);
+    EXPECT_FALSE(reference::parseJson("").ok);
+    EXPECT_FALSE(reference::parseJson("{").ok);
+    EXPECT_FALSE(reference::parseJson(R"({"a":})").ok);
+    EXPECT_FALSE(reference::parseJson(R"({"a":1} trailing)").ok);
+    EXPECT_FALSE(reference::parseJson(R"(["unterminated)").ok);
+    EXPECT_FALSE(reference::parseJson(R"(["bad \x escape"])").ok);
+    EXPECT_FALSE(reference::parseJson("1.2.3").ok);
+    EXPECT_FALSE(reference::parseJson("[1,]").ok);
 
     // Depth guard: 80 nested arrays exceed the 64-scope limit.
     std::string deep;
     for (int i = 0; i < 80; ++i)
         deep += '[';
-    EXPECT_FALSE(campaign::parseJson(deep).ok);
+    EXPECT_FALSE(reference::parseJson(deep).ok);
 
-    const campaign::JsonParseResult bad =
-        campaign::parseJson(R"({"a": 1,})");
+    const reference::JsonParseResult bad =
+        reference::parseJson(R"({"a": 1,})");
     EXPECT_FALSE(bad.ok);
     EXPECT_FALSE(bad.error.empty());
     EXPECT_GT(bad.position, 0u);
@@ -638,12 +652,12 @@ TEST(JsonParser, ReportsMalformedDocuments)
 
 TEST(JsonParser, AcceptsWriterOutputConstructs)
 {
-    const campaign::JsonParseResult parsed = campaign::parseJson(
+    const reference::JsonParseResult parsed = reference::parseJson(
         R"({"null": null, "t": true, "f": false,)"
         R"( "num": -1.25e3, "esc": "a\n\"bA",)"
         R"( "arr": [1, 2, 3], "empty": {}, "earr": []})");
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    const campaign::JsonValue& doc = parsed.value;
+    const reference::JsonValue& doc = parsed.value;
     EXPECT_TRUE(doc.find("null")->isNull());
     EXPECT_TRUE(doc.find("t")->boolean);
     EXPECT_FALSE(doc.find("f")->boolean);

@@ -241,9 +241,8 @@ TEST(CalculusBounds, ProvisionedAllocationMeetsTheSla)
 TEST(CalculusBounds, ReservedRateTightensTheBound)
 {
     // The provisioning lever must actually move the analytics. The
-    // stamp-rate branch wins only when every scheduling point on the
-    // route is strict-priority (so injection must run Virtual Clock
-    // too), lanes are thinly shared (32 VCs at load 0.3), and the
+    // stamp-rate branch wins at the router's Virtual Clock output
+    // when lanes are thinly shared (32 VCs at load 0.3) and the
     // reservation lifts the lane rate above its members' aggregate
     // rate while the summed lane rates still fit the link - factor 4
     // sits inside that window (6 is already past the feasibility
@@ -251,8 +250,6 @@ TEST(CalculusBounds, ReservedRateTightensTheBound)
     core::ExperimentConfig base =
         miniature(config::SchedulerKind::VirtualClock, 0.3);
     base.router.numVcs = 32;
-    base.router.injectionScheduler =
-        config::SchedulerKind::VirtualClock;
     core::ExperimentConfig reserved = base;
     reserved.traffic.reservedRateFactor = 4.0;
 

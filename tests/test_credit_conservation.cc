@@ -2,19 +2,19 @@
  * @file
  * Per-link credit conservation over whole-network runs.
  *
- * Every link that returns credits - the NI -> router injection links
- * and the router -> router channels - must conserve, per VC, the
- * downstream input buffer's slots:
+ * Every link - the NI -> router injection links, the router ->
+ * router channels and the router -> NI ejection links - must
+ * conserve, per VC, the downstream buffer's slots:
  *
  *   sender credits + credits on the wire + flits on the wire
  *     + receiver input-buffer occupancy == buffer depth
  *
  * "On the wire" counts a channel's pipe and its cross-shard outbox;
- * a credit counts there until the sender applies it. The check runs
- * at regular steps of the G1 single switch, the G3 fat mesh on two
- * PDES shards and the G5 torus (tests/test_determinism.cc). Ejection
- * links are out of scope: they start with network::kSinkCredits and
- * return none.
+ * a credit counts there until the sender applies it. An ejection
+ * sink buffers nothing (it drains on arrival) and its depth is
+ * network::kSinkCredits. The check runs at regular steps of the G1
+ * single switch, the G3 fat mesh on two PDES shards and the G5 torus
+ * (tests/test_determinism.cc).
  */
 
 #include <memory>
@@ -176,23 +176,20 @@ class SteppedRun
     }
 
     /**
-     * Checks conservation on every credit-returning link and VC;
-     * returns the flits and credits found on the wire, so callers
-     * can tell a busy network from an idle one.
+     * Checks conservation on every link and VC; returns the flits
+     * and credits found on the wire, so callers can tell a busy
+     * network from an idle one.
      */
     int
     checkConservation(sim::Tick at)
     {
-        const int depth = cfg_.router.flitBufferDepth;
         const int nodes = net_->numNodes();
         const auto& links = net_->links();
         int on_wire = 0;
         const auto check = [&](const router::Link& link, int sender_credits,
-                               int vc, int receiver, int port) {
+                               int vc, int occupancy, int depth) {
             const int flits = link.flitsInFlight(vc);
             const int credits = link.creditsInFlight(vc);
-            const int occupancy =
-                net_->router(receiver).inputOccupancy(port, vc);
             on_wire += flits + credits;
             EXPECT_EQ(sender_credits + credits + flits + occupancy, depth)
                 << link.name() << " vc " << vc << " at tick " << at
@@ -200,15 +197,23 @@ class SteppedRun
                 << credits << ", flits " << flits << ", buffered "
                 << occupancy;
         };
+        const int depth = cfg_.router.flitBufferDepth;
         for (int node = 0; node < nodes; ++node) {
             const router::Link& inj =
                 *links[2 * static_cast<std::size_t>(node)];
+            const router::Link& ej =
+                *links[2 * static_cast<std::size_t>(node) + 1];
             EXPECT_EQ(inj.name(), "inj" + std::to_string(node));
+            EXPECT_EQ(ej.name(), "ej" + std::to_string(node));
             const network::TopoEndpoint ep =
                 topo_.endpoints()[static_cast<std::size_t>(node)];
-            for (int v = 0; v < cfg_.router.numVcs; ++v)
-                check(inj, net_->ni(node).credits(v), v, ep.router,
-                      ep.port);
+            const router::WormholeRouter& sw = net_->router(ep.router);
+            for (int v = 0; v < cfg_.router.numVcs; ++v) {
+                check(inj, net_->ni(node).credits(v), v,
+                      sw.inputOccupancy(ep.port, v), depth);
+                check(ej, sw.outputCredits(ep.port, v), v, 0,
+                      network::kSinkCredits);
+            }
         }
         for (std::size_t i = 0; i < topo_.channels().size(); ++i) {
             const network::TopoChannel& ch = topo_.channels()[i];
@@ -218,7 +223,10 @@ class SteppedRun
                 check(link,
                       net_->router(ch.srcRouter)
                           .outputCredits(ch.srcPort, v),
-                      v, ch.dstRouter, ch.dstPort);
+                      v,
+                      net_->router(ch.dstRouter)
+                          .inputOccupancy(ch.dstPort, v),
+                      depth);
             }
         }
         return on_wire;

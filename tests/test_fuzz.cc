@@ -128,8 +128,9 @@ TEST(FuzzFlightRecorder, InvariantViolationDumpsTrail)
         Rng net_rng = simulator.rng().split();
         Network net(simulator, cfg, net_cfg, metrics, net_rng);
 
-        obs::FlightRecorder recorder(256);
-        net.attachTracer(recorder.tracer());
+        Tracer ring(256);
+        net.attachTracer(ring);
+        obs::FlightRecorder recorder(ring);
         recorder.arm();
 
         // A little traffic so the recorder has a trail to dump.

@@ -53,17 +53,11 @@ TEST(StrongId, Hashable)
     EXPECT_FALSE(set.contains(StreamId(3)));
 }
 
-TEST(Logging, LevelGateIsAdjustable)
+TEST(Logging, WarnAlwaysPrints)
 {
-    const LogLevel original = logLevel();
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    // Suppressed calls must be safe no-ops.
-    warn("suppressed %d", 1);
-    inform("suppressed %s", "too");
-    debug("suppressed");
-    setLogLevel(original);
-    EXPECT_EQ(logLevel(), original);
+    testing::internal::CaptureStderr();
+    warn("odd value %d", 1);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "warn: odd value 1\n");
 }
 
 TEST(LoggingDeath, FatalExitsWithCodeOne)

@@ -64,6 +64,34 @@ TEST_F(NetworkTest, SingleSwitchShape)
     EXPECT_EQ(net->links().size(), 16u);
 }
 
+/**
+ * An ejection VC keeps delivering past its credit depth: the sink
+ * returns a credit per flit. 1.1 million flits through one VC are
+ * more than network::kSinkCredits (2^20), so a sink that kept its
+ * credits would stall the run with flits still queued at the host.
+ */
+TEST_F(NetworkTest, EjectionVcDeliversBeyondItsCreditDepth)
+{
+    routerCfg.numVcs = 1;
+    build(config::TopologyKind::SingleSwitch);
+    constexpr int kMessages = 11;
+    constexpr int kFlits = 100000;
+    static_assert(kMessages * kFlits > kSinkCredits);
+    for (int m = 0; m < kMessages; ++m) {
+        traffic::MessageDesc desc;
+        desc.stream = StreamId(1);
+        desc.dest = NodeId(1);
+        desc.cls = router::TrafficClass::BestEffort;
+        desc.seq = m;
+        desc.numFlits = kFlits;
+        net->ni(0).injectMessage(desc);
+    }
+    simulator.runToCompletion();
+    EXPECT_EQ(metrics.flitsDelivered(),
+              static_cast<std::uint64_t>(kMessages) * kFlits);
+    EXPECT_EQ(net->totalBacklogFlits(), 0u);
+}
+
 TEST_F(NetworkTest, SingleSwitchAllPairsDeliver)
 {
     build(config::TopologyKind::SingleSwitch);

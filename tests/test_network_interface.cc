@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -16,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "network/network_interface.hh"
-#include "router/virtual_clock.hh"
 #include "sim/random.hh"
 
 namespace {
@@ -26,19 +24,17 @@ using namespace mediaworm::sim;
 using namespace mediaworm::network;
 
 /**
- * Reference flitizer: builds and stamps every flit of @p message at
- * injection time @p now, through the lane's Virtual Clock @p vclock,
- * taking arrival sequence numbers from @p next_seq. The NI builds its
- * flits one at a time as the multiplexer reaches them; apart from
- * networkEnterTime (set at launch) they must equal these bit for bit.
+ * Reference flitizer: builds every flit of @p message at injection
+ * time @p now, taking arrival sequence numbers from @p next_seq. The
+ * NI builds its flits one at a time as the multiplexer reaches them;
+ * apart from networkEnterTime (set at launch) they must equal these
+ * bit for bit. Flits leave the NI unstamped: the router stamps each
+ * on arrival.
  */
 std::vector<router::Flit>
 referenceFlitize(const traffic::MessageDesc& message, Tick now,
-                 router::VirtualClockState& vclock,
                  std::uint64_t& next_seq)
 {
-    vclock.beginMessage(message.vtick);
-
     router::Flit flit;
     flit.cls = message.cls;
     flit.stream = message.stream;
@@ -57,7 +53,6 @@ referenceFlitize(const traffic::MessageDesc& message, Tick now,
                                         : router::FlitType::Body;
         flit.endOfFrame =
             message.endOfFrame && flit.type == router::FlitType::Tail;
-        flit.stamp = vclock.tick(now);
         flit.arrivalSeq = next_seq++;
         flits.push_back(flit);
     }
@@ -108,6 +103,17 @@ class WireTap final : public router::FlitReceiver
     Simulator& simulator_;
 };
 
+/** Stands in for the router output port feeding the ejection
+ *  link: counts the credits the sink returns, per VC. */
+class CreditCounter final : public router::CreditReceiver
+{
+  public:
+    void creditReturned(int vc) override { ++credits[vc]; }
+    std::uint64_t starvedVcs() const override { return kAllVcs; }
+
+    int credits[4] = {};
+};
+
 class NetworkInterfaceTest : public testing::Test
 {
   protected:
@@ -123,6 +129,7 @@ class NetworkInterfaceTest : public testing::Test
         link.connectReceiver(&tap);
         ni->connectInjectionLink(link, /*router_buffer_depth=*/4);
         ni->connectEjectionLink(ejection);
+        ejection.connectCreditReceiver(&ejectionCredits);
     }
 
     traffic::MessageDesc
@@ -145,6 +152,7 @@ class NetworkInterfaceTest : public testing::Test
     WireTap tap;
     router::Link link;
     router::Link ejection;
+    CreditCounter ejectionCredits;
     std::unique_ptr<NetworkInterface> ni;
 };
 
@@ -159,10 +167,9 @@ TEST_F(NetworkInterfaceTest, FlitizesMessageCorrectly)
     EXPECT_EQ(tap.flits[0].messageFlits, 5);
     EXPECT_EQ(tap.flits[0].dest, NodeId(5));
     EXPECT_EQ(tap.flits[0].vtick, microseconds(8));
-    router::VirtualClockState vclock;
     std::uint64_t seq = 0;
     const std::vector<router::Flit> want =
-        referenceFlitize(message(5), 0, vclock, seq);
+        referenceFlitize(message(5), 0, seq);
     for (std::size_t i = 0; i < tap.flits.size(); ++i) {
         EXPECT_EQ(tap.flits[i].index, static_cast<int>(i));
         EXPECT_EQ(tap.vcs[i], 0);
@@ -196,19 +203,16 @@ TEST_F(NetworkInterfaceTest, MessageSeqMustFitTheFlitField)
  * every cycle.
  */
 void
-checkAgainstReference(std::uint64_t seed,
-                      config::SchedulerKind scheduler, bool stalls,
+checkAgainstReference(std::uint64_t seed, bool stalls,
                       std::uint64_t* launch_order = nullptr)
 {
-    SCOPED_TRACE(testing::Message() << "seed " << seed << " scheduler "
-                                    << static_cast<int>(scheduler)
-                                    << " stalls " << stalls);
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " stalls "
+                                    << stalls);
     constexpr int kLanes = 4;
     constexpr int kDepth = 3;
     Simulator simulator;
     config::RouterConfig cfg;
     cfg.numVcs = kLanes;
-    cfg.injectionScheduler = scheduler;
     MetricsHub metrics;
     router::Link link(simulator, 0, "inj");
     router::Link ejection(simulator, 0, "ej");
@@ -276,7 +280,6 @@ checkAgainstReference(std::uint64_t seed,
     ni.connectEjectionLink(ejection);
 
     std::vector<std::vector<router::Flit>> want(kLanes);
-    router::VirtualClockState vclocks[kLanes];
     std::uint64_t next_seq = 0;
     std::vector<std::unique_ptr<CallbackEvent>> injections;
     Tick now = 0;
@@ -316,8 +319,8 @@ checkAgainstReference(std::uint64_t seed,
                 * microseconds(1);
             break;
         }
-        const std::vector<router::Flit> flits = referenceFlitize(
-            desc, now, vclocks[desc.vcLane], next_seq);
+        const std::vector<router::Flit> flits =
+            referenceFlitize(desc, now, next_seq);
         auto& lane = want[static_cast<std::size_t>(desc.vcLane)];
         lane.insert(lane.end(), flits.begin(), flits.end());
         total += desc.numFlits;
@@ -352,7 +355,7 @@ checkAgainstReference(std::uint64_t seed,
 
         // FIFO with free credits launches the oldest queued flit
         // each cycle, so the whole stream leaves in arrival order.
-        if (scheduler == config::SchedulerKind::Fifo && !stalls) {
+        if (!stalls) {
             if (i > 0) {
                 EXPECT_GT(flit.arrivalSeq, last_seq);
             }
@@ -366,47 +369,29 @@ checkAgainstReference(std::uint64_t seed,
         *launch_order = order_hash;
 }
 
-constexpr config::SchedulerKind kAllSchedulers[] = {
-    config::SchedulerKind::Fifo, config::SchedulerKind::RoundRobin,
-    config::SchedulerKind::VirtualClock,
-    config::SchedulerKind::WeightedRoundRobin};
-
 TEST_F(NetworkInterfaceTest, FlitsMatchTheEagerReference)
 {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        for (const config::SchedulerKind scheduler : kAllSchedulers) {
-            checkAgainstReference(seed, scheduler, /*stalls=*/true);
-            checkAgainstReference(seed, scheduler, /*stalls=*/false);
-        }
+        checkAgainstReference(seed, /*stalls=*/true);
+        checkAgainstReference(seed, /*stalls=*/false);
     }
 }
 
 /**
- * Golden of the injection mux's launch order under each discipline:
- * which lane wins each cycle, and which flit it sends. The hashes
- * were captured before the mux moved between arbiter front-ends; any
- * change to the pick kernels or the eligibility refreshes shows here.
+ * Golden of the injection mux's launch order under its one
+ * discipline, FIFO: which lane wins each cycle, and which flit it
+ * sends. The hashes are the FIFO row captured when the discipline was
+ * still configurable; any change to the pick kernel or the
+ * eligibility refreshes shows here.
  */
 TEST_F(NetworkInterfaceTest, LaunchOrderGoldenPerScheduler)
 {
-    constexpr std::uint64_t kGolden[][2] = {
-        // {stalling credits, free credits}, in kAllSchedulers order.
-        {1164099406795714709ULL, 8957626343272768085ULL},
-        {4536296879278971113ULL, 2562559925893454453ULL},
-        {2055809086741246001ULL, 17715439875217564753ULL},
-        {14802251516241936009ULL, 16966582037386391001ULL},
-    };
-    for (std::size_t k = 0; k < std::size(kAllSchedulers); ++k) {
-        const config::SchedulerKind scheduler = kAllSchedulers[k];
-        SCOPED_TRACE(config::toString(scheduler));
-        std::uint64_t stalling = 0;
-        std::uint64_t free_flowing = 0;
-        checkAgainstReference(7, scheduler, /*stalls=*/true, &stalling);
-        checkAgainstReference(7, scheduler, /*stalls=*/false,
-                              &free_flowing);
-        EXPECT_EQ(stalling, kGolden[k][0]);
-        EXPECT_EQ(free_flowing, kGolden[k][1]);
-    }
+    std::uint64_t stalling = 0;
+    std::uint64_t free_flowing = 0;
+    checkAgainstReference(7, /*stalls=*/true, &stalling);
+    checkAgainstReference(7, /*stalls=*/false, &free_flowing);
+    EXPECT_EQ(stalling, 1164099406795714709ULL);
+    EXPECT_EQ(free_flowing, 8957626343272768085ULL);
 }
 
 TEST_F(NetworkInterfaceTest, PacesAtOneFlitPerCycle)
@@ -478,9 +463,23 @@ TEST_F(NetworkInterfaceTest, SinkReportsFrameDelivery)
     tail.injectTime = 0;
 
     ni->receiveFlit(tail, 0);
+    simulator.runToCompletion(); // Delivers the returned credit.
     EXPECT_EQ(metrics.frames().framesDelivered(), 1u);
     EXPECT_EQ(metrics.rtMessages(), 1u);
     EXPECT_EQ(metrics.flitsDelivered(), 1u);
+}
+
+TEST_F(NetworkInterfaceTest, SinkReturnsOneCreditPerFlit)
+{
+    router::Flit body;
+    body.type = router::FlitType::Body;
+    ni->receiveFlit(body, 2);
+    ni->receiveFlit(body, 2);
+    ni->receiveFlit(body, 3);
+    simulator.runToCompletion();
+    EXPECT_EQ(ejectionCredits.credits[0], 0);
+    EXPECT_EQ(ejectionCredits.credits[2], 2);
+    EXPECT_EQ(ejectionCredits.credits[3], 1);
 }
 
 TEST_F(NetworkInterfaceTest, SinkReportsBestEffortLatency)
@@ -508,6 +507,7 @@ TEST_F(NetworkInterfaceTest, BodyFlitsDoNotCountAsMessages)
     body.type = router::FlitType::Body;
     body.cls = router::TrafficClass::Vbr;
     ni->receiveFlit(body, 0);
+    simulator.runToCompletion();
     EXPECT_EQ(metrics.rtMessages(), 0u);
     EXPECT_EQ(metrics.flitsDelivered(), 1u);
 }
@@ -542,6 +542,7 @@ TEST_F(NetworkInterfaceTest, MetricsHubFiltersWarmupMessages)
     tail.injectTime = microseconds(50); // injected before enable
     tail.networkEnterTime = microseconds(50);
     ni->receiveFlit(tail, 0);
+    simulator.runToCompletion();
     EXPECT_EQ(metrics.beMessages(), 1u);
     EXPECT_EQ(metrics.beLatency().count(), 0u)
         << "warmup message contaminated the measurement";

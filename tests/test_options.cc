@@ -128,14 +128,20 @@ TEST(Options, StringOptionTakesAnything)
     EXPECT_EQ(out, "results.csv");
 }
 
-TEST(Options, CollectsPositionalArguments)
+TEST(Options, RejectsPositionalArguments)
 {
     OptionParser parser("test");
     bool flag = false;
+    int vcs = 4;
     parser.addFlag("x", "", &flag);
-    ASSERT_TRUE(parse(parser, {"alpha", "--x", "beta"}).ok);
-    EXPECT_EQ(parser.positional(),
-              (std::vector<std::string>{"alpha", "beta"}));
+    parser.addInt("vcs", "", &vcs, 1, 64);
+    const Parsed stray = parse(parser, {"--x", "beta"});
+    EXPECT_FALSE(stray.ok);
+    EXPECT_NE(stray.error.find("beta"), std::string::npos) << stray.error;
+    // A value that follows its option is consumed, not stray.
+    EXPECT_TRUE(parse(parser, {"--vcs", "8"}).ok);
+    EXPECT_EQ(vcs, 8);
+    EXPECT_FALSE(parse(parser, {"--vcs", "8", "9"}).ok);
 }
 
 TEST(Options, HelpShortCircuits)

@@ -156,14 +156,14 @@ TEST(ProvisionBisection, ClosMatchesLinearScan)
 
 TEST(ProvisionBisection, ReservationLeverMatchesLinearScan)
 {
-    // With Virtual Clock injection every scheduling point is strict
-    // priority, so the reserved rate moves the bound (the lever of
+    // An all-real-time workload: no best-effort competitor at any
+    // point, so the reserved rate moves the bound (the lever of
     // CalculusBounds.ReservedRateTightensTheBound) and the least
     // meeting factor can sit inside the grid.
     for (const double load : {0.1, 0.3}) {
         ProvisionCase c = makeCase("single-switch", load);
-        c.name = "vc-injection " + c.name;
-        c.router.injectionScheduler = config::SchedulerKind::VirtualClock;
+        c.name = "all-rt " + c.name;
+        c.traffic.realTimeFraction = 1.0;
         expectSameAsScan(c);
     }
 }

@@ -185,8 +185,10 @@ class RouterTest : public testing::Test
         EXPECT_EQ(creditSinks[1].credits[2], 10);
         router->checkInvariants();
 
-        returnCredits(3, 1, 12);
-        returnCredits(3, 2, 12);
+        // The sink drains all 12 flits of each message: one credit
+        // per flit, 11 of them still owed.
+        returnCredits(3, 1, 11);
+        returnCredits(3, 2, 11);
         EXPECT_EQ(creditSinks[0].credits[1], 12);
         EXPECT_EQ(creditSinks[1].credits[2], 12);
         EXPECT_EQ(sinks[3].arrivals.size(), 24u);
@@ -386,7 +388,9 @@ TEST_F(RouterTest, ParkedHolderQueuesItsNextHeaderBehindEarlierWaiters)
 
     // Draining (3, 2) hands it to the earlier waiter (200) first;
     // 101's header requests only after 100's tail left its input VC.
-    returnCredits(3, 2, 40);
+    // One credit per flit the sink drains: 100, 101 and 200 deliver
+    // 20 flits through the depth-1 sink.
+    returnCredits(3, 2, 20);
     EXPECT_EQ(router->allocationWaits(), 2u);
     EXPECT_LT(tailTime(3, 100), tailTime(3, 200));
     EXPECT_LT(tailTime(3, 200), tailTime(3, 101));
@@ -456,6 +460,34 @@ TEST_F(RouterTest, FatChannelPicksLeastLoadedCandidate)
         EXPECT_EQ(arrival.flit.stream, StreamId(100));
     for (const auto& arrival : sinks[2].arrivals)
         EXPECT_EQ(arrival.flit.stream, StreamId(200));
+}
+
+TEST_F(RouterTest, AdaptiveCandidateMustBeDrainedDownstream)
+{
+    // Destination 9: adaptive port 1, escape port 2.
+    routes.resize(10);
+    routes[9].ports = {1, 2, 0, 0};
+    routes[9].count = 2;
+    routes[9].select = RouteCandidates::Select::AdaptiveEscape;
+    build(config::CrossbarKind::Multiplexed,
+          config::SchedulerKind::VirtualClock, /*sink_depth=*/2);
+
+    // Message 100 takes the free adaptive VC (1, 0); its two flits
+    // use both downstream slots and its tail releases the VC.
+    sendMessage(0, 0, 9, 2, 100);
+    simulator.runToCompletion();
+    ASSERT_EQ(sinks[1].arrivals.size(), 2u);
+    EXPECT_EQ(router->outputCredits(1, 0), 0);
+
+    // (1, 0) is unallocated but its downstream buffer still holds
+    // 100: message 200 must not queue behind it there, so it takes
+    // the escape port.
+    sendMessage(3, 0, 9, 4, 200);
+    simulator.runToCompletion();
+    EXPECT_EQ(sinks[1].arrivals.size(), 2u);
+    ASSERT_EQ(sinks[2].arrivals.size(), 2u); // Escape sink depth 2.
+    EXPECT_EQ(sinks[2].arrivals[0].flit.stream, StreamId(200));
+    router->checkInvariants();
 }
 
 TEST_F(RouterTest, VirtualClockPrefersRealTimeOverBestEffort)

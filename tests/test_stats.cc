@@ -218,25 +218,19 @@ TEST(IntervalTracker, StreamsAreIndependent)
 
 // --- Registry -------------------------------------------------------------------
 
-TEST(Registry, LookupAndDump)
+TEST(Registry, EntriesEvaluateLazilyInOrder)
 {
     Registry registry;
     double value = 1.5;
-    registry.add("router0.flits", "flits forwarded",
-                 [&] { return value; });
-    EXPECT_EQ(registry.size(), 1u);
-    EXPECT_DOUBLE_EQ(registry.lookup("router0.flits"), 1.5);
+    registry.add("router0.flits", [&] { return value; });
+    registry.add("router0.waits", [] { return 7.0; });
+    ASSERT_EQ(registry.entries().size(), 2u);
+    EXPECT_EQ(registry.entries()[0].name, "router0.flits");
+    EXPECT_EQ(registry.entries()[1].name, "router0.waits");
+    EXPECT_DOUBLE_EQ(registry.entries()[0].value(), 1.5);
     value = 2.5;
-    EXPECT_DOUBLE_EQ(registry.lookup("router0.flits"), 2.5);
-    EXPECT_TRUE(std::isnan(registry.lookup("missing")));
-
-    const std::string text = registry.dumpText();
-    EXPECT_NE(text.find("router0.flits"), std::string::npos);
-    EXPECT_NE(text.find("flits forwarded"), std::string::npos);
-
-    const std::string csv = registry.dumpCsv();
-    EXPECT_NE(csv.find("stat,value"), std::string::npos);
-    EXPECT_NE(csv.find("router0.flits,2.5"), std::string::npos);
+    EXPECT_DOUBLE_EQ(registry.entries()[0].value(), 2.5);
+    EXPECT_DOUBLE_EQ(registry.entries()[1].value(), 7.0);
 }
 
 } // namespace

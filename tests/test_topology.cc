@@ -35,6 +35,7 @@
 #include "config/router_config.hh"
 #include "network/routing.hh"
 #include "network/topology.hh"
+#include "reference_topology.hh"
 
 namespace {
 
@@ -59,8 +60,8 @@ TEST(Topology, SingleSwitchShape)
         EXPECT_EQ(t.numNodes(), ports);
         EXPECT_EQ(t.portsRequired(), ports);
         EXPECT_TRUE(t.channels().empty());
-        EXPECT_TRUE(t.connected());
-        EXPECT_TRUE(t.symmetric());
+        EXPECT_TRUE(reference::connected(t));
+        EXPECT_TRUE(reference::symmetric(t));
         for (int p = 0; p < ports; ++p) {
             EXPECT_EQ(t.endpoints()[static_cast<std::size_t>(p)].port,
                       p);
@@ -79,15 +80,15 @@ TEST(Topology, MeshShapeSweep)
             EXPECT_EQ(t.numNodes(), w * h * eps);
             EXPECT_EQ(static_cast<int>(t.channels().size()),
                       2 * gridPairs(w, h));
-            EXPECT_TRUE(t.connected());
-            EXPECT_TRUE(t.symmetric());
+            EXPECT_TRUE(reference::connected(t));
+            EXPECT_TRUE(reference::symmetric(t));
             // Degree: 2 at corners, up to 4 in the interior.
             for (int s = 0; s < w * h; ++s) {
                 const int x = s % w;
                 const int y = s / w;
                 const int expected = (x > 0) + (x < w - 1) + (y > 0)
                     + (y < h - 1);
-                EXPECT_EQ(t.degreeOf(s), expected)
+                EXPECT_EQ(reference::degreeOf(t, s), expected)
                     << w << "x" << h << " switch " << s;
             }
             // Port budget: endpoints + one link per present
@@ -113,14 +114,14 @@ TEST(Topology, TorusShapeSweep)
                 (w > 1 ? 2 * w * h : 0) + (h > 1 ? 2 * w * h : 0);
             EXPECT_EQ(static_cast<int>(t.channels().size()),
                       expected_channels);
-            EXPECT_TRUE(t.connected());
-            EXPECT_TRUE(t.symmetric());
+            EXPECT_TRUE(reference::connected(t));
+            EXPECT_TRUE(reference::symmetric(t));
             const int uniform_deg = 2 * (w > 1) + 2 * (h > 1);
             for (int s = 0; s < w * h; ++s) {
                 // Neighbours, not channels: on a 2-wide ring East
                 // and West reach the same switch.
-                EXPECT_LE(t.degreeOf(s), uniform_deg);
-                EXPECT_GE(t.degreeOf(s), uniform_deg / 2);
+                EXPECT_LE(reference::degreeOf(t, s), uniform_deg);
+                EXPECT_GE(reference::degreeOf(t, s), uniform_deg / 2);
             }
             EXPECT_EQ(t.portsRequired(), eps + uniform_deg);
         }
@@ -136,12 +137,12 @@ TEST(Topology, ClosShapeSweep)
         EXPECT_EQ(t.numRouters(), r + m);
         EXPECT_EQ(t.numNodes(), n * r);
         EXPECT_EQ(static_cast<int>(t.channels().size()), 2 * m * r);
-        EXPECT_TRUE(t.connected());
-        EXPECT_TRUE(t.symmetric());
+        EXPECT_TRUE(reference::connected(t));
+        EXPECT_TRUE(reference::symmetric(t));
         for (int leaf = 0; leaf < r; ++leaf)
-            EXPECT_EQ(t.degreeOf(leaf), m);
+            EXPECT_EQ(reference::degreeOf(t, leaf), m);
         for (int spine = r; spine < r + m; ++spine)
-            EXPECT_EQ(t.degreeOf(spine), r);
+            EXPECT_EQ(reference::degreeOf(t, spine), r);
         // Leaves need n + m ports; spines need r.
         EXPECT_EQ(t.portsRequired(), std::max(n + m, r));
         // Node l*n+e lives on leaf l at port e.
@@ -161,8 +162,8 @@ TEST(Topology, FatMeshShapeMatchesLegacyLayout)
     EXPECT_EQ(t.numNodes(), 16);
     EXPECT_EQ(static_cast<int>(t.channels().size()),
               2 * 2 * gridPairs(2, 2));
-    EXPECT_TRUE(t.connected());
-    EXPECT_TRUE(t.symmetric());
+    EXPECT_TRUE(reference::connected(t));
+    EXPECT_TRUE(reference::symmetric(t));
     EXPECT_EQ(t.portsRequired(), 4 + 2 * 2);
     // Endpoint ports come first; the East fat pair of switch 0
     // starts right after them.
@@ -428,10 +429,10 @@ expectAcyclicCdg(const Topology& topo, config::RoutingKind kind,
 {
     const RoutingTables tables = buildRouting(topo, kind, fat_links);
     const auto edges =
-        network::channelDependencyEdges(topo, tables, escape_only);
+        reference::channelDependencyEdges(topo, tables, escape_only);
     const int num_nodes =
         static_cast<int>(topo.channels().size()) * tables.vcClasses;
-    EXPECT_TRUE(network::acyclic(num_nodes, edges))
+    EXPECT_TRUE(reference::acyclic(num_nodes, edges))
         << "kind=" << config::toString(kind)
         << " escape_only=" << escape_only;
 }
@@ -545,8 +546,8 @@ TEST(Deadlock, TorusWithoutDatelineClassesIsDetectedCyclic)
         }
     }
     const auto edges =
-        network::channelDependencyEdges(topo, tables, false);
-    EXPECT_FALSE(network::acyclic(
+        reference::channelDependencyEdges(topo, tables, false);
+    EXPECT_FALSE(reference::acyclic(
         static_cast<int>(topo.channels().size()), edges));
 }
 
