@@ -1,6 +1,7 @@
 #include "config/options.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -22,21 +23,20 @@ parseLong(const std::string& text, long* out)
     return true;
 }
 
-/** Parses a double strictly. */
+} // namespace
+
 bool
-parseDouble(const std::string& text, double* out)
+parseFiniteDouble(const std::string& text, double* out)
 {
     if (text.empty())
         return false;
     char* end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
+    if (end != text.c_str() + text.size() || !std::isfinite(value))
         return false;
     *out = value;
     return true;
 }
-
-} // namespace
 
 OptionParser::OptionParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description))
@@ -106,8 +106,8 @@ OptionParser::addDouble(const std::string& name,
     option.apply = [target, min_value,
                     max_value](const std::string& value) -> std::string {
         double parsed = 0;
-        if (!parseDouble(value, &parsed))
-            return "expected a number, got '" + value + "'";
+        if (!parseFiniteDouble(value, &parsed))
+            return "expected a finite number, got '" + value + "'";
         if (parsed < min_value || parsed > max_value) {
             char msg[96];
             std::snprintf(msg, sizeof(msg),

@@ -17,6 +17,10 @@
 
 namespace mediaworm::config {
 
+/** Parses all of @p text as one finite number; false on junk, NaN
+ *  or infinity (strtod takes them, and NaN fails no x < lo test). */
+bool parseFiniteDouble(const std::string& text, double* out);
+
 /** Declarative option table with type-checked binding. */
 class OptionParser
 {

@@ -36,7 +36,7 @@ toString(StreamPlacement placement)
 TrafficConfig
 TrafficConfig::scaled(double time_scale) const
 {
-    if (time_scale <= 0.0 || time_scale > 1.0)
+    if (!(time_scale > 0.0 && time_scale <= 1.0))
         sim::fatal("TrafficConfig: timeScale %.3f out of (0,1]",
                    time_scale);
     TrafficConfig out = *this;
@@ -72,20 +72,21 @@ void
 TrafficConfig::validate() const
 {
     using sim::fatal;
-    if (inputLoad < 0.0 || inputLoad > 1.5)
+    // Every range test is written so that NaN fails it.
+    if (!(inputLoad >= 0.0 && inputLoad <= 1.5))
         fatal("TrafficConfig: inputLoad %.3f out of range [0,1.5]",
               inputLoad);
-    if (realTimeFraction < 0.0 || realTimeFraction > 1.0)
+    if (!(realTimeFraction >= 0.0 && realTimeFraction <= 1.0))
         fatal("TrafficConfig: realTimeFraction %.3f out of range [0,1]",
               realTimeFraction);
-    if (frameBytesMean <= 0.0 || frameBytesStddev < 0.0)
+    if (!(frameBytesMean > 0.0 && frameBytesStddev >= 0.0))
         fatal("TrafficConfig: invalid frame size parameters");
     if (frameInterval <= 0)
         fatal("TrafficConfig: frameInterval must be positive");
     if (messageFlits < 2 || beMessageFlits < 2)
         fatal("TrafficConfig: messages need at least 2 flits "
               "(header + tail)");
-    if (reservedRateFactor < 1.0 || reservedRateFactor > 64.0)
+    if (!(reservedRateFactor >= 1.0 && reservedRateFactor <= 64.0))
         fatal("TrafficConfig: reservedRateFactor %.3f out of [1,64]",
               reservedRateFactor);
     if (warmupFrames < 0 || measuredFrames < 1)

@@ -107,8 +107,8 @@ Network::attachEndpoint(router::WormholeRouter& sw, int sw_index,
 
     router::Link& ej =
         newLink("ej" + std::to_string(node), sw_index, sw_index);
-    sw.connectOutputLink(port, ej, kSinkCredits);
-    ni->connectEjectionLink(ej);
+    sw.connectSinkLink(port, ej);
+    ej.connectReceiver(ni.get());
 
     MW_ASSERT(static_cast<int>(nis_.size()) == node);
     nis_.push_back(std::move(ni));

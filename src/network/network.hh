@@ -38,14 +38,6 @@
 
 namespace mediaworm::network {
 
-/**
- * Credit depth of an ejection port. The NI sink drains every flit on
- * arrival and returns its credit, so the depth never throttles; it
- * only has to hold any whole message, for the virtual cut-through
- * gate.
- */
-inline constexpr int kSinkCredits = 1 << 20;
-
 /** A built interconnect: routers + links + NIs, ready for traffic. */
 class Network
 {

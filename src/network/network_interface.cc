@@ -67,13 +67,6 @@ NetworkInterface::connectInjectionLink(router::Link& link,
 }
 
 void
-NetworkInterface::connectEjectionLink(router::Link& link)
-{
-    ejectionLink_ = &link;
-    link.connectReceiver(this);
-}
-
-void
 NetworkInterface::injectMessage(const traffic::MessageDesc& message)
 {
     MW_ASSERT(message.numFlits >= 2);
@@ -148,8 +141,6 @@ NetworkInterface::receiveFlit(const router::Flit& flit, int vc)
                          flit.message, flit.index, node_.value(), -1,
                          vc});
     }
-    // The sink drains on arrival: the flit's slot is free at once.
-    ejectionLink_->sendCredit(vc);
     lane_->recordFlit(flit.stream, now);
     if (!flit.isTail())
         return;

@@ -11,8 +11,8 @@
  * only its next flit, so host memory grows with queued messages, not
  * queued flits.
  *
- * Ejection side: a sink that consumes flits at link rate, returns
- * one credit per flit on the ejection link, reassembles frame
+ * Ejection side: a sink that drains flits on arrival, so it returns
+ * no credits (WormholeRouter::connectSinkLink), reassembles frame
  * completions from tail flits and reports them to the MetricsHub.
  */
 
@@ -72,10 +72,6 @@ class NetworkInterface final : public traffic::Injector,
      */
     void connectInjectionLink(router::Link& link,
                               int router_buffer_depth);
-
-    /** Attaches the ejection link; the NI registers as receiver
-     *  and returns a credit on it for every flit it sinks. */
-    void connectEjectionLink(router::Link& link);
 
     /** This endpoint's id. */
     sim::NodeId node() const { return node_; }
@@ -186,7 +182,6 @@ class NetworkInterface final : public traffic::Injector,
     std::uint64_t backlogFlits_ = 0; ///< Queued flits not yet sent.
 
     router::Link* injectionLink_ = nullptr;
-    router::Link* ejectionLink_ = nullptr;
     int routerBufferDepth_ = 0;
     sim::Tracer* tracer_ = nullptr;
 

@@ -7,10 +7,9 @@
  * serialized flits at one per cycle - it only adds propagation delay
  * and delivers in order. Credits flow the other way with the same
  * delay, implementing credit-based flow control between the sender's
- * output unit and the receiver's input buffers. Every link returns
- * credits: an NI's injection link gets them from the router's input
- * port, and a router's ejection link from the NI sink, one per flit
- * as the sink drains it.
+ * output unit and the receiver's input buffers. An ejection link
+ * carries none: the NI sink drains each flit on arrival, so the port
+ * feeding it spends no credits (WormholeRouter::connectSinkLink).
  *
  * Flits are pushed: each delivery tick fires the link's flit event,
  * which hands the due flits to the receiver. Credits are pulled
@@ -57,8 +56,8 @@
 
 namespace mediaworm::router {
 
-/** Consumer side of a link: a router input port or an NI sink.
- *  Either returns a credit on the link for each flit it frees. */
+/** Consumer side of a link: a router input port, which returns a
+ *  credit for each flit it frees, or an NI sink, which returns none. */
 class FlitReceiver
 {
   public:

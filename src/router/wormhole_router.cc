@@ -673,7 +673,8 @@ WormholeRouter::serveOutputMux(int port)
     }
     ovc.buffer.dropFront();
     const std::size_t idx = vcIndex(port, v);
-    --outCredits_[idx];
+    if (!op.sink)
+        --outCredits_[idx];
     --outOccupancy_[idx];
     refreshOutputEligibility(port, v);
     wakeSpaceWaiter(ovc);
@@ -911,8 +912,12 @@ WormholeRouter::checkInvariants() const
                       <= ovc.buffer.capacity());
             MW_CHECK(outCredits_[i] >= 0);
             // Credits, applied or on the wire, and flits on the wire
-            // never exceed the downstream slots they stand for.
-            if (op.link != nullptr)
+            // never exceed the downstream slots they stand for. A
+            // sink port spends none, and none comes back.
+            if (op.sink)
+                MW_CHECK(outCredits_[i] == op.downstreamDepth
+                         && op.link->creditsInFlight(v) == 0);
+            else if (op.link != nullptr)
                 MW_CHECK(outCredits_[i] + op.link->creditsInFlight(v)
                              + op.link->flitsInFlight(v)
                          <= op.downstreamDepth);

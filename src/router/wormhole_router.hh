@@ -144,6 +144,16 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     void connectOutputLink(int port, Link& link,
                            int downstream_buffer_depth);
 
+    /** Attaches the link from output port @p port to an NI sink,
+     *  which drains on arrival: the port spends no credits, so its
+     *  VCs never starve and the cut-through gate always passes. */
+    void
+    connectSinkLink(int port, Link& link)
+    {
+        connectOutputLink(port, link, cfg_.flitBufferDepth);
+        outputAt(port).sink = true;
+    }
+
     /**
      * Installs the route table, which must cover every destination
      * node id; headers route with one array load. @p vc_classes is
@@ -189,6 +199,16 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     outputCredits(int port, int vc) const
     {
         return outCredits_[vcIndex(port, vc)];
+    }
+
+    /** Output VCs of @p port that wait on a credit: a buffered
+     *  flit with none, or a cut-through header the credit gate holds
+     *  back (Link::awaitCredit). */
+    std::uint64_t
+    starvedVcs(int port) const
+    {
+        const auto p = static_cast<std::size_t>(port);
+        return starvedMask_[p] | gateMask_[p];
     }
 
     /** Flits buffered in input VC (@p port, @p vc). */
@@ -418,6 +438,8 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
         Link* link = nullptr;
         /** Per-VC buffer depth behind the link (checkInvariants). */
         int downstreamDepth = 0;
+        /** Feeds an NI sink: sending spends no credit. */
+        bool sink = false;
         // Point B: the crossbar output port (capacity-one server).
         // Its busy bit lives in the router-level xbarBusyMask_ (and
         // the blocked-mux set in xbarWaiters_), so the input-mux gate
@@ -490,16 +512,6 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
 
     /** Applies the credits due now; call before reading outCredits_. */
     void collectCredits(int port) { collectCredits(port, simulator_.now()); }
-
-    /** Output VCs of @p port that wait on a credit: a buffered
-     *  flit with none, or a cut-through header the credit gate holds
-     *  back (Link::awaitCredit). */
-    std::uint64_t
-    starvedVcs(int port) const
-    {
-        const auto p = static_cast<std::size_t>(port);
-        return starvedMask_[p] | gateMask_[p];
-    }
 
     void registerSpaceWaiter(OutputVc& ovc, InputVcKey key);
     void wakeSpaceWaiter(OutputVc& ovc);

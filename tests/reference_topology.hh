@@ -40,9 +40,14 @@ bool symmetric(const network::Topology& topo);
  * Channel-dependency graph of @p tables over @p topo: node id =
  * channel * vcClasses + vcClass, one edge per (hold, request) pair a
  * message can create. With @p escape_only, AdaptiveEscape entries
- * contribute only their escape (last) candidate - the subnetwork
- * whose acyclicity Duato's condition requires; entries with other
- * Select modes always contribute all candidates.
+ * contribute only their escape (last) candidate, so the graph holds
+ * the direct escape dependencies and no more: not the indirect or
+ * cross dependencies a message creates through adaptive channels,
+ * which Duato's extended CDG adds. Its acyclicity proves adaptive
+ * routing deadlock-free only together with the router's atomic
+ * allocation rule (an adaptive VC is taken only when unallocated and
+ * drained downstream). Entries with other Select modes always
+ * contribute all candidates.
  */
 std::vector<std::pair<int, int>>
 channelDependencyEdges(const network::Topology& topo,

@@ -4,6 +4,8 @@
  * their validation (user errors must fatal() with exit code 1).
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "config/network_config.hh"
@@ -131,6 +133,14 @@ TEST(TrafficConfigDeath, RejectsBadLoad)
                 "inputLoad");
 }
 
+TEST(TrafficConfigDeath, RejectsNanLoad)
+{
+    TrafficConfig cfg;
+    cfg.inputLoad = std::nan("");
+    EXPECT_EXIT(cfg.validate(), testing::ExitedWithCode(1),
+                "inputLoad nan out of range");
+}
+
 TEST(TrafficConfigDeath, RejectsBadMix)
 {
     TrafficConfig cfg;
@@ -171,6 +181,13 @@ TEST(TrafficConfigDeath, ScaledRejectsTimeScaleOutsideUnitInterval)
                 "timeScale 0\\.000 out of \\(0,1\\]");
     EXPECT_EXIT(cfg.scaled(1.5), testing::ExitedWithCode(1),
                 "timeScale 1\\.500 out of \\(0,1\\]");
+}
+
+TEST(TrafficConfigDeath, ScaledRejectsNanTimeScale)
+{
+    TrafficConfig cfg;
+    EXPECT_EXIT(cfg.scaled(std::nan("")), testing::ExitedWithCode(1),
+                "timeScale nan out of \\(0,1\\]");
 }
 
 TEST(TrafficConfig, DescribeMentionsMix)

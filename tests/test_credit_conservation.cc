@@ -2,17 +2,18 @@
  * @file
  * Per-link credit conservation over whole-network runs.
  *
- * Every link - the NI -> router injection links, the router ->
- * router channels and the router -> NI ejection links - must
- * conserve, per VC, the downstream buffer's slots:
+ * Every link that carries credits - the NI -> router injection links
+ * and the router -> router channels - must conserve, per VC, the
+ * downstream input buffer's slots:
  *
  *   sender credits + credits on the wire + flits on the wire
  *     + receiver input-buffer occupancy == buffer depth
  *
  * "On the wire" counts a channel's pipe and its cross-shard outbox;
- * a credit counts there until the sender applies it. An ejection
- * sink buffers nothing (it drains on arrival) and its depth is
- * network::kSinkCredits. The check runs at regular steps of the G1
+ * a credit counts there until the sender applies it. A router -> NI
+ * ejection link carries none: the sink drains each flit on arrival,
+ * so the port feeding it must hold exactly flitBufferDepth credits,
+ * with none on the wire. The check runs at regular steps of the G1
  * single switch, the G3 fat mesh on two PDES shards and the G5 torus
  * (tests/test_determinism.cc).
  */
@@ -176,9 +177,10 @@ class SteppedRun
     }
 
     /**
-     * Checks conservation on every link and VC; returns the flits
-     * and credits found on the wire, so callers can tell a busy
-     * network from an idle one.
+     * Checks conservation on every credit-carrying link and VC, and
+     * the fixed credits of every ejection port; returns the flits and
+     * credits found on the wire, so callers can tell a busy network
+     * from an idle one.
      */
     int
     checkConservation(sim::Tick at)
@@ -211,8 +213,11 @@ class SteppedRun
             for (int v = 0; v < cfg_.router.numVcs; ++v) {
                 check(inj, net_->ni(node).credits(v), v,
                       sw.inputOccupancy(ep.port, v), depth);
-                check(ej, sw.outputCredits(ep.port, v), v, 0,
-                      network::kSinkCredits);
+                EXPECT_EQ(sw.outputCredits(ep.port, v), depth)
+                    << ej.name() << " vc " << v << " at tick " << at;
+                EXPECT_EQ(ej.creditsInFlight(v), 0)
+                    << ej.name() << " vc " << v << " at tick " << at;
+                on_wire += ej.flitsInFlight(v);
             }
         }
         for (std::size_t i = 0; i < topo_.channels().size(); ++i) {

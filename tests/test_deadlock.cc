@@ -6,10 +6,12 @@
  * suite drives the real simulator into the regimes where a wormhole
  * deadlock would actually bite - saturation load, minimal VC counts
  * (one lane per VC class), shallow buffers - and demands that every
- * run drains: `truncated` means the experiment hit its time cap with
- * flits still stuck in the network, which is precisely the deadlock
- * signature (a cycle of flits holding VCs and waiting on each other
- * never drains, no matter how long the cap).
+ * run drains. A deadlock rarely shows as `truncated` (the time cap
+ * hit with events still queued): once the sources stop, a cycle of
+ * flits holding VCs and waiting on each other schedules nothing, so
+ * the event queue drains with the flits still stuck. runExperiment
+ * then panics, since a drained run must have delivered every flit it
+ * injected; that panic is what catches a deadlock here.
  *
  * Separate executable so the fast CI jobs can exclude the label; the
  * Release job runs it with -L deadlock.

@@ -65,10 +65,11 @@ TEST_F(NetworkTest, SingleSwitchShape)
 }
 
 /**
- * An ejection VC keeps delivering past its credit depth: the sink
- * returns a credit per flit. 1.1 million flits through one VC are
- * more than network::kSinkCredits (2^20), so a sink that kept its
- * credits would stall the run with flits still queued at the host.
+ * An ejection VC keeps delivering however many flits it carries: its
+ * port spends no credits. 1.1 million flits through one VC are more
+ * than the 2^20 credits an ejection port once held without getting
+ * any back, which stalled the run with flits still queued at the
+ * host.
  */
 TEST_F(NetworkTest, EjectionVcDeliversBeyondItsCreditDepth)
 {
@@ -76,7 +77,7 @@ TEST_F(NetworkTest, EjectionVcDeliversBeyondItsCreditDepth)
     build(config::TopologyKind::SingleSwitch);
     constexpr int kMessages = 11;
     constexpr int kFlits = 100000;
-    static_assert(kMessages * kFlits > kSinkCredits);
+    static_assert(kMessages * kFlits > 1 << 20);
     for (int m = 0; m < kMessages; ++m) {
         traffic::MessageDesc desc;
         desc.stream = StreamId(1);

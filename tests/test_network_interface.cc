@@ -103,17 +103,6 @@ class WireTap final : public router::FlitReceiver
     Simulator& simulator_;
 };
 
-/** Stands in for the router output port feeding the ejection
- *  link: counts the credits the sink returns, per VC. */
-class CreditCounter final : public router::CreditReceiver
-{
-  public:
-    void creditReturned(int vc) override { ++credits[vc]; }
-    std::uint64_t starvedVcs() const override { return kAllVcs; }
-
-    int credits[4] = {};
-};
-
 class NetworkInterfaceTest : public testing::Test
 {
   protected:
@@ -128,8 +117,7 @@ class NetworkInterfaceTest : public testing::Test
             simulator, NodeId(1), cfg, metrics, "ni1");
         link.connectReceiver(&tap);
         ni->connectInjectionLink(link, /*router_buffer_depth=*/4);
-        ni->connectEjectionLink(ejection);
-        ejection.connectCreditReceiver(&ejectionCredits);
+        ejection.connectReceiver(ni.get());
     }
 
     traffic::MessageDesc
@@ -152,7 +140,6 @@ class NetworkInterfaceTest : public testing::Test
     WireTap tap;
     router::Link link;
     router::Link ejection;
-    CreditCounter ejectionCredits;
     std::unique_ptr<NetworkInterface> ni;
 };
 
@@ -277,7 +264,7 @@ checkAgainstReference(std::uint64_t seed, bool stalls,
     CreditingTap tap(simulator, link, rng, stalls);
     link.connectReceiver(&tap);
     ni.connectInjectionLink(link, stalls ? kDepth : 1 << 20);
-    ni.connectEjectionLink(ejection);
+    ejection.connectReceiver(&ni);
 
     std::vector<std::vector<router::Flit>> want(kLanes);
     std::uint64_t next_seq = 0;
@@ -463,23 +450,9 @@ TEST_F(NetworkInterfaceTest, SinkReportsFrameDelivery)
     tail.injectTime = 0;
 
     ni->receiveFlit(tail, 0);
-    simulator.runToCompletion(); // Delivers the returned credit.
     EXPECT_EQ(metrics.frames().framesDelivered(), 1u);
     EXPECT_EQ(metrics.rtMessages(), 1u);
     EXPECT_EQ(metrics.flitsDelivered(), 1u);
-}
-
-TEST_F(NetworkInterfaceTest, SinkReturnsOneCreditPerFlit)
-{
-    router::Flit body;
-    body.type = router::FlitType::Body;
-    ni->receiveFlit(body, 2);
-    ni->receiveFlit(body, 2);
-    ni->receiveFlit(body, 3);
-    simulator.runToCompletion();
-    EXPECT_EQ(ejectionCredits.credits[0], 0);
-    EXPECT_EQ(ejectionCredits.credits[2], 2);
-    EXPECT_EQ(ejectionCredits.credits[3], 1);
 }
 
 TEST_F(NetworkInterfaceTest, SinkReportsBestEffortLatency)
@@ -507,7 +480,6 @@ TEST_F(NetworkInterfaceTest, BodyFlitsDoNotCountAsMessages)
     body.type = router::FlitType::Body;
     body.cls = router::TrafficClass::Vbr;
     ni->receiveFlit(body, 0);
-    simulator.runToCompletion();
     EXPECT_EQ(metrics.rtMessages(), 0u);
     EXPECT_EQ(metrics.flitsDelivered(), 1u);
 }
@@ -542,7 +514,6 @@ TEST_F(NetworkInterfaceTest, MetricsHubFiltersWarmupMessages)
     tail.injectTime = microseconds(50); // injected before enable
     tail.networkEnterTime = microseconds(50);
     ni->receiveFlit(tail, 0);
-    simulator.runToCompletion();
     EXPECT_EQ(metrics.beMessages(), 1u);
     EXPECT_EQ(metrics.beLatency().count(), 0u)
         << "warmup message contaminated the measurement";

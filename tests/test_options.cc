@@ -10,6 +10,7 @@
 namespace {
 
 using mediaworm::config::OptionParser;
+using mediaworm::config::parseFiniteDouble;
 
 struct Parsed
 {
@@ -103,6 +104,29 @@ TEST(Options, RejectsMalformedNumbers)
     EXPECT_FALSE(parse(parser, {"--vcs=ten"}).ok);
     EXPECT_FALSE(parse(parser, {"--vcs=16x"}).ok);
     EXPECT_FALSE(parse(parser, {"--load=0.8f"}).ok);
+}
+
+TEST(Options, RejectsNonFiniteDoubles)
+{
+    double load = 0.5;
+    OptionParser parser("test");
+    parser.addDouble("load", "", &load, 0.0, 1.5);
+    for (const char* arg : {"--load=nan", "--load=-nan", "--load=NAN",
+                            "--load=inf", "--load=-inf",
+                            "--load=infinity"}) {
+        const Parsed result = parse(parser, {arg});
+        EXPECT_FALSE(result.ok) << arg;
+        EXPECT_NE(result.error.find("--load: expected a finite number"),
+                  std::string::npos)
+            << arg << ": " << result.error;
+    }
+    EXPECT_EQ(load, 0.5);
+
+    double value = 0.0;
+    EXPECT_FALSE(parseFiniteDouble("nan", &value));
+    EXPECT_FALSE(parseFiniteDouble("1e999", &value));
+    EXPECT_TRUE(parseFiniteDouble("0.25", &value));
+    EXPECT_EQ(value, 0.25);
 }
 
 TEST(Options, ChoiceStoresIndex)

@@ -94,7 +94,10 @@ class RouterTest : public testing::Test
                 simulator, cfg.cycleTime(), "out"));
             sinks[p].init(&simulator);
             outLinks.back()->connectReceiver(&sinks[p]);
-            router->connectOutputLink(p, *outLinks.back(), sink_depth);
+            if (p == sinkLinkPort)
+                router->connectSinkLink(p, *outLinks.back());
+            else
+                router->connectOutputLink(p, *outLinks.back(), sink_depth);
         }
     }
 
@@ -223,6 +226,9 @@ class RouterTest : public testing::Test
             table.push_back(RouteCandidates::single(d));
         return table;
     }();
+    /** Output port build() wires as an NI sink (connectSinkLink);
+     *  the others take connectOutputLink's credited stand-in. */
+    int sinkLinkPort = -1;
 };
 
 TEST_F(RouterTest, DeliversSingleMessageInOrder)
@@ -320,6 +326,49 @@ TEST_F(RouterTest, CreditBackpressureStallsAtDepth)
     simulator.runToCompletion();
     EXPECT_EQ(sinks[2].arrivals.size(), 6u);
     router->checkInvariants();
+}
+
+/**
+ * An output port wired to a sink spends no credits: with none ever
+ * returned, one VC forwards three buffers' worth of flits and the
+ * port still holds its full depth, never starved.
+ */
+TEST_F(RouterTest, SinkPortForwardsWithoutCredits)
+{
+    sinkLinkPort = 2;
+    build();
+    // The 8-flit input buffer takes the message a buffer at a time.
+    for (int part = 0; part < 3; ++part) {
+        sendFlits(0, 1, 2, 3 * kDepth, 7, part * kDepth,
+                  (part + 1) * kDepth);
+        simulator.runToCompletion();
+        EXPECT_EQ(router->outputCredits(2, 1), kDepth);
+        EXPECT_EQ(router->starvedVcs(2), 0u);
+        router->checkInvariants();
+    }
+    EXPECT_EQ(sinks[2].arrivals.size(), 3u * kDepth);
+    EXPECT_EQ(router->flitsForwarded(), 3u * kDepth);
+}
+
+/**
+ * Under virtual cut-through the credit gate always passes at a sink
+ * port: each flitBufferDepth-flit message is granted at once, with no
+ * credit returned for the ones before it.
+ */
+TEST_F(RouterTest, SinkPortGrantsCutThroughAtOnce)
+{
+    sinkLinkPort = 2;
+    cfg.switching = config::SwitchingKind::VirtualCutThrough;
+    build();
+    for (int m = 0; m < 3; ++m) {
+        sendMessage(0, 1, 2, kDepth, 7 + m);
+        simulator.runToCompletion();
+        EXPECT_EQ(router->allocationWaits(), 0u);
+        EXPECT_EQ(router->outputCredits(2, 1), kDepth);
+        EXPECT_EQ(router->starvedVcs(2), 0u);
+        router->checkInvariants();
+    }
+    EXPECT_EQ(sinks[2].arrivals.size(), 3u * kDepth);
 }
 
 TEST_F(RouterTest, BackToBackMessagesOnOneInputVc)

@@ -17,9 +17,17 @@
  *     candidate of adaptive entries separately.
  *
  *  3. Deadlock freedom: the channel-dependency graph of every
- *     deterministic policy is acyclic; adaptive policies have an
- *     acyclic escape-only CDG and a non-empty escape candidate at
- *     every (router, dest) - Duato's condition. A negative control
+ *     deterministic policy is acyclic; adaptive policies have a
+ *     non-empty escape candidate at every (router, dest), and their
+ *     direct escape dependencies are acyclic. That is all the
+ *     escape-only CDG proves: it does not build the indirect
+ *     dependencies (escape to escape through adaptive channels) or
+ *     the cross ones (adaptive to escape), so it is not Duato's
+ *     condition. Deadlock freedom under adaptive routing rests on
+ *     the router's atomic allocation rule (an adaptive VC is taken
+ *     only when unallocated and drained downstream; pinned by
+ *     RouterTest.AdaptiveCandidateMustBeDrainedDownstream) and on
+ *     the saturation soak (test_deadlock.cc). A negative control
  *     (torus dimension-order squeezed to one VC class) proves the
  *     cycle detector actually detects the wrap cycle.
  */
@@ -480,10 +488,14 @@ TEST(Deadlock, UpDownCdgIsAcyclic)
 
 TEST(Deadlock, AdaptiveEscapeCdgIsAcyclic)
 {
-    // Duato's condition: allocation waits only happen on the escape
-    // candidates (the router takes an adaptive candidate only when
-    // its VC is free right now), so the escape-only CDG being
-    // acyclic makes the full adaptive policy deadlock-free.
+    // Proves the direct escape dependencies acyclic, and no more:
+    // the indirect and cross dependencies of Duato's extended CDG
+    // are not built. The escape-only graph suffices only because
+    // allocation waits happen on escape candidates alone - the
+    // router takes an adaptive VC only when it is unallocated and
+    // drained downstream (RouterTest.AdaptiveCandidateMustBeDrained-
+    // Downstream) - and the saturation soak (test_deadlock.cc)
+    // checks the whole policy in the simulator.
     expectAcyclicCdg(Topology::mesh(4, 4, 1),
                      config::RoutingKind::Adaptive, true);
     expectAcyclicCdg(Topology::mesh(8, 8, 1),

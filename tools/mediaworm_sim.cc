@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -71,6 +70,10 @@ runPcs(double load, int frames, double scale, long long seed, bool csv)
     return 0;
 }
 
+/** The offered-load range of --load and of each --loads value. */
+constexpr double kMinLoad = 0.01;
+constexpr double kMaxLoad = 1.5;
+
 /** Parses a comma-separated load list; empty on error. */
 std::vector<double>
 parseLoads(const std::string& text)
@@ -81,11 +84,10 @@ parseLoads(const std::string& text)
         std::size_t end = text.find(',', pos);
         if (end == std::string::npos)
             end = text.size();
-        const std::string item = text.substr(pos, end - pos);
-        char* rest = nullptr;
-        const double value = std::strtod(item.c_str(), &rest);
-        if (rest == item.c_str() || *rest != '\0' || value <= 0.0
-            || value > 1.5)
+        double value = 0.0;
+        if (!config::parseFiniteDouble(text.substr(pos, end - pos),
+                                       &value)
+            || !(value >= kMinLoad && value <= kMaxLoad))
             return {};
         loads.push_back(value);
         pos = end + 1;
@@ -134,7 +136,7 @@ main(int argc, char** argv)
         "Flit-level simulation of the MediaWorm QoS router "
         "(HPCA 2000)");
     parser.addDouble("load", "offered input load (fraction of link)",
-                     &load, 0.01, 1.5);
+                     &load, kMinLoad, kMaxLoad);
     parser.addString("loads", "comma-separated load list (multi-point "
                               "sweep; overrides --load)",
                      &loads_arg);
@@ -263,8 +265,8 @@ main(int argc, char** argv)
         if (loads.empty()) {
             std::fprintf(stderr,
                          "--loads: expected comma-separated values "
-                         "in (0, 1.5], got '%s'\n",
-                         loads_arg.c_str());
+                         "in [%g, %g], got '%s'\n",
+                         kMinLoad, kMaxLoad, loads_arg.c_str());
             return 2;
         }
     }
