@@ -14,6 +14,11 @@
  *   MW_BENCH_JSON_DIR  if set, write a BENCH_<name>.json campaign
  *                      artifact (schema mediaworm-campaign-v3,
  *                      timing section included) into this directory
+ *
+ * The numeric knobs take mediaworm_sim's ranges for --frames,
+ * --scale, --jobs and --replications. A value that is junk, not
+ * finite or out of range exits 2 naming the variable, before any
+ * simulation starts.
  */
 
 #ifndef MEDIAWORM_BENCH_COMMON_HH
@@ -24,33 +29,57 @@
 #include <string>
 #include <vector>
 
+#include "config/options.hh"
 #include "core/mediaworm.hh"
 
 namespace bench {
 
-/** Integer environment knob with a default. */
+/** Integer environment knob in [@p lo, @p hi], with a default. */
 inline int
-envInt(const char* name, int fallback)
+envInt(const char* name, int fallback, int lo, int hi)
 {
-    if (const char* env = std::getenv(name))
-        return std::atoi(env);
-    return fallback;
+    const char* env = std::getenv(name);
+    if (env == nullptr)
+        return fallback;
+    long value = 0;
+    if (!mediaworm::config::parseLong(env, &value) || value < lo
+        || value > hi) {
+        std::fprintf(stderr, "error: %s='%s': expected an integer in "
+                     "[%d, %d]\n", name, env, lo, hi);
+        std::exit(2);
+    }
+    return static_cast<int>(value);
+}
+
+/** Real environment knob in [@p lo, @p hi], with a default. */
+inline double
+envDouble(const char* name, double fallback, double lo, double hi)
+{
+    const char* env = std::getenv(name);
+    if (env == nullptr)
+        return fallback;
+    double value = 0.0;
+    if (!mediaworm::config::parseFiniteDouble(env, &value)
+        || !(lo <= value && value <= hi)) {
+        std::fprintf(stderr, "error: %s='%s': expected a finite number "
+                     "in [%g, %g]\n", name, env, lo, hi);
+        std::exit(2);
+    }
+    return value;
 }
 
 /** Measured frames per stream (env-overridable). */
 inline int
 measuredFrames()
 {
-    return envInt("MW_BENCH_FRAMES", 6);
+    return envInt("MW_BENCH_FRAMES", 6, 1, 1000);
 }
 
 /** Time-scale compression (env-overridable). */
 inline double
 timeScale()
 {
-    if (const char* env = std::getenv("MW_BENCH_SCALE"))
-        return std::atof(env);
-    return 0.1;
+    return envDouble("MW_BENCH_SCALE", 0.1, 0.001, 1.0);
 }
 
 /** Campaign execution settings from the environment. */
@@ -58,8 +87,8 @@ inline mediaworm::campaign::CampaignConfig
 campaignConfig()
 {
     mediaworm::campaign::CampaignConfig cfg;
-    cfg.jobs = envInt("MW_BENCH_JOBS", 0); // 0 = hardware threads
-    cfg.replications = envInt("MW_BENCH_REPS", 1);
+    cfg.jobs = envInt("MW_BENCH_JOBS", 0, 0, 256); // 0 = all CPUs
+    cfg.replications = envInt("MW_BENCH_REPS", 1, 1, 1000);
     cfg.showProgress = true;
     return cfg;
 }

@@ -365,40 +365,6 @@ BENCHMARK_CAPTURE(BM_ComputeBounds, torus8x8, true)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Batched router-tick dispatch A/B (DESIGN.md section 13): the same
- * small experiment with the legacy per-event loop (batched:0) and
- * with one-virtual-call-per-router-tick batching plus lazy-tick
- * elision (batched:1). Results are bit-identical either way
- * (tests/test_determinism.cc); the events/s gap is the dispatch +
- * elision win. The batched:1 row is gated against the committed
- * baseline in CI.
- */
-void
-BM_BatchedRouterTick(benchmark::State& state)
-{
-    const bool batched = state.range(0) != 0;
-    for (auto _ : state) {
-        core::ExperimentConfig cfg;
-        cfg.traffic.inputLoad = 0.6;
-        cfg.traffic.warmupFrames = 1;
-        cfg.traffic.measuredFrames = 2;
-        cfg.timeScale = 0.05;
-        cfg.batchedDispatch = batched;
-        const core::ExperimentResult result =
-            core::runExperiment(cfg);
-        benchmark::DoNotOptimize(result.eventsFired);
-        state.counters["events/s"] = benchmark::Counter(
-            static_cast<double>(result.eventsFired),
-            benchmark::Counter::kIsIterationInvariantRate);
-    }
-}
-BENCHMARK(BM_BatchedRouterTick)
-    ->ArgName("batched")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-/**
  * Idle-heavy run (DESIGN.md section 14): a nearly idle router (2%
  * offered load) whose simulated time is dominated by empty stretches
  * between frames, which the clock jumps straight across. The

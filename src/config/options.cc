@@ -1,29 +1,26 @@
 #include "config/options.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace mediaworm::config {
 
-namespace {
-
-/** Parses a long integer strictly; returns false on trailing junk. */
 bool
 parseLong(const std::string& text, long* out)
 {
     if (text.empty())
         return false;
     char* end = nullptr;
+    errno = 0;
     const long value = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
+    if (end != text.c_str() + text.size() || errno == ERANGE)
         return false;
     *out = value;
     return true;
 }
-
-} // namespace
 
 bool
 parseFiniteDouble(const std::string& text, double* out)

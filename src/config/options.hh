@@ -21,6 +21,10 @@ namespace mediaworm::config {
  *  or infinity (strtod takes them, and NaN fails no x < lo test). */
 bool parseFiniteDouble(const std::string& text, double* out);
 
+/** Parses all of @p text as one base-10 integer; false on junk or a
+ *  value outside long's range. */
+bool parseLong(const std::string& text, long* out);
+
 /** Declarative option table with type-checked binding. */
 class OptionParser
 {

@@ -59,9 +59,6 @@ runExperiment(const ExperimentConfig& cfg)
             ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(s))));
         sims.push_back(extra_sims.back().get());
     }
-    for (sim::Simulator* shard : sims)
-        shard->setBatchedDispatch(cfg.batchedDispatch);
-
     network::MetricsHub metrics;
     sim::Rng net_rng = simulator.rng().split();
     network::Network net(sims, shard_plan, cfg.router, cfg.network,
@@ -187,7 +184,7 @@ runExperiment(const ExperimentConfig& cfg)
     ExperimentResult result;
     for (sim::Simulator* shard : sims) {
         // An elided wakeup beyond the cap counts like the queued
-        // event the legacy path would have left behind.
+        // event it stands for.
         result.truncated |=
             !shard->queue().empty() || shard->lazyTickPending();
     }

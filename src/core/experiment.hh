@@ -60,18 +60,6 @@ struct ExperimentConfig
     int shards = 1;
 
     /**
-     * Batched per-router-tick dispatch and lazy-tick elision
-     * (sim::BatchSink / sim::LazyTick). On (the default) the kernel
-     * coalesces same-tick events per router into one virtual
-     * dispatch and skips provably-no-op multiplexer wakeups; off
-     * restores the legacy per-event loop. Either setting produces
-     * bit-identical results - modelDigest and eventsFired do not
-     * depend on it (tests/test_determinism.cc enforces this); the toggle
-     * exists for differential testing and benchmarking.
-     */
-    bool batchedDispatch = true;
-
-    /**
      * Observability: per-stream telemetry, flight recorder, event
      * trace. All off by default; enabling any of them changes no
      * deterministic output (see obs/observer.hh).
@@ -116,9 +104,9 @@ struct ExperimentResult
     std::uint64_t flitsDelivered = 0;   ///< All flits at sinks.
     std::uint64_t eventsFired = 0;      ///< Kernel events executed.
     /** Of eventsFired, no-op wakeups elided by sim::LazyTick: credited
-     *  (never popped or fired) so eventsFired matches the per-event
-     *  path while the queue skips the traffic. Host-independent, but
-     *  0 in the per-event dispatch mode, so it enters only
+     *  (never popped or fired) so each counts in eventsFired as the
+     *  event it stands for while the queue skips the traffic.
+     *  Host-independent; a kernel work count, so it enters only
      *  kernelDigest(). */
     std::uint64_t elidedEvents = 0;
     /** Simulated ticks the kernel clock jumped over without touching
@@ -179,8 +167,7 @@ struct ExperimentResult
      * across shard counts, so this pins how many events a fixed
      * run costs; it moves whenever the kernel schedules work
      * differently (lazy link credits, elided wakeups) even though
-     * modelDigest() does not. elidedEvents is 0 in the per-event
-     * dispatch mode, so compare this digest within one mode only.
+     * modelDigest() does not.
      */
     std::uint64_t kernelDigest() const;
 };

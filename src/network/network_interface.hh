@@ -39,13 +39,11 @@ namespace mediaworm::network {
 /**
  * One endpoint's injection/ejection machinery.
  *
- * Its one event, the injection-mux wakeup, fires through plain
- * per-event dispatch: it is never due twice in one tick, so a
- * sim::BatchSink would only ever see one-member batches. Like the
- * router, the NI takes part in lazy-tick elision (an injection-mux
- * wakeup with nothing eligible is skipped; sim::LazyDrain settles the
- * accounting). Per-VC credits live in a flat array (DESIGN.md
- * section 13).
+ * Its one event is the injection-mux wakeup. Like the router's mux
+ * wakeups, it takes part in lazy-tick elision (a wakeup with nothing
+ * eligible is skipped but still counted as fired; sim::LazyDrain
+ * settles the accounting). Per-VC credits live in a flat array
+ * (DESIGN.md section 13).
  */
 class NetworkInterface final : public traffic::Injector,
                                public router::FlitReceiver,

@@ -47,19 +47,14 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
         for (int v = 0; v < m; ++v) {
             InputVc& ivc = vcAt(ip, v);
             ivc.routeEvent.init(this, p, v);
-            ivc.routeEvent.setBatchSink(this, kOpRouteComputed);
             ivc.serveEvent.init(this, p, v);
-            ivc.serveEvent.setBatchSink(this, kOpVcServe);
         }
         ip.muxEvent.init(this, p);
-        ip.muxEvent.setBatchSink(this, kOpInputMux);
 
         OutputPort& op = outputAt(p);
         op.vcs.resize(static_cast<std::size_t>(m));
         op.xbarEvent.init(this, p);
-        op.xbarEvent.setBatchSink(this, kOpXbarDeliver);
         op.muxEvent.init(this, p);
-        op.muxEvent.setBatchSink(this, kOpOutputMux);
     }
     // The point-A arbiter only serves multiplexed crossbars, but is
     // initialised unconditionally so its mask state is always well
@@ -726,56 +721,6 @@ WormholeRouter::wakeSpaceWaiter(OutputVc& ovc)
         kickInputMux(key.port);
     else
         kickInputVcServer(key.port, key.vc);
-}
-
-// --- batched dispatch (DESIGN.md section 13) --------------------------------
-
-void
-WormholeRouter::fireBatch(sim::Event& first)
-{
-    // One virtual call covers every same-tick event targeting this
-    // router. Members are pulled from the live queue one at a time
-    // (Simulator::nextBatchMember), so events inserted mid-batch —
-    // e.g. a lazily-elided mux wakeup re-materialized by a kick —
-    // fire in exact (when, seq) order.
-    sim::Event* e = &first;
-    do {
-        switch (static_cast<BatchOp>(e->batchOp())) {
-        case kOpRouteComputed: {
-            auto* ev =
-                static_cast<VcEvent<&WormholeRouter::routeComputed>*>(e);
-            routeComputed(ev->port, ev->vc);
-            break;
-        }
-        case kOpVcServe: {
-            auto* ev =
-                static_cast<VcEvent<&WormholeRouter::vcServeFired>*>(e);
-            vcServeFired(ev->port, ev->vc);
-            break;
-        }
-        case kOpInputMux: {
-            auto* ev =
-                static_cast<PortEvent<&WormholeRouter::inputMuxFired>*>(
-                    e);
-            inputMuxFired(ev->port);
-            break;
-        }
-        case kOpXbarDeliver: {
-            auto* ev =
-                static_cast<PortEvent<&WormholeRouter::xbarDeliver>*>(e);
-            xbarDeliver(ev->port);
-            break;
-        }
-        case kOpOutputMux: {
-            auto* ev =
-                static_cast<PortEvent<&WormholeRouter::outputMuxFired>*>(
-                    e);
-            outputMuxFired(ev->port);
-            break;
-        }
-        }
-        e = simulator_.nextBatchMember(this);
-    } while (e != nullptr);
 }
 
 std::uint64_t

@@ -102,18 +102,17 @@ using RouteTable = std::vector<RouteCandidates>;
 /**
  * An 8x8-class pipelined wormhole router with pluggable scheduling.
  *
- * Hot-path organization (DESIGN.md section 13): the router is a
- * sim::BatchSink - all its events carry an opcode and the kernel
- * makes one virtual fireBatch() call per same-tick batch instead of
- * one per event - and a sim::LazyDrain - idle multiplexer wakeups
- * are elided via sim::LazyTick. Per-VC scalars read by the serve
- * loops (output credits, reserved slots, occupancy, Virtual Clock
+ * Hot-path organization (DESIGN.md section 13): every router event
+ * is a typed PortEvent/VcEvent whose final fire() calls its method
+ * directly, and the router is a sim::LazyDrain - idle multiplexer
+ * wakeups are elided via sim::LazyTick. Per-VC scalars read by the
+ * serve loops (output credits, reserved slots, occupancy, Virtual Clock
  * state, allocation bits) live in flat struct-of-arrays members
  * indexed [port * numVcs + vc], so one arbiter round touches a few
  * contiguous cache lines instead of pointer-chasing through fat
  * per-VC structs.
  */
-class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
+class WormholeRouter : public sim::LazyDrain
 {
   public:
     /**
@@ -221,10 +220,6 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     /** Runtime sanity check: verifies queue/credit invariants. */
     void checkInvariants() const;
 
-    // sim::BatchSink: one virtual dispatch per same-tick batch; the
-    // members fan out through a direct switch on their opcode.
-    void fireBatch(sim::Event& first) override;
-
     // sim::LazyDrain: end-of-run accounting for elided mux wakeups.
     std::uint64_t flushLazy(sim::Tick until) override;
     bool lazyPending() const override;
@@ -305,19 +300,6 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     void serveOutputMux(int port);
     /** Output-mux service slot elapsed: serve the next flit. */
     void outputMuxFired(int port);
-
-    /**
-     * Opcodes for batched dispatch: fireBatch() switches on the
-     * member event's opcode and casts to its concrete type, replacing
-     * the per-event virtual fire() with a direct call.
-     */
-    enum BatchOp : std::uint8_t {
-        kOpRouteComputed, ///< VcEvent<&routeComputed>
-        kOpVcServe,       ///< VcEvent<&vcServeFired>
-        kOpInputMux,      ///< PortEvent<&inputMuxFired>
-        kOpXbarDeliver,   ///< PortEvent<&xbarDeliver>
-        kOpOutputMux,     ///< PortEvent<&outputMuxFired>
-    };
 
     /**
      * Intrusive typed event calling a (port) router method; a direct

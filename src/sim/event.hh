@@ -20,39 +20,6 @@
 namespace mediaworm::sim {
 
 class EventQueue;
-class Event;
-
-/**
- * Coalescing target for batched dispatch.
- *
- * A component registers itself as the batch sink of its hot-path
- * events. When Simulator::run() pops such an event it makes ONE
- * virtual fireBatch() call and the sink then pulls every remaining
- * same-tick event targeting it via Simulator::nextBatchMember(),
- * dispatching each through a direct (non-virtual) opcode switch.
- * Service order stays bit-identical to per-event dispatch because
- * members are popped one at a time from the live queue under the
- * same (when, seq) total order - an event inserted mid-batch lands in
- * its correct position.
- *
- * Only the router is a sink: its many per-port and per-VC events
- * fall due together. A network interface has one event, the
- * injection-mux wakeup, which is never due twice in one tick (it
- * re-arms a cycle ahead and is kicked only from other components'
- * events), so it would only ever form one-member batches.
- */
-class BatchSink
-{
-  public:
-    virtual ~BatchSink() = default;
-
-    /**
-     * Fire @p first, then keep calling
-     * Simulator::nextBatchMember(this) and firing what it returns
-     * until it returns nullptr.
-     */
-    virtual void fireBatch(Event& first) = 0;
-};
 
 /**
  * A schedulable action.
@@ -84,25 +51,6 @@ class Event
 
     /** Tie-break key of the most recent schedule (see EventQueue). */
     std::uint64_t seq() const { return seq_; }
-
-    /**
-     * Marks this event as coalescible into batches targeting
-     * @p sink; @p op is the sink-private opcode its fireBatch()
-     * switches on instead of a virtual call. Set once at
-     * construction, before the first schedule.
-     */
-    void
-    setBatchSink(BatchSink* sink, std::uint8_t op)
-    {
-        batchSink_ = sink;
-        batchOp_ = op;
-    }
-
-    /** Coalescing target; nullptr means per-event dispatch. */
-    BatchSink* batchSink() const { return batchSink_; }
-
-    /** Sink-private dispatch opcode (meaningful if batchSink()). */
-    std::uint8_t batchOp() const { return batchOp_; }
 
     /**
      * Pins this event's tie-break key to @p key forever, instead of
@@ -150,10 +98,6 @@ class Event
     Event* nearNext_ = nullptr;
     /** True once setCanonicalSeq() fixed seq_ permanently. */
     bool canonicalSeq_ = false;
-    /** Coalescing target for batched dispatch; nullptr = per-event. */
-    BatchSink* batchSink_ = nullptr;
-    /** Sink-private opcode, switched on inside fireBatch(). */
-    std::uint8_t batchOp_ = 0;
 };
 
 namespace detail {

@@ -146,11 +146,7 @@ class EventQueue
      */
     [[gnu::always_inline]] Event& pop();
 
-    /**
-     * Earliest event without removing it; nullptr if empty. The
-     * batched run loop peeks to decide whether the next event joins
-     * the current batch before paying the pop.
-     */
+    /** Earliest event without removing it; nullptr if empty. */
     Event* peekEarliest() { return earliest(); }
 
     /**
@@ -160,13 +156,6 @@ class EventQueue
      * event over the peek-then-pop idiom.
      */
     [[gnu::always_inline]] Event* popIfAtOrBefore(Tick until);
-
-    /**
-     * Removes @p event, which must be the earliest event (checked in
-     * debug builds). Used after peekEarliest() accepted it into a
-     * batch, skipping the redundant search pop() would repeat.
-     */
-    [[gnu::always_inline]] void popFront(Event& event);
 
     /**
      * Deschedules every pending event without firing it. Use before
@@ -287,9 +276,7 @@ class EventQueue
      * Cached earliest event: non-null means it *is* the earliest
      * pending event; null means unknown (recomputed lazily by
      * earliest()). Inserts keep it exact via noteScheduled();
-     * removals clear it via noteRemoved(). Saves the front search
-     * when the batched run loop peeks right after a failed batch
-     * probe.
+     * removals clear it via noteRemoved().
      */
     Event* front_ = nullptr;
     TierCounters counters_;
@@ -366,7 +353,8 @@ EventQueue::sortedPosition(const Bucket& bucket, const Event& event,
     // counter range) that does not belong at the tail precedes every
     // same-tick counter-keyed event, so it walks head-first instead
     // (stopping at the tail at the latest): past earlier ticks and
-    // earlier canonical keys only, never through a same-tick batch.
+    // earlier canonical keys only, never through same-tick counter-keyed
+    // events.
     int scanned = 0;
     if (event.canonicalSeq_ && bucket.tail != nullptr
         && before(event, *bucket.tail)) {
@@ -525,16 +513,6 @@ EventQueue::popIfAtOrBefore(Tick until)
     else
         descheduleFar(*event);
     return event;
-}
-
-inline void
-EventQueue::popFront(Event& event)
-{
-    MW_DEBUG_ASSERT(&event == earliest());
-    if (event.heapIndex_ == Event::kInNearTier)
-        unlinkNear(event);
-    else
-        descheduleFar(event);
 }
 
 } // namespace mediaworm::sim

@@ -132,8 +132,8 @@ PdesExecutor::run(Tick cap)
     }
     if (start_time == kNoEvent || start_time > cap) {
         // No queued work, but elided wakeups at or before the cap
-        // would have fired as no-ops in the legacy path; settle them
-        // so eventsFired matches.
+        // still count as the no-op events they stand for; settle them
+        // so eventsFired includes them.
         for (std::size_t i = 0; i < shards_.size(); ++i)
             stats_[i].eventsFired += shards_[i]->settleLazy(cap);
         return;
@@ -213,9 +213,9 @@ PdesExecutor::run(Tick cap)
         // The loop stops once no *queued* event remains at or before
         // the cap, but elided no-op wakeups (sim::LazyTick) between
         // the final window and the cap are invisible to the
-        // min-reduction; the legacy path would have kept running
-        // epochs to fire them. Settle them here so per-shard stats
-        // and eventsFired stay bit-identical.
+        // min-reduction; queued, they would have kept epochs running
+        // to fire them. Settle them here so per-shard stats and
+        // eventsFired count each as the event it stands for.
         stat.eventsFired += shard.settleLazy(cap);
     };
 

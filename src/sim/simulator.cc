@@ -25,13 +25,7 @@ Simulator::step()
     now_ = event.when();
     curSeq_ = event.seq();
     ++eventsFired_;
-    BatchSink* sink = batched_ ? event.batchSink() : nullptr;
-    if (sink == nullptr)
-        event.fire();
-    else
-        // Same coalescing as run(): one virtual dispatch per
-        // (tick, sink) group, members pulled via nextBatchMember().
-        sink->fireBatch(event);
+    event.fire();
     return true;
 }
 
@@ -52,23 +46,17 @@ Simulator::run(Tick until)
         now_ = event->when();
         curSeq_ = event->seq();
         ++eventsFired_;
-        BatchSink* sink = batched_ ? event->batchSink() : nullptr;
-        if (sink == nullptr)
-            event->fire();
-        else
-            // One virtual dispatch for the whole same-tick batch;
-            // the sink pulls further members via nextBatchMember().
-            sink->fireBatch(*event);
+        event->fire();
     }
     if (now_ < until) {
         idleTicksSkipped_ += static_cast<std::uint64_t>(until - now_);
         now_ = until;
     }
     // Settle elided no-op wakeups whose time fell inside this window:
-    // the legacy path would have fired them (as no-ops) before
-    // returning, so the credit must land inside this run() for
-    // eventsFired() deltas - per-shard PDES stats included - to
-    // match bit-for-bit.
+    // queued, they would have fired (as no-ops) before returning, so
+    // the credit must land inside this run() for eventsFired() deltas
+    // - per-shard PDES stats included - to count each elided wakeup
+    // as the event it stands for.
     settleLazy(until);
     return eventsFired_ - before;
 }

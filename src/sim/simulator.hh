@@ -110,39 +110,7 @@ class Simulator
     /** See EventQueue::tierCounters(). */
     const auto& tierCounters() const { return queue_.tierCounters(); }
 
-    // --- batched dispatch and lazy-tick elision -------------------
-
-    /**
-     * Enables/disables batched dispatch AND lazy-tick elision (both
-     * default on). Off restores the exact legacy per-event path;
-     * results are bit-identical either way - the toggle exists for
-     * differential testing and micro-benchmark A/B comparison.
-     */
-    void setBatchedDispatch(bool on) { batched_ = on; }
-
-    /** True if batched dispatch / lazy elision is enabled. */
-    bool batchedDispatch() const { return batched_; }
-
-    /**
-     * Pops and returns the next event iff it fires at the current
-     * tick and targets @p sink; nullptr ends the batch. Call only
-     * from inside BatchSink::fireBatch(). Members come off the live
-     * queue one at a time, so events inserted mid-batch still fire
-     * in exact (when, seq) order.
-     */
-    Event*
-    nextBatchMember(BatchSink* sink)
-    {
-        Event* next = queue_.peekEarliest();
-        if (next == nullptr || next->when() != now_
-            || next->batchSink() != sink) {
-            return nullptr;
-        }
-        queue_.popFront(*next);
-        curSeq_ = next->seq();
-        ++eventsFired_;
-        return next;
-    }
+    // --- lazy-tick elision ------------------------------------------
 
     /** See EventQueue::reserveSeq(). */
     std::uint64_t reserveSeq() { return queue_.reserveSeq(); }
@@ -179,8 +147,9 @@ class Simulator
     /**
      * Total elided (never-enqueued) no-op wakeups since construction;
      * a subset of eventsFired(). Each one is a queue insert, pop and
-     * virtual dispatch the kernel skipped while remaining
-     * bit-identical to the per-event path.
+     * virtual dispatch the kernel skipped; it still counts as the
+     * event it stands for, so event counts and digests do not depend
+     * on what was elided.
      */
     std::uint64_t elidedEvents() const { return elidedEvents_; }
 
@@ -203,10 +172,9 @@ class Simulator
      * link credits due by then. run() calls this on its way out; the
      * PDES executor also calls it directly after its epoch loop,
      * where the final window may stop short of the cap while elided
-     * no-op wakeups - which the per-event path would have kept
-     * running epochs to fire - still sit between the two. Either way
-     * every event up to @p until has fired. In the per-event mode
-     * nothing is elided, but credits still settle.
+     * no-op wakeups - which, had they been queued, would have kept
+     * epochs running to fire them - still sit between the two.
+     * Either way every event up to @p until has fired.
      * @return Number of wakeups credited.
      */
     std::uint64_t
@@ -226,8 +194,6 @@ class Simulator
     bool lazyTickPending() const;
 
   private:
-    friend class LazyTick;
-
     EventQueue queue_;
     Rng rng_;
     Tick now_ = 0;
@@ -236,7 +202,6 @@ class Simulator
     std::uint64_t idleTicksSkipped_ = 0;
     /** Tie-break key of the event currently being fired. */
     std::uint64_t curSeq_ = 0;
-    bool batched_ = true;
     std::vector<LazyDrain*> lazyDrains_;
 };
 
@@ -245,10 +210,10 @@ class Simulator
  *
  * The router and NI multiplexers re-arm a wakeup one cycle after
  * every service; when the arbiter mask is empty that wakeup is a
- * provable no-op (serve() returns without side effects), yet the
- * per-event path still pays a queue insert, pop and dispatch for it.
- * LazyTick elides exactly those wakeups while preserving
- * bit-identical behavior:
+ * provable no-op (serve() returns without side effects), so queueing
+ * it would only pay an insert, pop and dispatch. LazyTick elides
+ * exactly those wakeups, and each one still counts as the event it
+ * stands for:
  *
  *  - arm() with an empty mask reserves the wakeup's tie-break seq at
  *    the same program point schedule() would have consumed it (so
@@ -257,14 +222,13 @@ class Simulator
  *  - kick() - called when eligibility may have appeared - compares
  *    that key against the event being fired right now: if the wakeup
  *    is still ahead it is re-materialized at its exact original
- *    position via scheduleReserved(); if it is behind, it already
- *    fired as a no-op in the per-event order, so it is credited and the
- *    caller serves inline (just as it would after a non-busy slot).
+ *    position via scheduleReserved(); if it is behind, it would
+ *    already have fired as a no-op, so it is credited and the caller
+ *    serves inline (just as it would after a non-busy slot).
  *  - flushLazy()/flush() settle the remaining no-ops at the end of
  *    each run() window (Simulator::settleLazy scans every drain),
- *    and pending() reports wakeups beyond the horizon (the per-event
- *    path would have left those in the queue, marking the run
- *    truncated).
+ *    and pending() reports wakeups beyond the horizon (queued, they
+ *    would have stayed in the queue, marking the run truncated).
  */
 class LazyTick
 {
@@ -276,14 +240,14 @@ class LazyTick
 
     /**
      * Re-arms after a service: schedules @p event @p delay ticks out,
-     * or - when @p maskEmpty says the wakeup would be a no-op and the
-     * simulator runs batched - elides it. Either way one tie-break
-     * seq is consumed, keeping the queue's key evolution identical.
+     * or - when @p maskEmpty says the wakeup would be a no-op - elides
+     * it. Either way one tie-break seq is consumed, keeping the
+     * queue's key evolution identical.
      */
     void
     arm(Simulator& sim, Event& event, Tick delay, bool maskEmpty)
     {
-        if (sim.batched_ && maskEmpty) {
+        if (maskEmpty) {
             readyAt_ = sim.now() + delay;
             seq_ = sim.reserveSeq();
             state_ = State::Lazy;

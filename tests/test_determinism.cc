@@ -376,36 +376,6 @@ TEST(Determinism, MatchesGoldenFullCrossbar)
     expectGolden(runExperiment(goldenConfig10()), kGolden10);
 }
 
-/**
- * Batched dispatch and lazy-tick elision are pure mechanics: turning
- * them off (the exact legacy per-event loop) must reproduce the same
- * results field for field - including eventsFired, where every elided
- * wakeup is credited at the time the legacy path would have fired it
- * as a no-op. Checked on the Fig-3-shaped single switch and the
- * Fig-9-shaped fat mesh, against each other and the goldens.
- */
-TEST(Determinism, BatchedDispatchMatchesPerEventSingleSwitch)
-{
-    ExperimentConfig legacy_cfg = goldenConfig1();
-    legacy_cfg.batchedDispatch = false;
-    const ExperimentResult legacy = runExperiment(legacy_cfg);
-    const ExperimentResult batched = runExperiment(goldenConfig1());
-    expectIdentical(legacy, batched);
-    EXPECT_EQ(legacy.modelDigest(), kGolden1.model);
-    EXPECT_EQ(legacy.elidedEvents, 0u);
-}
-
-TEST(Determinism, BatchedDispatchMatchesPerEventFatMesh)
-{
-    ExperimentConfig legacy_cfg = goldenConfig3();
-    legacy_cfg.batchedDispatch = false;
-    const ExperimentResult legacy = runExperiment(legacy_cfg);
-    const ExperimentResult batched = runExperiment(goldenConfig3());
-    expectIdentical(legacy, batched);
-    EXPECT_EQ(legacy.modelDigest(), kGolden3.model);
-    EXPECT_EQ(legacy.elidedEvents, 0u);
-}
-
 /** Both digests hold however a multi-router golden is sharded: the
  *  PDES epoch loop calls the same settle, credit and arbitration
  *  paths per shard (shards alone are covered exhaustively in

@@ -13,6 +13,10 @@ namespace {
 
 using namespace mediaworm::sim;
 
+// Every router, link and NI event is an intrusive queue node, and the
+// kernel touches one per dispatch: keep each within one cache line.
+static_assert(sizeof(Event) <= 64, "sim::Event must fit one cache line");
+
 TEST(Simulator, StartsAtTimeZero)
 {
     Simulator simulator;
@@ -129,6 +133,26 @@ TEST(Simulator, ZeroDelaySelfScheduleFiresSameTime)
     EXPECT_EQ(simulator.now(), 5);
 }
 
+TEST(Simulator, SameTickInsertionFiresAfterQueuedSiblings)
+{
+    Simulator simulator;
+    std::vector<int> order;
+    CallbackEvent late([&] { order.push_back(2); });
+    CallbackEvent first([&] {
+        order.push_back(0);
+        simulator.schedule(late, simulator.now()); // same tick, new seq
+    });
+    CallbackEvent second([&] { order.push_back(1); });
+    simulator.schedule(first, 100);
+    simulator.schedule(second, 100);
+    simulator.runToCompletion();
+
+    // 'late' is scheduled while 'first' fires, so its seq places it
+    // after 'second', which was already queued for the same tick.
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(simulator.eventsFired(), 3u);
+}
+
 /*
  * Idle-epoch fast-forward (DESIGN.md section 14): the skipped-tick
  * accounting and the O(1) lazy settle index, including the edge
@@ -218,7 +242,7 @@ TEST(Simulator, LazyKickInsideSkippedEpochCreditsElidedWakeup)
     // A real event at t=200 makes the clock jump clear over the
     // elided wakeup's readyAt=100. Kicking from inside that event
     // must recognise the wakeup as already-fired (it would have run
-    // as a no-op at t=100 in the legacy order) and credit it.
+    // as a no-op at t=100 had it been queued) and credit it.
     bool serve_inline = false;
     CallbackEvent wake([&] {
         serve_inline = mux.tick_.kick(simulator, mux.event_);

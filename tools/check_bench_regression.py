@@ -2,9 +2,9 @@
 """Gate on the kernel-benchmark trend file.
 
 Compares the headline events/s of one BENCH_kernel.json entry (the
-measurement just taken, e.g. by tools/bench_kernel.sh in CI) against a
-baseline entry and exits non-zero when it regressed by more than the
-threshold.
+measurement just taken, e.g. by tools/bench_kernel.sh in CI), or the
+wall time of one named row, against a baseline entry and exits
+non-zero when it regressed by more than the threshold.
 
 usage: check_bench_regression.py <json> <current-label>
            [--baseline LABEL] [--threshold FRACTION]
@@ -18,18 +18,23 @@ accidental re-virtualization, a quadratic rescan) that cost far more
 than run-to-run jitter, not to police single-digit drift - use the
 committed BENCH_kernel.json entries for that (see EXPERIMENTS.md).
 
---best-of N compares the best (maximum) rate among up to N repeated
+--best-of N compares the best measurement among up to N repeated
 measurements of the current label: the entry labeled LABEL plus any
 labeled "LABEL#2" .. "LABEL#N" (record repeats by running
-tools/bench_kernel.sh once per suffix). Throughput noise on shared
+tools/bench_kernel.sh once per suffix). Timing noise on shared
 runners is one-sided - a run can only be slowed by interference, never
-sped up - so the max over repeats estimates the machine's true rate
-far better than any single run, and the gate stops failing on one
-unlucky measurement. The baseline stays a single committed entry.
+sped up - so the best over repeats (the maximum rate, or the minimum
+wall time) estimates the machine's true speed far better than any
+single run, and the gate stops failing on one unlucky measurement.
+The baseline stays a single committed entry.
 
---benchmark gates one named row instead of the headline, using its
-events_per_second (falling back to items_per_second). CI uses it with
---threshold 0.05 on BM_EndToEndExperiment to enforce that the
+--benchmark gates one named row instead of the headline, on its wall
+time per iteration (real_time_ns): each row runs a fixed workload, so
+its wall time is the end-to-end cost. Events/s would count a change
+that removes events as a slowdown. The row fails when the baseline's
+time over the current time drops below 1 - threshold, so a threshold
+means the same fractional speed loss as on the headline. CI uses it
+with --threshold 0.05 on BM_EndToEndExperiment to enforce that the
 telemetry-off hot path stays within 5% of the committed baseline (the
 observability hooks must cost nothing when disabled).
 
@@ -53,17 +58,31 @@ def self_test() -> int:
             {"label": "pr-1", "events_per_second": 1.0e6,
              "benchmarks": {
                  "BM_EndToEndExperiment":
-                     {"events_per_second": 2.0e6}}},
+                     {"real_time_ns": 1.0e8,
+                      "events_per_second": 2.0e6},
+                 "BM_Leaner": {"real_time_ns": 1.0e8,
+                               "events_per_second": 2.0e6},
+                 "BM_Slower": {"real_time_ns": 1.0e8,
+                               "events_per_second": 2.0e6}}},
             {"label": "pr-2", "events_per_second": 0.9e6,
              "benchmarks": {
                  "BM_EndToEndExperiment":
-                     {"events_per_second": 0.5e6}}},
+                     {"real_time_ns": 4.0e8,
+                      "events_per_second": 0.5e6},
+                 # 20% fewer events in 5% less time: events/s drops
+                 # 16%, but the fixed workload got faster.
+                 "BM_Leaner": {"real_time_ns": 0.95e8,
+                               "events_per_second": 1.684e6},
+                 # The same events at twice the time.
+                 "BM_Slower": {"real_time_ns": 2.0e8,
+                               "events_per_second": 1.0e6}}},
             # Repeat runs of pr-2 for the --best-of mode: the first
             # measurement above was unlucky; the repeat was not.
             {"label": "pr-2#2", "events_per_second": 0.99e6,
              "benchmarks": {
                  "BM_EndToEndExperiment":
-                     {"events_per_second": 1.99e6}}},
+                     {"real_time_ns": 1.005e8,
+                      "events_per_second": 1.99e6}}},
         ]
     }
     cases = [
@@ -72,7 +91,11 @@ def self_test() -> int:
         (["pr-2", "--threshold", "0.05"], None, 1,
          "10% drop fails a 5% threshold"),
         (["pr-2", "--benchmark", "BM_EndToEndExperiment"], None, 1,
-         "75% row drop fails"),
+         "4x row wall time fails"),
+        (["pr-2", "--benchmark", "BM_Leaner", "--threshold", "0.05"],
+         None, 0, "fewer events in less wall time passes"),
+        (["pr-2", "--benchmark", "BM_Slower"], None, 1,
+         "same events at 2x the wall time fails"),
         (["pr-2", "--baseline", "nope"], None, 2,
          "explicit missing baseline errors"),
         (["nope"], None, 2, "missing current entry errors"),
@@ -128,14 +151,14 @@ def parse_args(argv):
                         help="maximum tolerated fractional drop "
                              "(default 0.30)")
     parser.add_argument("--benchmark", default=None,
-                        help="gate this benchmark row instead of the "
-                             "entry headline (events_per_second, "
-                             "else items_per_second)")
+                        help="gate this benchmark row's wall time "
+                             "(real_time_ns) instead of the entry's "
+                             "headline events/s")
     parser.add_argument("--best-of", type=int, default=1,
                         dest="best_of", metavar="N",
-                        help="take the best rate among the current "
-                             "label and its '#2'..'#N' repeat entries "
-                             "(default 1: the single entry)")
+                        help="take the best measurement among the "
+                             "current label and its '#2'..'#N' repeat "
+                             "entries (default 1: the single entry)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the built-in behavioral checks and "
                              "exit")
@@ -189,34 +212,36 @@ def run_gate(doc, args) -> int:
             return 2
         baseline = previous[-1]
 
+    # A row is judged on wall time (lower is better), the headline on
+    # events/s (higher is better).
     if args.benchmark is not None:
-        def rate(entry):
+        def measure(entry):
             row = entry.get("benchmarks", {}).get(args.benchmark)
-            if row is None:
-                return None
-            return row.get("events_per_second",
-                           row.get("items_per_second"))
+            return None if row is None else row.get("real_time_ns")
+        best, unit = min, "ns"
         what = args.benchmark
     else:
-        def rate(entry):
+        def measure(entry):
             return entry.get("events_per_second")
+        best, unit = max, "events/s"
         what = "headline"
 
-    runs = [r for r in (rate(e) for e in repeats) if r]
-    cur = max(runs, default=None)
-    base = rate(baseline)
+    runs = [m for m in (measure(e) for e in repeats) if m]
+    cur = best(runs, default=None)
+    base = measure(baseline)
     if not cur or not base:
         print(f"error: entries '{args.current}' / "
-              f"'{baseline['label']}' lack a rate for '{what}'",
-              file=sys.stderr)
+              f"'{baseline['label']}' lack a {unit} value for "
+              f"'{what}'", file=sys.stderr)
         return 2
 
-    ratio = cur / base
+    # Speed relative to the baseline: above 1 is faster.
+    ratio = base / cur if args.benchmark is not None else cur / base
     best_note = (f", best of {len(runs)} run(s)"
                  if args.best_of > 1 else "")
-    print(f"[{what}] {args.current}: {cur:.3e} events/s vs "
-          f"{baseline['label']}: {base:.3e} events/s "
-          f"({ratio:.2f}x, threshold {1 - args.threshold:.2f}x"
+    print(f"[{what}] {args.current}: {cur:.3e} {unit} vs "
+          f"{baseline['label']}: {base:.3e} {unit} "
+          f"({ratio:.2f}x speed, threshold {1 - args.threshold:.2f}x"
           f"{best_note})")
     if ratio < 1.0 - args.threshold:
         print(f"FAIL: more than {args.threshold:.0%} below baseline",

@@ -18,7 +18,7 @@
 # Examples:
 #   tools/profile_hotpath.sh
 #   tools/profile_hotpath.sh bench/micro_kernel \
-#       --benchmark_filter=BM_BatchedRouterTick
+#       --benchmark_filter=BM_EndToEndExperiment
 #   tools/profile_hotpath.sh tools/mediaworm_sim \
 #       --loads 0.6 --frames 2 --scale 0.05
 #
