@@ -121,7 +121,7 @@ BM_EventQueueSameTickBurst(benchmark::State& state)
 }
 BENCHMARK(BM_EventQueueSameTickBurst)->Arg(64)->Arg(512);
 
-/** Link transfer: flits and (coalesced) credits through the pipes. */
+/** Link transfer: flits and credits through the pipes. */
 void
 BM_LinkFlitCreditTransfer(benchmark::State& state)
 {
@@ -131,13 +131,13 @@ BM_LinkFlitCreditTransfer(benchmark::State& state)
       public:
         explicit Sink(router::Link& reverse) : reverse_(reverse) {}
         void
-        receiveFlit(const router::Flit& flit, int vc) override
+        receiveFlit(int, const router::Flit& flit, int vc) override
         {
             (void)flit;
             reverse_.sendCredit(vc);
         }
-        void creditReturned(int vc) override { credits_ += vc; }
-        std::uint64_t starvedVcs() const override { return kAllVcs; }
+        void creditReturned(int, int vc) override { credits_ += vc; }
+        std::uint64_t starvedVcs(int) const override { return kAllVcs; }
         std::uint64_t credits_ = 0;
 
       private:

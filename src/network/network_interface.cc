@@ -48,8 +48,8 @@ NetworkInterface::collectCredits(sim::Tick until)
     // it fell due, so creditReturned()'s kick would have been a
     // no-op then.
     injectionLink_->collectCredits(
-        until, [this](int vc, int count, sim::Tick) {
-            credits_[static_cast<std::size_t>(vc)] += count;
+        until, [this](int vc, sim::Tick) {
+            ++credits_[static_cast<std::size_t>(vc)];
             refreshEligibility(vc);
         });
 }
@@ -133,7 +133,7 @@ NetworkInterface::loadHeader(int vc_index)
 }
 
 void
-NetworkInterface::receiveFlit(const router::Flit& flit, int vc)
+NetworkInterface::receiveFlit(int, const router::Flit& flit, int vc)
 {
     const sim::Tick now = simulator_.now();
     if (tracer_ != nullptr) {
@@ -155,7 +155,7 @@ NetworkInterface::receiveFlit(const router::Flit& flit, int vc)
 }
 
 void
-NetworkInterface::creditReturned(int vc)
+NetworkInterface::creditReturned(int, int vc)
 {
     ++credits_[static_cast<std::size_t>(vc)];
     refreshEligibility(vc);

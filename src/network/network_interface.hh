@@ -28,8 +28,8 @@
 #include "router/arbiter.hh"
 #include "router/flit.hh"
 #include "router/link.hh"
-#include "router/ring.hh"
 #include "sim/event.hh"
+#include "sim/ring.hh"
 #include "sim/simulator.hh"
 #include "sim/tracer.hh"
 #include "traffic/stream.hh"
@@ -77,12 +77,13 @@ class NetworkInterface final : public traffic::Injector,
     // traffic::Injector
     void injectMessage(const traffic::MessageDesc& message) override;
 
-    // router::FlitReceiver (ejection sink)
-    void receiveFlit(const router::Flit& flit, int vc) override;
-
-    // router::CreditReceiver (injection credits)
-    void creditReturned(int vc) override;
-    std::uint64_t starvedVcs() const override { return starvedMask_; }
+    // router::FlitReceiver (ejection sink) and router::CreditReceiver
+    // (injection credits); an NI has one link each way, so it
+    // ignores the port.
+    void receiveFlit(int port, const router::Flit& flit,
+                     int vc) override;
+    void creditReturned(int port, int vc) override;
+    std::uint64_t starvedVcs(int) const override { return starvedMask_; }
 
     // sim::LazyDrain: end-of-run accounting for elided mux wakeups.
     std::uint64_t flushLazy(sim::Tick until) override;
@@ -126,7 +127,7 @@ class NetworkInterface final : public traffic::Injector,
      *  array below. */
     struct InjectionVc
     {
-        router::Ring<PendingMessage> messages; ///< Unbounded host queue.
+        sim::Ring<PendingMessage> messages; ///< Unbounded host queue.
         /** The front message's next flit, valid while messages is
          *  non-empty. */
         router::Flit next;

@@ -14,37 +14,23 @@ PcsNetwork::PcsNetwork(sim::Simulator& simulator, const PcsConfig& cfg,
     sources_ = std::make_unique<SourceUnit[]>(
         static_cast<std::size_t>(n));
     dests_ = std::make_unique<DestUnit[]>(static_cast<std::size_t>(n));
-    destReceivers_ = std::make_unique<DestReceiver[]>(
-        static_cast<std::size_t>(n));
-    creditReceivers_ = std::make_unique<SourceCreditReceiver[]>(
-        static_cast<std::size_t>(n));
     sourceArb_.init(cfg_.linkScheduler, n, m);
     destArb_.init(cfg_.linkScheduler, n, m);
 
     for (int node = 0; node < n; ++node) {
-        destReceivers_[static_cast<std::size_t>(node)].init(this, node);
-        creditReceivers_[static_cast<std::size_t>(node)].init(this,
-                                                              node);
-
         SourceUnit& su = sources_[static_cast<std::size_t>(node)];
         su.vcs = std::make_unique<SourceVc[]>(
             static_cast<std::size_t>(m));
-        su.muxEvent.setCallback([this, node] {
-            sources_[static_cast<std::size_t>(node)].muxBusy = false;
-            serveSourceMux(node);
-        });
+        su.muxEvent.bind(this, "PcsNetwork::sourceMux", node);
 
         DestUnit& du = dests_[static_cast<std::size_t>(node)];
         du.vcs = std::make_unique<DestVc[]>(static_cast<std::size_t>(m));
         for (int v = 0; v < m; ++v) {
             du.vcs[static_cast<std::size_t>(v)].buffer =
-                router::FlitBuffer(
+                sim::Ring<router::Flit>(
                     static_cast<std::size_t>(cfg_.flitBufferDepth));
         }
-        du.muxEvent.setCallback([this, node] {
-            dests_[static_cast<std::size_t>(node)].muxBusy = false;
-            serveDestMux(node);
-        });
+        du.muxEvent.bind(this, "PcsNetwork::destMux", node);
     }
 }
 
@@ -70,11 +56,8 @@ PcsNetwork::registerConnection(const Connection& connection)
         "pcs-conn" + std::to_string(connection.stream.value()),
         router::ChannelIds::forLinkIndex(links_.size())));
     router::Link& link = *links_.back();
-    link.connectReceiver(&destReceivers_[static_cast<std::size_t>(
-        connection.dst.value())]);
-    link.connectCreditReceiver(
-        &creditReceivers_[static_cast<std::size_t>(
-            connection.src.value())]);
+    link.connectReceiver(this, connection.dst.value());
+    link.connectCreditReceiver(this, connection.src.value());
 
     svc.active = true;
     svc.credits = cfg_.flitBufferDepth;
@@ -159,23 +142,23 @@ PcsNetwork::injectMessage(const traffic::MessageDesc& message)
 }
 
 void
-PcsNetwork::flitArrived(int node, int vc, const router::Flit& flit)
+PcsNetwork::receiveFlit(int node, const router::Flit& flit, int vc)
 {
     DestUnit& du = dests_[static_cast<std::size_t>(node)];
     DestVc& dvc = du.vcs[static_cast<std::size_t>(vc)];
     MW_ASSERT(dvc.active);
-    MW_ASSERT(!dvc.buffer.full());
+    MW_ASSERT(dvc.buffer.size()
+              < static_cast<std::size_t>(cfg_.flitBufferDepth));
 
-    router::Flit stamped = flit;
+    router::Flit& stamped = dvc.buffer.push_back(flit);
     stamped.stamp = dvc.vclock.tick(simulator_.now());
     stamped.arrivalSeq = du.nextSeq++;
-    dvc.buffer.push(stamped);
     refreshDest(node, vc);
     kickDestMux(node);
 }
 
 void
-PcsNetwork::creditArrived(int node, int vc)
+PcsNetwork::creditReturned(int node, int vc)
 {
     SourceUnit& su = sources_[static_cast<std::size_t>(node)];
     ++su.vcs[static_cast<std::size_t>(vc)].credits;
@@ -235,6 +218,13 @@ PcsNetwork::serveSourceMux(int node)
 }
 
 void
+PcsNetwork::sourceMuxFired(int node)
+{
+    sources_[static_cast<std::size_t>(node)].muxBusy = false;
+    serveSourceMux(node);
+}
+
+void
 PcsNetwork::kickDestMux(int node)
 {
     if (!dests_[static_cast<std::size_t>(node)].muxBusy)
@@ -253,7 +243,8 @@ PcsNetwork::serveDestMux(int node)
     const int v = destArb_.pick(node);
     DestVc& dvc = du.vcs[static_cast<std::size_t>(v)];
 
-    const router::Flit flit = dvc.buffer.pop();
+    const router::Flit flit = dvc.buffer.front();
+    dvc.buffer.pop_front();
     refreshDest(node, v);
     dvc.link->sendCredit(dvc.srcVc);
 
@@ -273,6 +264,13 @@ PcsNetwork::serveDestMux(int node)
 
     du.muxBusy = true;
     simulator_.scheduleAfter(du.muxEvent, cycleTime_);
+}
+
+void
+PcsNetwork::destMuxFired(int node)
+{
+    dests_[static_cast<std::size_t>(node)].muxBusy = false;
+    serveDestMux(node);
 }
 
 } // namespace mediaworm::pcs

@@ -25,18 +25,23 @@
 #include "pcs/pcs_config.hh"
 #include "router/arbiter.hh"
 #include "router/flit.hh"
-#include "router/flit_buffer.hh"
 #include "router/link.hh"
-#include "router/ring.hh"
 #include "router/virtual_clock.hh"
 #include "sim/event.hh"
+#include "sim/ring.hh"
 #include "sim/simulator.hh"
 #include "traffic/stream.hh"
 
 namespace mediaworm::pcs {
 
-/** The PCS switch plus all endpoint source/sink machinery. */
-class PcsNetwork final : public traffic::Injector
+/**
+ * The PCS switch plus all endpoint source/sink machinery. It is the
+ * flit receiver of every circuit's link, told the destination node,
+ * and the credit receiver, told the source node (router/link.hh).
+ */
+class PcsNetwork final : public traffic::Injector,
+                         public router::FlitReceiver,
+                         public router::CreditReceiver
 {
   public:
     /**
@@ -71,14 +76,39 @@ class PcsNetwork final : public traffic::Injector
     // traffic::Injector - resolves the connection from the stream id.
     void injectMessage(const traffic::MessageDesc& message) override;
 
+    /** A circuit's flit reached destination node @p node 's link. */
+    void receiveFlit(int node, const router::Flit& flit,
+                     int vc) override;
+
+    /** A credit came back to source node @p node. */
+    void creditReturned(int node, int vc) override;
+
+    /** The PCS source mux never collects credits itself, so it takes
+     *  each one from the link's event as it falls due. */
+    std::uint64_t starvedVcs(int) const override { return kAllVcs; }
+
     /** Flits delivered to sinks. */
     std::uint64_t flitsDelivered() const { return flitsDelivered_; }
 
   private:
+    // (Declared ahead of the unit structs so their mux events can
+    // name them as template arguments.)
+    /** Re-derives one VC's mux eligibility and cached head. */
+    void refreshSource(int node, int vc);
+    void refreshDest(int node, int vc);
+    void kickSourceMux(int node);
+    void serveSourceMux(int node);
+    /** Source-mux service slot elapsed: serve the next flit. */
+    void sourceMuxFired(int node);
+    void kickDestMux(int node);
+    void serveDestMux(int node);
+    /** Destination-mux service slot elapsed: serve the next flit. */
+    void destMuxFired(int node);
+
     struct SourceVc
     {
         bool active = false;
-        router::Ring<router::Flit> queue; ///< Unbounded host queue.
+        sim::Ring<router::Flit> queue; ///< Unbounded host queue.
         int credits = 0;
         int dstVc = -1;
         router::VirtualClockState vclock;
@@ -88,7 +118,7 @@ class PcsNetwork final : public traffic::Injector
     struct SourceUnit
     {
         std::unique_ptr<SourceVc[]> vcs;
-        sim::CallbackEvent muxEvent;
+        sim::MemberFuncEvent<&PcsNetwork::sourceMuxFired> muxEvent;
         bool muxBusy = false;
         std::uint64_t nextSeq = 0;
     };
@@ -96,7 +126,8 @@ class PcsNetwork final : public traffic::Injector
     struct DestVc
     {
         bool active = false;
-        router::FlitBuffer buffer;
+        /** Bounded at cfg_.flitBufferDepth by the credit loop. */
+        sim::Ring<router::Flit> buffer;
         int srcVc = -1;
         router::VirtualClockState vclock;
         router::Link* link = nullptr; ///< For credit return.
@@ -105,69 +136,10 @@ class PcsNetwork final : public traffic::Injector
     struct DestUnit
     {
         std::unique_ptr<DestVc[]> vcs;
-        sim::CallbackEvent muxEvent;
+        sim::MemberFuncEvent<&PcsNetwork::destMuxFired> muxEvent;
         bool muxBusy = false;
         std::uint64_t nextSeq = 0;
     };
-
-    /** Per-node facade receiving flits at the destination link. */
-    class DestReceiver final : public router::FlitReceiver
-    {
-      public:
-        void
-        init(PcsNetwork* owner, int node)
-        {
-            owner_ = owner;
-            node_ = node;
-        }
-        void
-        receiveFlit(const router::Flit& flit, int vc) override
-        {
-            owner_->flitArrived(node_, vc, flit);
-        }
-
-      private:
-        PcsNetwork* owner_ = nullptr;
-        int node_ = 0;
-    };
-
-    /** Per-node facade receiving credits at the source link. */
-    class SourceCreditReceiver final : public router::CreditReceiver
-    {
-      public:
-        void
-        init(PcsNetwork* owner, int node)
-        {
-            owner_ = owner;
-            node_ = node;
-        }
-        void
-        creditReturned(int vc) override
-        {
-            owner_->creditArrived(node_, vc);
-        }
-        // The PCS source mux never collects credits itself, so it
-        // takes each one from the link's event as it falls due.
-        std::uint64_t
-        starvedVcs() const override
-        {
-            return kAllVcs;
-        }
-
-      private:
-        PcsNetwork* owner_ = nullptr;
-        int node_ = 0;
-    };
-
-    void flitArrived(int node, int vc, const router::Flit& flit);
-    void creditArrived(int node, int vc);
-    /** Re-derives one VC's mux eligibility and cached head. */
-    void refreshSource(int node, int vc);
-    void refreshDest(int node, int vc);
-    void kickSourceMux(int node);
-    void serveSourceMux(int node);
-    void kickDestMux(int node);
-    void serveDestMux(int node);
 
     sim::Simulator& simulator_;
     PcsConfig cfg_;
@@ -180,8 +152,6 @@ class PcsNetwork final : public traffic::Injector
     // Every node's source and destination link muxes, port = node.
     router::MultiPortArbiter sourceArb_; ///< Eligible: queued, credited.
     router::MultiPortArbiter destArb_;   ///< Eligible: buffered.
-    std::unique_ptr<DestReceiver[]> destReceivers_;
-    std::unique_ptr<SourceCreditReceiver[]> creditReceivers_;
     std::vector<std::unique_ptr<router::Link>> links_;
 
     /** stream id -> connection (index assigned by ConnectionTable). */

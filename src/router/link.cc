@@ -42,18 +42,6 @@ Link::bindShards(sim::Simulator& sender, sim::Simulator& receiver)
 }
 
 void
-Link::connectReceiver(FlitReceiver* receiver)
-{
-    receiver_ = receiver;
-}
-
-void
-Link::connectCreditReceiver(CreditReceiver* receiver)
-{
-    creditReceiver_ = receiver;
-}
-
-void
 Link::sendFlit(const Flit& flit, int vc)
 {
     MW_ASSERT(receiver_ != nullptr);
@@ -74,36 +62,16 @@ Link::sendCredit(int vc)
     MW_ASSERT(creditReceiver_ != nullptr);
     const sim::Tick deliver_at = receiverSim_->now() + delay_;
     if (crossShard_) {
-        // Same coalescing as the pipe: the outbox is drained in
-        // order, so only adjacent entries can share a tick.
-        if (!creditOutbox_.empty()) {
-            InFlightCredit& newest = creditOutbox_.back();
-            if (newest.deliverAt == deliver_at && newest.vc == vc) {
-                ++newest.count;
-                return;
-            }
-        }
-        creditOutbox_.push_back({vc, 1, deliver_at});
+        creditOutbox_.push_back({vc, deliver_at});
         return;
     }
-    // Coalesce with the newest entry when it matches; same-tick
-    // credits for one VC collapse into a count, and delivery order
-    // across VCs is untouched because only adjacent entries merge.
-    // A merged credit changes no wakeup: its entry already has one
-    // if its VC is starved.
-    if (!creditPipe_.empty()) {
-        InFlightCredit& newest = creditPipe_.back();
-        if (newest.deliverAt == deliver_at && newest.vc == vc) {
-            ++newest.count;
-            return;
-        }
-    }
-    creditPipe_.push_back({vc, 1, deliver_at});
+    creditPipe_.push_back({vc, deliver_at});
     // Any earlier credit for a starved VC already holds the event,
     // and delivery times are monotone, so only an idle event needs
     // this credit's VC checked.
     if (!creditEvent_.scheduled()
-        && ((creditReceiver_->starvedVcs() >> static_cast<unsigned>(vc))
+        && ((creditReceiver_->starvedVcs(creditPort_)
+             >> static_cast<unsigned>(vc))
             & 1)) {
         senderSim_->schedule(creditEvent_, deliver_at);
     }
@@ -157,14 +125,10 @@ int
 Link::creditsInFlight(int vc) const
 {
     int count = 0;
-    for (std::size_t i = 0; i < creditPipe_.size(); ++i) {
-        if (creditPipe_[i].vc == vc)
-            count += creditPipe_[i].count;
-    }
-    for (const InFlightCredit& entry : creditOutbox_) {
-        if (entry.vc == vc)
-            count += entry.count;
-    }
+    for (std::size_t i = 0; i < creditPipe_.size(); ++i)
+        count += creditPipe_[i].vc == vc ? 1 : 0;
+    for (const InFlightCredit& entry : creditOutbox_)
+        count += entry.vc == vc ? 1 : 0;
     return count;
 }
 
@@ -178,7 +142,7 @@ Link::deliverFlits()
         // mux sends here, via a scheduled event), so the front entry
         // stays put until the pop below - no 80-byte stack copy.
         const InFlightFlit& entry = flitPipe_.front();
-        receiver_->receiveFlit(entry.flit, entry.vc);
+        receiver_->receiveFlit(receiverPort_, entry.flit, entry.vc);
         flitPipe_.pop_front();
     }
     if (!flitPipe_.empty())
@@ -196,10 +160,9 @@ Link::deliverCredits()
     delivering_ = true;
     while (!creditPipe_.empty()
            && creditPipe_.front().deliverAt <= now) {
-        InFlightCredit entry = creditPipe_.front();
+        const int vc = creditPipe_.front().vc;
         creditPipe_.pop_front();
-        for (int i = 0; i < entry.count; ++i)
-            creditReceiver_->creditReturned(entry.vc);
+        creditReceiver_->creditReturned(creditPort_, vc);
     }
     delivering_ = false;
     armCreditEvent();
@@ -208,7 +171,7 @@ Link::deliverCredits()
 void
 Link::armCreditEvent()
 {
-    const std::uint64_t starved = creditReceiver_->starvedVcs();
+    const std::uint64_t starved = creditReceiver_->starvedVcs(creditPort_);
     if (starved == 0)
         return;
     for (std::size_t i = 0; i < creditPipe_.size(); ++i) {

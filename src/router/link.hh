@@ -11,19 +11,26 @@
  * carries none: the NI sink drains each flit on arrival, so the port
  * feeding it spends no credits (WormholeRouter::connectSinkLink).
  *
+ * Each end of a link is a component and one of its ports: the link
+ * stores the port it was connected with (connectReceiver,
+ * connectCreditReceiver) and passes it on every call, as netsim's
+ * Channel stores its endpoint RouterPortPair, so a router or the PCS
+ * switch serves all of its links itself with no per-port adapter.
+ *
  * Flits are pushed: each delivery tick fires the link's flit event,
  * which hands the due flits to the receiver. Credits are pulled
- * (netsim's Channel::get_credit): sendCredit() only appends to the
- * credit pipe, and the sender applies every credit whose deliverAt
- * has passed (collectCredits) before it reads a credit counter. The
- * credit event is scheduled only for a credit to a starved VC
- * (CreditReceiver::starvedVcs) - one that holds a flit, or a
- * cut-through header, that the credit would let move - at that
- * credit's deliverAt. When it fires it applies every due credit in
- * pipe order with the sender's per-credit reaction (creditReturned),
- * exactly as an event per delivery tick would. A credit to a VC that
- * is not starved changes no arbitration decision, so waiting for the
- * pull moves no model output; it saves the event.
+ * (netsim's Channel::get_credit): sendCredit() only appends one
+ * entry per credit to the credit pipe, and the sender applies every
+ * credit whose deliverAt has passed (collectCredits) before it reads
+ * a credit counter. The credit event is scheduled only for a credit
+ * to a starved VC (CreditReceiver::starvedVcs) - one that holds a
+ * flit, or a cut-through header, that the credit would let move - at
+ * that credit's deliverAt. When it fires it applies every due credit
+ * in pipe order with the sender's per-credit reaction
+ * (creditReturned), exactly as an event per delivery tick would. A
+ * credit to a VC that is not starved changes no arbitration
+ * decision, so waiting for the pull moves no model output; it saves
+ * the event.
  *
  * A link is also the only place simulation state crosses routers,
  * which makes it the shard boundary for conservative-parallel runs
@@ -50,24 +57,33 @@
 #include <vector>
 
 #include "router/flit.hh"
-#include "router/ring.hh"
 #include "sim/event.hh"
+#include "sim/ring.hh"
 #include "sim/simulator.hh"
 
 namespace mediaworm::router {
 
-/** Consumer side of a link: a router input port, which returns a
- *  credit for each flit it frees, or an NI sink, which returns none. */
+/**
+ * Consumer side of a link: a router input port, which returns a
+ * credit for each flit it frees, a PCS destination link, or an NI
+ * sink, which returns none. @p port is the one the link was
+ * connected with (Link::connectReceiver); an NI ignores it.
+ */
 class FlitReceiver
 {
   public:
     virtual ~FlitReceiver() = default;
 
-    /** Delivers @p flit into virtual channel @p vc. */
-    virtual void receiveFlit(const Flit& flit, int vc) = 0;
+    /** Delivers @p flit into virtual channel @p vc of @p port. */
+    virtual void receiveFlit(int port, const Flit& flit, int vc) = 0;
 };
 
-/** Producer side of a link: receives returned buffer credits. */
+/**
+ * Producer side of a link: a router output port, a PCS source link
+ * or an NI injection mux, which receives returned buffer credits.
+ * @p port is the one the link was connected with
+ * (Link::connectCreditReceiver); an NI ignores it.
+ */
 class CreditReceiver
 {
   public:
@@ -78,21 +94,21 @@ class CreditReceiver
     static constexpr std::uint64_t kAllVcs = ~std::uint64_t{0};
 
     /**
-     * One buffer slot of virtual channel @p vc was freed downstream.
-     * Called from the link's credit event, at the credit's
-     * deliverAt, once per credit and in pipe order.
+     * One buffer slot of virtual channel @p vc was freed behind the
+     * link that @p port drives. Called from the link's credit event,
+     * at the credit's deliverAt, once per credit and in pipe order.
      */
-    virtual void creditReturned(int vc) = 0;
+    virtual void creditReturned(int port, int vc) = 0;
 
     /**
-     * The VCs that wait on a credit, bit v for VC v. The link fires
-     * its credit event only at the deliverAt of a credit to one of
-     * them; other credits stay in the pipe until the sender collects
-     * them (Link::collectCredits). A receiver that never collects
-     * returns kAllVcs, and so takes every credit from the event as
-     * it falls due.
+     * The VCs of @p port that wait on a credit, bit v for VC v. The
+     * link fires its credit event only at the deliverAt of a credit
+     * to one of them; other credits stay in the pipe until the
+     * sender collects them (Link::collectCredits). A receiver that
+     * never collects returns kAllVcs, and so takes every credit from
+     * the event as it falls due.
      */
-    virtual std::uint64_t starvedVcs() const = 0;
+    virtual std::uint64_t starvedVcs(int port) const = 0;
 };
 
 /**
@@ -142,11 +158,23 @@ class Link
     /** True if bindShards() put the two sides on different shards. */
     bool crossShard() const { return crossShard_; }
 
-    /** Attaches the downstream flit consumer. */
-    void connectReceiver(FlitReceiver* receiver);
+    /** Attaches the downstream flit consumer, which the link calls
+     *  with @p port. */
+    void
+    connectReceiver(FlitReceiver* receiver, int port = 0)
+    {
+        receiver_ = receiver;
+        receiverPort_ = port;
+    }
 
-    /** Attaches the upstream credit consumer. */
-    void connectCreditReceiver(CreditReceiver* receiver);
+    /** Attaches the upstream credit consumer, which the link calls
+     *  with @p port. */
+    void
+    connectCreditReceiver(CreditReceiver* receiver, int port = 0)
+    {
+        creditReceiver_ = receiver;
+        creditPort_ = port;
+    }
 
     /** Sends @p flit on VC @p vc; delivered after the link delay.
      *  Caller must be on the sender shard. */
@@ -158,8 +186,8 @@ class Link
 
     /**
      * Sender side: applies every credit whose deliverAt is at or
-     * before @p until, in pipe order, as @p apply(vc, count,
-     * deliverAt), without the per-credit creditReturned() reaction.
+     * before @p until, in pipe order, as @p apply(vc, deliverAt),
+     * without the per-credit creditReturned() reaction.
      * The sender calls it with now() before it reads a credit
      * counter, and with the run horizon when a run() settles.
      * Credits due at or after the pending credit event's tick are
@@ -181,7 +209,7 @@ class Link
                && creditPipe_.front().deliverAt <= until) {
             const InFlightCredit entry = creditPipe_.front();
             creditPipe_.pop_front();
-            apply(entry.vc, entry.count, entry.deliverAt);
+            apply(entry.vc, entry.deliverAt);
         }
     }
 
@@ -230,7 +258,7 @@ class Link
     int flitsInFlight(int vc) const;
 
     /** Credits of VC @p vc not yet applied by the sender: in the
-     *  pipe or the outbox. */
+     *  pipe or the outbox, one entry each. */
     int creditsInFlight(int vc) const;
 
     /** Diagnostic name. */
@@ -247,11 +275,10 @@ class Link
         sim::Tick deliverAt;
     };
 
-    /** Credits for one VC sharing a delivery tick, coalesced. */
+    /** One credit on the wire. */
     struct InFlightCredit
     {
         int vc;
-        int count;
         sim::Tick deliverAt;
     };
 
@@ -271,9 +298,11 @@ class Link
 
     FlitReceiver* receiver_ = nullptr;
     CreditReceiver* creditReceiver_ = nullptr;
+    int receiverPort_ = 0;
+    int creditPort_ = 0;
 
-    Ring<InFlightFlit> flitPipe_;
-    Ring<InFlightCredit> creditPipe_;
+    sim::Ring<InFlightFlit> flitPipe_;
+    sim::Ring<InFlightCredit> creditPipe_;
     /**
      * Cross-shard staging: written by the producer side during a
      * PDES epoch, drained by the consumer side between the epoch

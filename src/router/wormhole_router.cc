@@ -6,6 +6,14 @@
 
 namespace mediaworm::router {
 
+namespace {
+
+// Event class names; perfbench attributes host time by them.
+constexpr const char* kPortEventName = "RouterPortEvent";
+constexpr const char* kVcEventName = "RouterVcEvent";
+
+} // namespace
+
 WormholeRouter::WormholeRouter(sim::Simulator& simulator,
                                const config::RouterConfig& cfg,
                                std::string name)
@@ -20,10 +28,6 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
     inputs_ = std::make_unique<InputPort[]>(static_cast<std::size_t>(n));
     outputs_ =
         std::make_unique<OutputPort[]>(static_cast<std::size_t>(n));
-    receivers_ =
-        std::make_unique<PortReceiver[]>(static_cast<std::size_t>(n));
-    creditReceivers_ = std::make_unique<PortCreditReceiver[]>(
-        static_cast<std::size_t>(n));
 
     const std::size_t total = static_cast<std::size_t>(n)
         * static_cast<std::size_t>(m);
@@ -38,23 +42,20 @@ WormholeRouter::WormholeRouter(sim::Simulator& simulator,
     xbarWaiters_.assign(static_cast<std::size_t>(n), 0);
 
     for (int p = 0; p < n; ++p) {
-        receivers_[static_cast<std::size_t>(p)].init(this, p);
-        creditReceivers_[static_cast<std::size_t>(p)].init(this, p);
-
         InputPort& ip = inputAt(p);
         ip.vcs = std::make_unique<InputVc[]>(
             static_cast<std::size_t>(m));
         for (int v = 0; v < m; ++v) {
             InputVc& ivc = vcAt(ip, v);
-            ivc.routeEvent.init(this, p, v);
-            ivc.serveEvent.init(this, p, v);
+            ivc.routeEvent.bind(this, kVcEventName, p, v);
+            ivc.serveEvent.bind(this, kVcEventName, p, v);
         }
-        ip.muxEvent.init(this, p);
+        ip.muxEvent.bind(this, kPortEventName, p);
 
         OutputPort& op = outputAt(p);
         op.vcs.resize(static_cast<std::size_t>(m));
-        op.xbarEvent.init(this, p);
-        op.muxEvent.init(this, p);
+        op.xbarEvent.bind(this, kPortEventName, p);
+        op.muxEvent.bind(this, kPortEventName, p);
     }
     // The point-A arbiter only serves multiplexed crossbars, but is
     // initialised unconditionally so its mask state is always well
@@ -75,13 +76,13 @@ WormholeRouter::connectInputLink(int port, Link& link)
     MW_ASSERT(port >= 0 && port < cfg_.numPorts);
     InputPort& ip = inputAt(port);
     MW_ASSERT(ip.link == nullptr);
-    link.connectReceiver(&receivers_[static_cast<std::size_t>(port)]);
+    link.connectReceiver(this, port);
     ip.link = &link;
     // Buffers exist only on wired ports (construction leaves them
     // empty), so unwired ports of a sparse topology cost no flits.
     for (int v = 0; v < cfg_.numVcs; ++v) {
-        vcAt(ip, v).buffer =
-            FlitBuffer(static_cast<std::size_t>(cfg_.flitBufferDepth));
+        vcAt(ip, v).buffer = sim::Ring<Flit>(
+            static_cast<std::size_t>(cfg_.flitBufferDepth));
     }
 }
 
@@ -95,12 +96,11 @@ WormholeRouter::connectOutputLink(int port, Link& link,
     MW_ASSERT(op.link == nullptr);
     op.link = &link;
     op.downstreamDepth = downstream_buffer_depth;
-    link.connectCreditReceiver(
-        &creditReceivers_[static_cast<std::size_t>(port)]);
+    link.connectCreditReceiver(this, port);
     for (int v = 0; v < cfg_.numVcs; ++v) {
         outCredits_[vcIndex(port, v)] = downstream_buffer_depth;
-        vcAt(op, v).buffer =
-            FlitBuffer(static_cast<std::size_t>(cfg_.flitBufferDepth));
+        vcAt(op, v).buffer = sim::Ring<Flit>(
+            static_cast<std::size_t>(cfg_.flitBufferDepth));
     }
 }
 
@@ -148,16 +148,19 @@ WormholeRouter::outputLoad(int port) const
 // --- arrival ---------------------------------------------------------------
 
 void
-WormholeRouter::flitArrived(int port, int vc, const Flit& flit)
+WormholeRouter::receiveFlit(int port, const Flit& flit, int vc)
 {
     InputPort& ip = inputAt(port);
     InputVc& ivc = vcAt(ip, vc);
-    MW_ASSERT(!ivc.buffer.full());
+    // The upstream sender holds a credit for this slot; the ring
+    // itself would grow rather than refuse.
+    MW_ASSERT(ivc.buffer.size()
+              < static_cast<std::size_t>(cfg_.flitBufferDepth));
 
     // Push first, stamp in place: the buffer hands back the stored
     // slot, so the arrival fields land directly in ring memory
     // instead of staging the 64-byte flit through a stack temporary.
-    Flit& stamped = ivc.buffer.push(flit);
+    Flit& stamped = ivc.buffer.push_back(flit);
     VirtualClockState& vclock = inVclock_[vcIndex(port, vc)];
     if (stamped.isHeader()) {
         // The header carries the message's bandwidth request; install
@@ -192,26 +195,24 @@ WormholeRouter::collectCredits(int port, sim::Tick until)
 {
     // Every credit collected here is for a VC that was not starved
     // when it fell due (a credit for a starved VC has the link's
-    // credit event scheduled at its tick), so creditArrived()'s
+    // credit event scheduled at its tick), so creditReturned()'s
     // eligibility refresh, cut-through grant and mux kick would have
     // changed nothing then; only the counter and the trace record
     // remain.
     outputAt(port).link->collectCredits(
-        until, [this, port](int vc, int count, sim::Tick due) {
+        until, [this, port](int vc, sim::Tick due) {
             if (tracer_ != nullptr) {
-                for (int i = 0; i < count; ++i) {
-                    tracer_->record({due, sim::TracePoint::CreditReturn,
-                                     sim::StreamId(), 0, 0,
-                                     traceLocation_, port, vc});
-                }
+                tracer_->record({due, sim::TracePoint::CreditReturn,
+                                 sim::StreamId(), 0, 0, traceLocation_,
+                                 port, vc});
             }
-            outCredits_[vcIndex(port, vc)] += count;
+            ++outCredits_[vcIndex(port, vc)];
             refreshOutputEligibility(port, vc);
         });
 }
 
 void
-WormholeRouter::creditArrived(int port, int vc)
+WormholeRouter::creditReturned(int port, int vc)
 {
     if (tracer_ != nullptr) {
         tracer_->record({simulator_.now(),
@@ -494,7 +495,7 @@ WormholeRouter::serveInputMux(int port)
         << static_cast<unsigned>(ivc.outPort);
     op.xbarFlit = ivc.buffer.front();
     op.xbarFlitVc = ivc.outVc;
-    ivc.buffer.dropFront();
+    ivc.buffer.pop_front();
     const bool is_tail = op.xbarFlit.isTail();
     simulator_.scheduleAfter(
         op.xbarEvent,
@@ -538,16 +539,15 @@ WormholeRouter::serveInputVc(int port, int vc)
     MW_DEBUG_ASSERT(!ivc.serverBusy);
     if (ivc.state != InputVcState::Active || ivc.buffer.empty())
         return;
-    OutputVc& ovc = *ivc.outVcPtr;
-    if (ovc.buffer.space()
-        <= static_cast<std::size_t>(outReserved_[ivc.outFlatIdx])) {
-        registerSpaceWaiter(ovc, {port, vc});
+    const std::size_t idx = ivc.outFlatIdx;
+    if (cfg_.flitBufferDepth - outOccupancy_[idx] <= outReserved_[idx]) {
+        registerSpaceWaiter(*ivc.outVcPtr, {port, vc});
         return;
     }
 
-    ++outReserved_[ivc.outFlatIdx];
+    ++outReserved_[idx];
     ivc.inFlight = ivc.buffer.front();
-    ivc.buffer.dropFront();
+    ivc.buffer.pop_front();
     ivc.inFlightOutPort = ivc.outPort;
     ivc.inFlightOutVc = ivc.outVc;
     ivc.serverBusy = true;
@@ -619,8 +619,9 @@ WormholeRouter::depositIntoOutputVc(int out_port, int out_vc,
         vclock.beginMessage(flit.vtick);
     flit.stamp = vclock.tick(simulator_.now());
     flit.arrivalSeq = op.nextArrivalSeq++;
-    MW_DEBUG_ASSERT(!ovc.buffer.full());
-    ovc.buffer.push(flit);
+    MW_ASSERT(ovc.buffer.size()
+              < static_cast<std::size_t>(cfg_.flitBufferDepth));
+    ovc.buffer.push_back(flit);
     ++outOccupancy_[idx];
     refreshOutputEligibility(out_port, out_vc);
     kickOutputMux(out_port);
@@ -666,7 +667,7 @@ WormholeRouter::serveOutputMux(int port)
                          flit.message, flit.index, traceLocation_,
                          port, v});
     }
-    ovc.buffer.dropFront();
+    ovc.buffer.pop_front();
     const std::size_t idx = vcIndex(port, v);
     if (!op.sink)
         --outCredits_[idx];
@@ -854,7 +855,7 @@ WormholeRouter::checkInvariants() const
             MW_CHECK(outReserved_[i] >= 0);
             MW_CHECK(ovc.buffer.size()
                           + static_cast<std::size_t>(outReserved_[i])
-                      <= ovc.buffer.capacity());
+                      <= static_cast<std::size_t>(cfg_.flitBufferDepth));
             MW_CHECK(outCredits_[i] >= 0);
             // Credits, applied or on the wire, and flits on the wire
             // never exceed the downstream slots they stand for. A

@@ -35,10 +35,10 @@
 #include "config/router_config.hh"
 #include "router/arbiter.hh"
 #include "router/flit.hh"
-#include "router/flit_buffer.hh"
 #include "router/link.hh"
 #include "router/virtual_clock.hh"
 #include "sim/event.hh"
+#include "sim/ring.hh"
 #include "sim/simulator.hh"
 #include "sim/tracer.hh"
 #include "stats/registry.hh"
@@ -103,8 +103,10 @@ using RouteTable = std::vector<RouteCandidates>;
  * An 8x8-class pipelined wormhole router with pluggable scheduling.
  *
  * Hot-path organization (DESIGN.md section 13): every router event
- * is a typed PortEvent/VcEvent whose final fire() calls its method
- * directly, and the router is a sim::LazyDrain - idle multiplexer
+ * is a sim::MemberFuncEvent bound to its port (and VC) whose final
+ * fire() calls its method directly; the router is its links' flit
+ * and credit receiver, told the port on each call (router/link.hh),
+ * and a sim::LazyDrain - idle multiplexer
  * wakeups are elided via sim::LazyTick. Per-VC scalars read by the
  * serve loops (output credits, reserved slots, occupancy, Virtual Clock
  * state, allocation bits) live in flat struct-of-arrays members
@@ -112,7 +114,9 @@ using RouteTable = std::vector<RouteCandidates>;
  * contiguous cache lines instead of pointer-chasing through fat
  * per-VC structs.
  */
-class WormholeRouter : public sim::LazyDrain
+class WormholeRouter final : public FlitReceiver,
+                             public CreditReceiver,
+                             public sim::LazyDrain
 {
   public:
     /**
@@ -130,7 +134,8 @@ class WormholeRouter : public sim::LazyDrain
      * Attaches the link that feeds input port @p port and allocates
      * the port's VC buffers (a port no link feeds holds no flit
      * storage). The router registers itself as the link's flit
-     * receiver and uses the link to return buffer credits upstream.
+     * receiver for @p port and uses the link to return buffer
+     * credits upstream.
      */
     void connectInputLink(int port, Link& link);
 
@@ -200,11 +205,18 @@ class WormholeRouter : public sim::LazyDrain
         return outCredits_[vcIndex(port, vc)];
     }
 
+    /** A flit arrived on input port @p port 's link (FlitReceiver). */
+    void receiveFlit(int port, const Flit& flit, int vc) override;
+
+    /** A credit came back on output port @p port 's link at its due
+     *  tick (CreditReceiver): applies it and reacts at once. */
+    void creditReturned(int port, int vc) override;
+
     /** Output VCs of @p port that wait on a credit: a buffered
      *  flit with none, or a cut-through header the credit gate holds
      *  back (Link::awaitCredit). */
     std::uint64_t
-    starvedVcs(int port) const
+    starvedVcs(int port) const override
     {
         const auto p = static_cast<std::size_t>(port);
         return starvedMask_[p] | gateMask_[p];
@@ -264,10 +276,8 @@ class WormholeRouter : public sim::LazyDrain
     struct OutputPort;
 
     // --- pipeline actions -------------------------------------------------
-    // (Declared ahead of the port/VC structs so the typed events
-    // below can name them as template arguments.)
-    void flitArrived(int port, int vc, const Flit& flit);
-    void creditArrived(int port, int vc);
+    // (Declared ahead of the port/VC structs so their events can name
+    // them as template arguments.)
     void startRouting(int port, int vc);
     void routeComputed(int port, int vc);
     void requestOutputVc(int port, int vc, int out_port, int out_vc);
@@ -301,45 +311,6 @@ class WormholeRouter : public sim::LazyDrain
     /** Output-mux service slot elapsed: serve the next flit. */
     void outputMuxFired(int port);
 
-    /**
-     * Intrusive typed event calling a (port) router method; a direct
-     * call on fire(), with no std::function erasure or allocation.
-     */
-    template <void (WormholeRouter::*Method)(int)>
-    struct PortEvent final : sim::Event
-    {
-        WormholeRouter* router = nullptr;
-        int port = 0;
-
-        void
-        init(WormholeRouter* r, int p)
-        {
-            router = r;
-            port = p;
-        }
-        void fire() override { (router->*Method)(port); }
-        const char* name() const override { return "RouterPortEvent"; }
-    };
-
-    /** As PortEvent, for (port, vc) router methods. */
-    template <void (WormholeRouter::*Method)(int, int)>
-    struct VcEvent final : sim::Event
-    {
-        WormholeRouter* router = nullptr;
-        int port = 0;
-        int vc = 0;
-
-        void
-        init(WormholeRouter* r, int p, int v)
-        {
-            router = r;
-            port = p;
-            vc = v;
-        }
-        void fire() override { (router->*Method)(port, vc); }
-        const char* name() const override { return "RouterVcEvent"; }
-    };
-
     /** Lifecycle of the message occupying an input VC. */
     enum class InputVcState : std::uint8_t {
         Idle,      ///< No message present.
@@ -350,7 +321,8 @@ class WormholeRouter : public sim::LazyDrain
 
     struct InputVc
     {
-        FlitBuffer buffer;
+        /** Bounded at cfg_.flitBufferDepth by the router. */
+        sim::Ring<Flit> buffer;
         InputVcState state = InputVcState::Idle;
         int outPort = -1;
         int outVc = -1;
@@ -365,9 +337,9 @@ class WormholeRouter : public sim::LazyDrain
         std::size_t outFlatIdx = 0;
         sim::Tick vtick = kBestEffortVtick; ///< Current message's rate.
         /// Fires when stages 2-3 finish.
-        VcEvent<&WormholeRouter::routeComputed> routeEvent;
+        sim::MemberFuncEvent<&WormholeRouter::routeComputed> routeEvent;
         // Full-crossbar mode: this VC's private crossbar input server.
-        VcEvent<&WormholeRouter::vcServeFired> serveEvent;
+        sim::MemberFuncEvent<&WormholeRouter::vcServeFired> serveEvent;
         bool serverBusy = false;
         Flit inFlight;            ///< Flit traversing the crossbar.
         int inFlightOutPort = -1; ///< Destination of the in-flight flit.
@@ -389,7 +361,7 @@ class WormholeRouter : public sim::LazyDrain
         // input muxes); eligibility bit v = VC v is Active with a
         // buffered head flit; the serve-time space/crossbar gates
         // prune further.
-        PortEvent<&WormholeRouter::inputMuxFired> muxEvent;
+        sim::MemberFuncEvent<&WormholeRouter::inputMuxFired> muxEvent;
         sim::LazyTick mux; ///< Service-slot state; elides idle ticks.
     };
 
@@ -401,7 +373,8 @@ class WormholeRouter : public sim::LazyDrain
      */
     struct OutputVc
     {
-        FlitBuffer buffer;
+        /** Bounded at cfg_.flitBufferDepth by the router. */
+        sim::Ring<Flit> buffer;
         /** Input VCs waiting to be granted this VC, oldest first:
          *  an intrusive FIFO linked through InputVc::allocNext. */
         int allocHead = kNoVc;
@@ -428,68 +401,19 @@ class WormholeRouter : public sim::LazyDrain
         // loop tests it without dereferencing this struct.
         Flit xbarFlit;
         int xbarFlitVc = -1;
-        PortEvent<&WormholeRouter::xbarDeliver> xbarEvent;
+        sim::MemberFuncEvent<&WormholeRouter::xbarDeliver> xbarEvent;
         // Point C: the VC output multiplexer driving the link; its
         // arbitration state lives in the router-level outputArb_.
         // Eligibility bit v = VC v has a buffered flit and a credit.
-        PortEvent<&WormholeRouter::outputMuxFired> muxEvent;
+        sim::MemberFuncEvent<&WormholeRouter::outputMuxFired> muxEvent;
         sim::LazyTick mux; ///< Service-slot state; elides idle ticks.
         std::uint64_t nextArrivalSeq = 0;
-    };
-
-    /** Adapter: per-port FlitReceiver facade over the router. */
-    class PortReceiver final : public FlitReceiver
-    {
-      public:
-        PortReceiver() = default;
-        void
-        init(WormholeRouter* router, int port)
-        {
-            router_ = router;
-            port_ = port;
-        }
-        void
-        receiveFlit(const Flit& flit, int vc) override
-        {
-            router_->flitArrived(port_, vc, flit);
-        }
-
-      private:
-        WormholeRouter* router_ = nullptr;
-        int port_ = 0;
-    };
-
-    /** Adapter: per-port CreditReceiver facade over the router. */
-    class PortCreditReceiver final : public CreditReceiver
-    {
-      public:
-        PortCreditReceiver() = default;
-        void
-        init(WormholeRouter* router, int port)
-        {
-            router_ = router;
-            port_ = port;
-        }
-        void
-        creditReturned(int vc) override
-        {
-            router_->creditArrived(port_, vc);
-        }
-        std::uint64_t
-        starvedVcs() const override
-        {
-            return router_->starvedVcs(port_);
-        }
-
-      private:
-        WormholeRouter* router_ = nullptr;
-        int port_ = 0;
     };
 
     // --- lazy link credits (router/link.hh) ------------------------------
 
     /** Applies output port @p port 's credits due at or before
-     *  @p until, without creditArrived()'s kick. */
+     *  @p until, without creditReturned()'s kick. */
     void collectCredits(int port, sim::Tick until);
 
     /** Applies the credits due now; call before reading outCredits_. */
@@ -657,8 +581,6 @@ class WormholeRouter : public sim::LazyDrain
     // Fixed arrays: ports embed events and cannot be moved.
     std::unique_ptr<InputPort[]> inputs_;
     std::unique_ptr<OutputPort[]> outputs_;
-    std::unique_ptr<PortReceiver[]> receivers_;
-    std::unique_ptr<PortCreditReceiver[]> creditReceivers_;
 
     // --- data-oriented per-VC hot state (DESIGN.md section 13) ------------
     // Flat [port * numVcs + vc] arrays for the scalars the serve

@@ -12,8 +12,12 @@
 #ifndef MEDIAWORM_SIM_EVENT_HH
 #define MEDIAWORM_SIM_EVENT_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
+#include <utility>
 
 #include "sim/time.hh"
 
@@ -102,64 +106,102 @@ class Event
 
 namespace detail {
 
-/** Extracts the class type from a pointer-to-member-function. */
+/** The class and the int parameters of a pointer-to-member-function. */
 template <class M>
-struct MemberFnClass;
+struct MemberFn;
 
-template <class C>
-struct MemberFnClass<void (C::*)()>
+template <class C, class... Args>
+struct MemberFn<void (C::*)(Args...)>
 {
-    using type = C;
+    static_assert((std::is_same_v<Args, int> && ...),
+                  "MemberFuncEvent binds int arguments only");
+    using Class = C;
+    static constexpr std::size_t kArity = sizeof...(Args);
 };
 
 } // namespace detail
 
 /**
- * Event bound at compile time to one member function of one object.
+ * Event bound at compile time to one member function of one object,
+ * and at bind time to that method's int arguments (a port, a VC).
  *
- * fire() is a direct (devirtualized-template) call through a plain
- * object pointer: no std::function type erasure, no allocation, no
- * captured state beyond the object pointer. This is the hot-path
- * replacement for CallbackEvent; use it whenever the action is "call
- * this method on this object".
+ * fire() is a direct call through a plain object pointer: no
+ * std::function type erasure, no allocation, no captured state
+ * beyond the object pointer and the bound arguments. Use it whenever
+ * the action is "call this method on this object".
  *
  *   class Link {
  *       void deliverFlits();
  *       sim::MemberFuncEvent<&Link::deliverFlits> flitEvent_{this};
  *   };
+ *   class Router {
+ *       void serve(int port, int vc);
+ *       sim::MemberFuncEvent<&Router::serve> event_{this, "serve", 2, 5};
+ *   };
+ *
+ * Events embedded in default-constructed arrays start unbound and
+ * take their object and arguments from bind().
  */
 template <auto Method>
 class MemberFuncEvent final : public Event
 {
-    using Class = typename detail::MemberFnClass<decltype(Method)>::type;
+    using Fn = detail::MemberFn<decltype(Method)>;
+    using Class = typename Fn::Class;
 
   public:
-    /** Binds to @p object; @p name is used for tracing. */
+    /** Unbound; bind() before the first schedule. */
+    MemberFuncEvent() = default;
+
+    /** Binds to @p object and @p args; @p name is used for tracing. */
+    template <class... Ints>
     explicit MemberFuncEvent(Class* object,
-                             const char* name = "MemberFuncEvent")
-        : object_(object), name_(name)
+                             const char* name = "MemberFuncEvent",
+                             Ints... args)
     {
+        bind(object, name, args...);
+    }
+
+    /** (Re)binds the object, name and arguments; must not be
+     *  scheduled when called. */
+    template <class... Ints>
+    void
+    bind(Class* object, const char* name, Ints... args)
+    {
+        static_assert(sizeof...(Ints) == Fn::kArity
+                          && (std::is_same_v<Ints, int> && ...),
+                      "bind() takes one int per method parameter");
+        object_ = object;
+        name_ = name;
+        args_ = {args...};
     }
 
     void
     fire() override
     {
-        (object_->*Method)();
+        call(std::make_index_sequence<Fn::kArity>{});
     }
 
     const char* name() const override { return name_; }
 
   private:
-    Class* object_;
-    const char* name_;
+    template <std::size_t... I>
+    void
+    call(std::index_sequence<I...>)
+    {
+        (object_->*Method)(args_[I]...);
+    }
+
+    Class* object_ = nullptr;
+    const char* name_ = "MemberFuncEvent";
+    [[no_unique_address]] std::array<int, Fn::kArity> args_{};
 };
 
 /**
  * Event adapter that invokes an arbitrary callable.
  *
- * Flexible but pays std::function type erasure per fire(); reserve it
- * for cold paths (one-shot timers, tests) and use MemberFuncEvent on
- * hot paths.
+ * Flexible but pays std::function type erasure per fire(); the
+ * simulator itself uses MemberFuncEvent everywhere, and this adapter
+ * serves tests and benchmarks that schedule ad-hoc lambdas.
  */
 class CallbackEvent final : public Event
 {

@@ -26,8 +26,7 @@ toString(TracePoint point)
     return "?";
 }
 
-Tracer::Tracer(std::size_t capacity)
-    : ring_(capacity), capacity_(capacity)
+Tracer::Tracer(std::size_t capacity) : ring_(capacity)
 {
     MW_ASSERT(capacity > 0);
 }
@@ -35,26 +34,18 @@ Tracer::Tracer(std::size_t capacity)
 void
 Tracer::record(const TraceRecord& entry)
 {
-    ring_[(head_ + count_) % capacity_] = entry;
-    if (count_ < capacity_)
-        ++count_;
-    else
-        head_ = (head_ + 1) % capacity_;
+    if (ring_.size() == ring_.capacity())
+        ring_.pop_front();
+    ring_.push_back(entry);
     ++totalRecorded_;
-}
-
-std::size_t
-Tracer::size() const
-{
-    return count_;
 }
 
 void
 Tracer::forEach(
     const std::function<void(const TraceRecord&)>& visit) const
 {
-    for (std::size_t i = 0; i < count_; ++i)
-        visit(ring_[(head_ + i) % capacity_]);
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+        visit(ring_[i]);
 }
 
 std::string
@@ -62,8 +53,9 @@ Tracer::toString(std::size_t tail) const
 {
     std::string out;
     char line[160];
-    std::size_t skip =
-        (tail != 0 && count_ > tail) ? count_ - tail : 0;
+    std::size_t skip = (tail != 0 && ring_.size() > tail)
+        ? ring_.size() - tail
+        : 0;
     forEach([&](const TraceRecord& entry) {
         if (skip != 0) {
             --skip;
@@ -81,13 +73,6 @@ Tracer::toString(std::size_t tail) const
         out += line;
     });
     return out;
-}
-
-void
-Tracer::clear()
-{
-    head_ = 0;
-    count_ = 0;
 }
 
 } // namespace mediaworm::sim

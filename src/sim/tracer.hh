@@ -16,9 +16,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "sim/ids.hh"
+#include "sim/ring.hh"
 #include "sim/time.hh"
 
 namespace mediaworm::sim {
@@ -62,7 +62,7 @@ class Tracer
     void record(const TraceRecord& entry);
 
     /** Records retained (min of capacity and total recorded). */
-    std::size_t size() const;
+    std::size_t size() const { return ring_.size(); }
 
     /** Total records ever accepted, including evicted ones. */
     std::uint64_t totalRecorded() const { return totalRecorded_; }
@@ -78,13 +78,12 @@ class Tracer
     std::string toString(std::size_t tail = 0) const;
 
     /** Drops all retained records. */
-    void clear();
+    void clear() { ring_.clear(); }
 
   private:
-    std::vector<TraceRecord> ring_;
-    std::size_t capacity_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
+    /** Never grows: record() evicts before the ring fills past its
+     *  initial capacity. */
+    Ring<TraceRecord> ring_;
     std::uint64_t totalRecorded_ = 0;
 };
 

@@ -107,8 +107,13 @@ planMix(const config::RouterConfig& router,
         plan.streams.push_back(stream);
     };
 
-    if (streams_per_node > 0)
-        MW_ASSERT(plan.partition.rtCount > 0);
+    // partitionVcs keeps a best-effort VC for any fraction below 1,
+    // so one VC leaves the streams none.
+    if (streams_per_node > 0 && plan.partition.rtCount == 0) {
+        sim::fatal("traffic mix: real-time fraction %g needs a "
+                   "real-time and a best-effort VC, but numVcs is %d",
+                   traffic.realTimeFraction, router.numVcs);
+    }
 
     int next_id = 0;
     if (traffic.streamPlacement == config::StreamPlacement::Balanced) {

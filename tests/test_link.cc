@@ -24,7 +24,7 @@ class CapturingReceiver final : public FlitReceiver
     }
 
     void
-    receiveFlit(const Flit& flit, int vc) override
+    receiveFlit(int, const Flit& flit, int vc) override
     {
         arrivals.push_back({simulator_.now(), flit.index, vc});
     }
@@ -50,12 +50,12 @@ class CapturingCredits final : public CreditReceiver
     }
 
     void
-    creditReturned(int vc) override
+    creditReturned(int, int vc) override
     {
         credits.push_back({simulator_.now(), vc});
     }
     // Takes every credit as it falls due.
-    std::uint64_t starvedVcs() const override { return kAllVcs; }
+    std::uint64_t starvedVcs(int) const override { return kAllVcs; }
 
     struct Credit
     {
@@ -199,13 +199,13 @@ class PullingSender final : public CreditReceiver, public LazyDrain
     }
 
     void
-    creditReturned(int vc) override
+    creditReturned(int, int vc) override
     {
         delivered.push_back({simulator_.now(), vc});
     }
 
     std::uint64_t
-    starvedVcs() const override
+    starvedVcs(int) const override
     {
         return starved ? kAllVcs : 0;
     }
@@ -214,9 +214,8 @@ class PullingSender final : public CreditReceiver, public LazyDrain
     void
     collect(Tick until)
     {
-        link_.collectCredits(until, [this](int vc, int count, Tick due) {
-            for (int i = 0; i < count; ++i)
-                collected.push_back({due, vc});
+        link_.collectCredits(until, [this](int vc, Tick due) {
+            collected.push_back({due, vc});
         });
     }
 
@@ -343,6 +342,73 @@ TEST(Link, CreditDueBeyondTheCapIsPending)
     EXPECT_FALSE(simulator.lazyTickPending());
     EXPECT_EQ(sender.collected,
               (PulledCredits{{nanoseconds(100), 1}}));
+}
+
+/**
+ * One component at both ends of two links, as a router or the PCS
+ * switch is: each link hands it the port it was connected with.
+ */
+class PortRecorder final : public FlitReceiver, public CreditReceiver
+{
+  public:
+    void
+    receiveFlit(int port, const Flit&, int vc) override
+    {
+        flits.push_back({port, vc});
+    }
+
+    void
+    creditReturned(int port, int vc) override
+    {
+        credits.push_back({port, vc});
+    }
+
+    /** Starved only on port 6, so only its credit takes the event. */
+    std::uint64_t
+    starvedVcs(int port) const override
+    {
+        asked.push_back(port);
+        return port == 6 ? kAllVcs : 0;
+    }
+
+    struct PortVc
+    {
+        int port;
+        int vc;
+        bool operator==(const PortVc&) const = default;
+    };
+    std::vector<PortVc> flits;
+    std::vector<PortVc> credits;
+    mutable std::vector<int> asked;
+};
+
+TEST(Link, PassesItsBoundPortToEveryReceiverCall)
+{
+    Simulator simulator;
+    Link first(simulator, nanoseconds(80), "a");
+    Link second(simulator, nanoseconds(80), "b");
+    PortRecorder component;
+    first.connectReceiver(&component, 3);
+    first.connectCreditReceiver(&component, 6);
+    second.connectReceiver(&component, 1);
+    second.connectCreditReceiver(&component, 4);
+
+    CallbackEvent send([&] {
+        first.sendFlit(makeFlit(0), 2);
+        second.sendFlit(makeFlit(1), 0);
+        first.sendCredit(5);
+        second.sendCredit(7);
+    });
+    simulator.schedule(send, nanoseconds(20));
+    simulator.runToCompletion();
+
+    using PortVc = PortRecorder::PortVc;
+    EXPECT_EQ(component.flits, (std::vector<PortVc>{{3, 2}, {1, 0}}));
+    // Port 4 is not starved: its credit waits in the pipe for a
+    // collect that never comes, and takes no event.
+    EXPECT_EQ(component.credits, (std::vector<PortVc>{{6, 5}}));
+    EXPECT_EQ(second.creditsInFlight(7), 1);
+    EXPECT_EQ(component.asked, (std::vector<int>{6, 4, 6}));
 }
 
 TEST(Link, ExposesNameAndDelay)

@@ -88,7 +88,7 @@ class WireTap final : public router::FlitReceiver
     explicit WireTap(Simulator& simulator) : simulator_(simulator) {}
 
     void
-    receiveFlit(const router::Flit& flit, int vc) override
+    receiveFlit(int, const router::Flit& flit, int vc) override
     {
         times.push_back(simulator_.now());
         flits.push_back(flit);
@@ -218,7 +218,7 @@ checkAgainstReference(std::uint64_t seed, bool stalls,
         }
 
         void
-        receiveFlit(const router::Flit& flit, int vc) override
+        receiveFlit(int, const router::Flit& flit, int vc) override
         {
             EXPECT_EQ(flit.networkEnterTime, simulator_.now());
             got.push_back({flit, vc});
@@ -399,8 +399,8 @@ TEST_F(NetworkInterfaceTest, RespectsCreditsThenResumes)
     EXPECT_EQ(ni->backlogFlits(), 2u);
 
     CallbackEvent credits([&] {
-        ni->creditReturned(0);
-        ni->creditReturned(0);
+        ni->creditReturned(0, 0);
+        ni->creditReturned(0, 0);
     });
     simulator.schedule(credits, simulator.now() + microseconds(1));
     simulator.runToCompletion();
@@ -449,7 +449,7 @@ TEST_F(NetworkInterfaceTest, SinkReportsFrameDelivery)
     tail.endOfFrame = true;
     tail.injectTime = 0;
 
-    ni->receiveFlit(tail, 0);
+    ni->receiveFlit(0, tail, 0);
     EXPECT_EQ(metrics.frames().framesDelivered(), 1u);
     EXPECT_EQ(metrics.rtMessages(), 1u);
     EXPECT_EQ(metrics.flitsDelivered(), 1u);
@@ -465,7 +465,7 @@ TEST_F(NetworkInterfaceTest, SinkReportsBestEffortLatency)
     tail.injectTime = 0;
     tail.networkEnterTime = 0;
 
-    CallbackEvent deliver([&] { ni->receiveFlit(tail, 1); });
+    CallbackEvent deliver([&] { ni->receiveFlit(0, tail, 1); });
     simulator.schedule(deliver, microseconds(42));
     simulator.runToCompletion();
 
@@ -479,7 +479,7 @@ TEST_F(NetworkInterfaceTest, BodyFlitsDoNotCountAsMessages)
     router::Flit body;
     body.type = router::FlitType::Body;
     body.cls = router::TrafficClass::Vbr;
-    ni->receiveFlit(body, 0);
+    ni->receiveFlit(0, body, 0);
     EXPECT_EQ(metrics.rtMessages(), 0u);
     EXPECT_EQ(metrics.flitsDelivered(), 1u);
 }
@@ -493,8 +493,8 @@ TEST_F(NetworkInterfaceTest, LatencyHistogramTracksDeliveries)
     tail.injectTime = 0;
     tail.networkEnterTime = 0;
 
-    CallbackEvent first([&] { ni->receiveFlit(tail, 0); });
-    CallbackEvent second([&] { ni->receiveFlit(tail, 0); });
+    CallbackEvent first([&] { ni->receiveFlit(0, tail, 0); });
+    CallbackEvent second([&] { ni->receiveFlit(0, tail, 0); });
     simulator.schedule(first, microseconds(10));
     simulator.schedule(second, microseconds(30));
     simulator.runToCompletion();
@@ -513,7 +513,7 @@ TEST_F(NetworkInterfaceTest, MetricsHubFiltersWarmupMessages)
     tail.cls = router::TrafficClass::BestEffort;
     tail.injectTime = microseconds(50); // injected before enable
     tail.networkEnterTime = microseconds(50);
-    ni->receiveFlit(tail, 0);
+    ni->receiveFlit(0, tail, 0);
     EXPECT_EQ(metrics.beMessages(), 1u);
     EXPECT_EQ(metrics.beLatency().count(), 0u)
         << "warmup message contaminated the measurement";

@@ -204,7 +204,7 @@ class CountingReceiver final : public router::FlitReceiver
     }
 
     void
-    receiveFlit(const router::Flit& flit, int vc) override
+    receiveFlit(int, const router::Flit& flit, int vc) override
     {
         arrivals.push_back({simulator_.now(), flit.index, vc});
         link_.sendCredit(vc);
@@ -232,12 +232,12 @@ class CountingCredits final : public router::CreditReceiver
     }
 
     void
-    creditReturned(int vc) override
+    creditReturned(int, int vc) override
     {
         credits.push_back({simulator_.now(), vc});
     }
     // Takes every credit as it falls due.
-    std::uint64_t starvedVcs() const override { return kAllVcs; }
+    std::uint64_t starvedVcs(int) const override { return kAllVcs; }
 
     struct Credit
     {

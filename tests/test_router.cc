@@ -35,7 +35,7 @@ class Sink final : public FlitReceiver
     }
 
     void
-    receiveFlit(const Flit& flit, int vc) override
+    receiveFlit(int, const Flit& flit, int vc) override
     {
         arrivals.push_back({simulator_->now(), flit, vc});
     }
@@ -56,8 +56,8 @@ class Sink final : public FlitReceiver
 class CreditSink final : public CreditReceiver
 {
   public:
-    void creditReturned(int vc) override { ++credits[vc]; }
-    std::uint64_t starvedVcs() const override { return kAllVcs; }
+    void creditReturned(int, int vc) override { ++credits[vc]; }
+    std::uint64_t starvedVcs(int) const override { return kAllVcs; }
     std::map<int, int> credits;
 };
 

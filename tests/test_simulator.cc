@@ -3,6 +3,7 @@
  * Unit tests for the discrete-event simulation kernel.
  */
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,37 @@ using namespace mediaworm::sim;
 // Every router, link and NI event is an intrusive queue node, and the
 // kernel touches one per dispatch: keep each within one cache line.
 static_assert(sizeof(Event) <= 64, "sim::Event must fit one cache line");
+
+/** Records the (port, vc) pairs its bound events fire with. */
+class PortVcTarget
+{
+  public:
+    void
+    serve(int port, int vc)
+    {
+        fired.push_back({port, vc});
+    }
+
+    std::vector<std::pair<int, int>> fired;
+};
+
+TEST(MemberFuncEvent, FiresWithItsBoundArgumentsAndReportsItsName)
+{
+    Simulator simulator;
+    PortVcTarget target;
+    MemberFuncEvent<&PortVcTarget::serve> constructed(&target, "serve", 2,
+                                                      5);
+    MemberFuncEvent<&PortVcTarget::serve> bound;
+    bound.bind(&target, "RouterVcEvent", 7, 3);
+    EXPECT_STREQ(constructed.name(), "serve");
+    EXPECT_STREQ(bound.name(), "RouterVcEvent");
+
+    simulator.schedule(bound, 20);
+    simulator.schedule(constructed, 10);
+    simulator.runToCompletion();
+    EXPECT_EQ(target.fired,
+              (std::vector<std::pair<int, int>>{{2, 5}, {7, 3}}));
+}
 
 TEST(Simulator, StartsAtTimeZero)
 {

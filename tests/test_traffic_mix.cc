@@ -126,6 +126,29 @@ TEST_F(MixTest, PureBestEffortHasNoStreams)
     EXPECT_NE(p.beInterval, kTickNever);
 }
 
+/** One VC cannot hold both classes of a mixed load: partitionVcs
+ *  leaves the streams no lane, and planning refuses with a
+ *  diagnostic instead of an assertion. Pure mixes still plan. */
+TEST(MixPlanning, OneVcMixedLoadExitsWithDiagnostic)
+{
+    config::RouterConfig router;
+    router.numVcs = 1;
+    config::TrafficConfig traffic;
+    traffic.inputLoad = 0.9;
+    traffic.realTimeFraction = 0.8;
+    Rng rng(77);
+    EXPECT_EXIT(planMix(router, traffic, 8, rng),
+                testing::ExitedWithCode(1),
+                "real-time fraction 0.8 .* numVcs is 1");
+
+    for (const double pure : {0.0, 1.0}) {
+        traffic.realTimeFraction = pure;
+        Rng pure_rng(77);
+        const MixPlan p = planMix(router, traffic, 8, pure_rng);
+        EXPECT_EQ(p.partition.rtCount + p.partition.beCount, 1);
+    }
+}
+
 TEST_F(MixTest, BestEffortIntervalMatchesRate)
 {
     const MixPlan p = plan(0.8, 0.5);
